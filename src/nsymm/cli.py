@@ -244,6 +244,11 @@ def _parse_composition(text, what="composition"):
     return parts
 
 
+def _check_weight(total, args, what="weight"):
+    if total > args.max_degree:
+        raise CliError(f"{what} {total} exceeds the degree limit {args.max_degree}")
+
+
 def _cmd_qsymm(args) -> int:
     action = args.action
     values = args.args
@@ -251,16 +256,16 @@ def _cmd_qsymm(args) -> int:
         if len(values) != 2:
             raise CliError("qsymm shuffle takes two compositions")
         a, b = (_parse_composition(v) for v in values)
-        total = sum(a) + sum(b)
-        if total > args.max_degree:
-            raise CliError(f"total weight {total} exceeds the degree limit {args.max_degree}")
+        _check_weight(sum(a) + sum(b), args, "total weight")
         product = quasi_shuffle(QSPoly.monomial(a), QSPoly.monomial(b), args.max_degree)
         _emit(args, render_poly(product, "M"), poly_to_data(product, "M"))
         return 0
     if action == "deconcat":
         if len(values) != 1:
             raise CliError("qsymm deconcat takes one composition")
-        tensor = deconcat(QSPoly.monomial(_parse_composition(values[0])))
+        a = _parse_composition(values[0])
+        _check_weight(sum(a), args)
+        tensor = deconcat(QSPoly.monomial(a))
         _emit(args, render_tensor(tensor, "M"), tensor_to_data(tensor, "M"))
         return 0
     if action == "dn":
@@ -272,7 +277,9 @@ def _cmd_qsymm(args) -> int:
             raise CliError(f"dn index must be an integer, got {values[0]!r}") from None
         if n < 1:
             raise CliError(f"dn index must be >= 1, got {n}")
-        result = d_qsymm(n, QSPoly.monomial(_parse_composition(values[1])))
+        a = _parse_composition(values[1])
+        _check_weight(sum(a), args)
+        result = d_qsymm(n, QSPoly.monomial(a))
         _emit(args, render_poly(result, "M"), poly_to_data(result, "M"))
         return 0
     # pairing
@@ -280,6 +287,8 @@ def _cmd_qsymm(args) -> int:
         raise CliError("qsymm pairing takes a monomial composition and a word")
     a = _parse_composition(values[0], "monomial composition")
     w = _parse_composition(values[1], "word")
+    _check_weight(sum(a), args, "monomial weight")
+    _check_weight(sum(w), args, "word weight")
     value = pairing(QSPoly.monomial(a), NCPoly.word(w))
     _emit(args, str(value), {"value": {"num": str(value.numerator), "den": str(value.denominator)}})
     return 0

@@ -8,12 +8,22 @@ and the plain Leibniz law are verified on ALL basis pairs, which by
 bilinearity is a complete proof at the given dimension.
 
 The conversions both ways between families and sequences of ordinary
-derivations mirror the symbolic layer: extraction by the Newton
-recursion or by the logarithm series, reconstruction by reciprocal
-suffix-sum coefficients or by the exponential series.  A word of
-derivations acts with its rightmost factor applied first, matching the
-module convention (Z_i Z_j) . a = Z_i (Z_j . a); the exact round-trips
-on noncommutative algebras pin that convention down.
+derivations mirror the symbolic layer, by recursions that share work
+instead of sums over the 2^(n-1) compositions of n:
+
+* Newton: delta_n = n d_n - sum_{k<n} delta_k d_{n-k}, inverted as
+  n d_n = sum_{k=1..n} delta_k d_{n-k} with d_0 = id (O(n^2) map
+  products; the composition sum with c_coeff weights is the same map).
+* log/exp: with E_1(n) = M_n and E_m(n) = sum_k M_k E_{m-1}(n-k), E_m(n)
+  is the sum of M_{r_1}...M_{r_m} over the compositions of n into m
+  parts, so partial_n = sum_m (-1)^(m+1)/m E_m(n) over d, and
+  d_n = sum_m E_m(n)/m! over partial.
+* A word polynomial is evaluated over the trie of its support: each
+  distinct prefix costs one map product.
+
+A word of derivations acts with its rightmost factor applied first,
+matching the module convention (Z_i Z_j) . a = Z_i (Z_j . a); the exact
+round-trips on noncommutative algebras pin that convention down.
 """
 
 from __future__ import annotations
@@ -22,12 +32,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .config import check_index
-from .newton import c_coeff
 from .poly import NCPoly
-from .words import compositions_of
 
 Vector = tuple[Fraction, ...]
 
@@ -47,10 +55,6 @@ def _as_fraction(value) -> Fraction:
 
 
 _ZERO = Fraction(0)
-
-
-def _vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
 
 
 @dataclass(frozen=True)
@@ -90,23 +94,29 @@ class TestAlgebra:
             e = self.basis(i)
             if self.mul(self.unit, e) != e or self.mul(e, self.unit) != e:
                 raise ValueError(f"unit law fails on basis element {self.labels[i]!r}")
+        # (e_i e_j) e_k == e_i (e_j e_k) on every basis triple, expanded
+        # through the sparse table
+        sp = self._sparse
         for i in range(dim):
+            row_i = sp[i]
             for j in range(dim):
-                left = self.table[i][j]
+                left, row_j = row_i[j], sp[j]
                 for k in range(dim):
-                    if self.mul(left, self.basis(k)) != self._right_mul(i, j, k):
+                    right = row_j[k]
+                    if not (left or right):
+                        continue
+                    acc: dict = {}
+                    for l, c in left:
+                        for m, s in sp[l][k]:
+                            acc[m] = acc.get(m, _ZERO) + c * s
+                    for l, c in right:
+                        for m, s in row_i[l]:
+                            acc[m] = acc.get(m, _ZERO) - c * s
+                    if any(acc.values()):
                         raise ValueError(
                             "associativity fails on basis triple "
                             f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})"
                         )
-
-    def _right_mul(self, i, j, k) -> Vector:
-        # e_i * (e_j * e_k), expanded through the table
-        acc = [_ZERO] * self.dim
-        for l, c in self._sparse[j][k]:
-            for m, s in self._sparse[i][l]:
-                acc[m] += c * s
-        return tuple(acc)
 
     @property
     def dim(self) -> int:
@@ -120,15 +130,17 @@ class TestAlgebra:
 
     def mul(self, u: Vector, v: Vector) -> Vector:
         acc = [_ZERO] * self.dim
+        right = [(j, b) for j, b in enumerate(v) if b]
         for i, a in enumerate(u):
             if not a:
                 continue
             srow = self._sparse[i]
-            for j, b in enumerate(v):
-                if not b:
+            for j, b in right:
+                prod = srow[j]
+                if not prod:
                     continue
                 ab = a * b
-                for k, s in srow[j]:
+                for k, s in prod:
                     acc[k] += ab * s
         return tuple(acc)
 
@@ -198,39 +210,47 @@ class LinMap:
             object.__setattr__(self, "_sparse", cached)
         return cached
 
-    def apply(self, v: Vector) -> Vector:
+    def _apply_sparse(self, entries) -> Vector:
         acc = [_ZERO] * self.dim
         sparse = self._sparse_columns()
-        for j, c in enumerate(v):
-            if not c:
-                continue
+        for j, c in entries:
             for i, s in sparse[j]:
                 acc[i] += c * s
         return tuple(acc)
 
+    def apply(self, v: Vector) -> Vector:
+        return self._apply_sparse((j, c) for j, c in enumerate(v) if c)
+
     def __matmul__(self, other: "LinMap") -> "LinMap":
         # self after other
-        return LinMap(tuple(self.apply(col) for col in other.columns))
+        return LinMap(tuple(self._apply_sparse(col) for col in other._sparse_columns()))
 
     def __add__(self, other: "LinMap") -> "LinMap":
-        return LinMap(tuple(_vec_add(a, b) for a, b in zip(self.columns, other.columns)))
+        return _combine(((1, self), (1, other)), self.dim)
 
     def __sub__(self, other: "LinMap") -> "LinMap":
-        return LinMap(
-            tuple(tuple(a - b for a, b in zip(u, v)) for u, v in zip(self.columns, other.columns))
-        )
+        return _combine(((1, self), (-1, other)), self.dim)
 
     def scale(self, value) -> "LinMap":
-        c = _as_fraction(value)
-        if not c:
-            return LinMap.zero(self.dim)
-        return LinMap(tuple(tuple(c * s for s in col) for col in self.columns))
+        return _combine(((_as_fraction(value), self),), self.dim)
 
     def __rmul__(self, value) -> "LinMap":
         return self.scale(value)
 
     def is_zero(self) -> bool:
-        return all(not s for col in self.columns for s in col)
+        return not any(self._sparse_columns())
+
+
+def _combine(terms: Iterable[tuple], dim: int) -> LinMap:
+    """sum of c * m over (c, m) pairs of a rational and a map, on the nonzero entries."""
+    acc = [[_ZERO] * dim for _ in range(dim)]
+    for c, m in terms:
+        if not c:
+            continue
+        for col, entries in zip(acc, m._sparse_columns()):
+            for i, s in entries:
+                col[i] += c * s
+    return LinMap(tuple(tuple(col) for col in acc))
 
 
 def derivation_defect(d: LinMap, algebra: TestAlgebra):
@@ -286,11 +306,17 @@ def hs_defect(algebra: TestAlgebra, maps: Sequence[LinMap]):
                     for t, s in dn[l]:
                         acc[t] = acc.get(t, _ZERO) + c * s
                 for k in range(n + 1):  # - sum d_k(e_i) d_{n-k}(e_j)
+                    right = cols[n - k][j]
+                    if not right:
+                        continue
                     for a, ca in cols[k][i]:
                         row = sp[a]
-                        for b, cb in cols[n - k][j]:
+                        for b, cb in right:
+                            prod = row[b]
+                            if not prod:
+                                continue
                             cab = ca * cb
-                            for t, s in row[b]:
+                            for t, s in prod:
                                 acc[t] = acc.get(t, _ZERO) - cab * s
                 if any(acc.values()):
                     return (n, i, j)
@@ -487,62 +513,69 @@ def _require_derivations(maps: Sequence[LinMap], algebra: TestAlgebra, what: str
             )
 
 
-def _word_compose(maps: Sequence[LinMap], word, dim: int) -> LinMap:
-    # rightmost letter applied first: fold the matrix product left to right
-    out = LinMap.identity(dim)
-    for letter in word:
-        out = out @ maps[letter - 1]
-    return out
-
-
 def d_from_delta(deltas: Sequence[LinMap], algebra: TestAlgebra) -> HSFamily:
-    """Rebuild the family: d_n = sum over compositions of c_coeff(r) * delta_r."""
+    """Rebuild the family by the Newton inversion.
+
+    n*d_n = delta_1 d_{n-1} + ... + delta_{n-1} d_1 + delta_n, which equals
+    the sum over compositions r of n of c_coeff(r) * delta_r.
+    """
     deltas = tuple(deltas)
     _require_derivations(deltas, algebra, "delta")
-    dim = algebra.dim
-    maps = []
+    maps: list[LinMap] = []
     for n in range(1, len(deltas) + 1):
-        acc = LinMap.zero(dim)
-        for word in compositions_of(n):
-            acc = acc + _word_compose(deltas, word, dim).scale(c_coeff(word))
-        maps.append(acc)
+        w = Fraction(1, n)
+        terms = [(w, deltas[k - 1] @ maps[n - k - 1]) for k in range(1, n)]
+        terms.append((w, deltas[n - 1]))
+        maps.append(_combine(terms, algebra.dim))
     return HSFamily(algebra, tuple(maps))
+
+
+def _length_graded(maps: Sequence[LinMap], dim: int) -> dict[tuple[int, int], LinMap]:
+    """E[m, n] = sum of M_{r_1}...M_{r_m} over compositions of n into m parts.
+
+    E[1, n] = M_n and E[m, n] = sum_k M_k E[m-1, n-k].
+    """
+    order = len(maps)
+    graded = {(1, n): maps[n - 1] for n in range(1, order + 1)}
+    for m in range(2, order + 1):
+        for n in range(m, order + 1):
+            graded[(m, n)] = _combine(
+                ((1, maps[k - 1] @ graded[(m - 1, n - k)]) for k in range(1, n - m + 2)), dim
+            )
+    return graded
 
 
 def partial_from_d(family: HSFamily) -> tuple[LinMap, ...]:
     """Extract derivations by the logarithm series.
 
-    partial_n = sum over compositions (r_1..r_m) of (-1)^(m+1)/m * d_{r_1}...d_{r_m}.
+    partial_n = sum over compositions (r_1..r_m) of (-1)^(m+1)/m * d_{r_1}...d_{r_m},
+    summed by length m as sum_m (-1)^(m+1)/m E[m, n].
     """
     dim = family.algebra.dim
-    partials = []
-    for n in range(1, family.order + 1):
-        acc = LinMap.zero(dim)
-        for word in compositions_of(n):
-            m = len(word)
-            sign = 1 if m % 2 else -1
-            acc = acc + _word_compose(family.maps, word, dim).scale(Fraction(sign, m))
-        partials.append(acc)
-    return tuple(partials)
+    graded = _length_graded(family.maps, dim)
+    return tuple(
+        _combine(
+            ((Fraction(1 if m % 2 else -1, m), graded[(m, n)]) for m in range(1, n + 1)), dim
+        )
+        for n in range(1, family.order + 1)
+    )
 
 
 def d_from_partial(partials: Sequence[LinMap], algebra: TestAlgebra) -> HSFamily:
     """Exponentiate any derivation sequence into a Hasse-Schmidt family.
 
-    d_n = sum over compositions (r_1..r_m) of partial_{r_1}...partial_{r_m} / m!.
+    d_n = sum over compositions (r_1..r_m) of partial_{r_1}...partial_{r_m} / m!,
+    summed by length m as sum_m E[m, n] / m!.
     """
     partials = tuple(partials)
     _require_derivations(partials, algebra, "partial")
     dim = algebra.dim
-    maps = []
-    for n in range(1, len(partials) + 1):
-        acc = LinMap.zero(dim)
-        for word in compositions_of(n):
-            acc = acc + _word_compose(partials, word, dim).scale(
-                Fraction(1, factorial(len(word)))
-            )
-        maps.append(acc)
-    return HSFamily(algebra, tuple(maps))
+    graded = _length_graded(partials, dim)
+    maps = tuple(
+        _combine(((Fraction(1, factorial(m)), graded[(m, n)]) for m in range(1, n + 1)), dim)
+        for n in range(1, len(partials) + 1)
+    )
+    return HSFamily(algebra, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -628,9 +661,23 @@ def operator_from_word_poly(p: NCPoly, maps: Sequence[LinMap], dim: int) -> LinM
     """Evaluate a word polynomial with letter k acting as maps[k-1].
 
     Words compose with the rightmost factor applied first; the empty
-    word is the identity.
+    word is the identity.  The support is walked in lexicographic order,
+    depth first through its trie: each distinct prefix costs one map
+    product, and only the products along the current path are kept.
     """
-    total = LinMap.zero(dim)
-    for word, coefficient in p.items():
-        total = total + _word_compose(maps, word, dim).scale(coefficient)
-    return total
+
+    def products():
+        path: list[int] = []
+        stack = [LinMap.identity(dim)]  # stack[t] = product of path[:t]
+        for word, coefficient in sorted(p.items()):
+            common = 0
+            while common < min(len(path), len(word)) and path[common] == word[common]:
+                common += 1
+            del path[common:], stack[common + 1 :]
+            for letter in word[common:]:
+                step = maps[letter - 1]
+                stack.append(stack[-1] @ step if path else step)
+                path.append(letter)
+            yield coefficient, stack[-1]
+
+    return _combine(products(), dim)

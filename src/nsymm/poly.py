@@ -34,7 +34,10 @@ def coeff_pair(value) -> tuple[int, int]:
         f = Fraction(value)
         return (f.numerator, f.denominator)
     if isinstance(value, tuple) and len(value) == 2:
-        return _k.rat_norm(int(value[0]), int(value[1]))
+        num, den = value
+        if not all(isinstance(c, int) and not isinstance(c, bool) for c in value):
+            raise TypeError(f"(num, den) components must be ints: {value!r}")
+        return _k.rat_norm(num, den)
     raise TypeError(f"not an exact rational: {value!r}")
 
 

@@ -230,6 +230,27 @@ def test_qsymm_bad_args(capsys):
     assert run_cli(capsys, "qsymm", "dn", "x", "1")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("deconcat", "30"),
+        ("dn", "1", "9,9"),
+        ("pairing", "3,2", "1"),
+        ("pairing", "1", "2,3"),
+    ],
+)
+def test_qsymm_actions_enforce_degree_limit(capsys, argv):
+    code, out, err = run_cli(capsys, "qsymm", *argv, "--max-degree", "4")
+    assert code == 2 and out == ""
+    assert "exceeds the degree limit 4" in err
+
+
+def test_qsymm_actions_accept_weight_at_limit(capsys):
+    assert run_cli(capsys, "qsymm", "deconcat", "2,2", "--max-degree", "4")[0] == 0
+    assert run_cli(capsys, "qsymm", "dn", "1", "1,3", "--max-degree", "4")[0] == 0
+    assert run_cli(capsys, "qsymm", "pairing", "4", "4", "--max-degree", "4")[0] == 0
+
+
 # --- installed entry point --------------------------------------------------
 
 

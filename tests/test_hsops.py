@@ -1,10 +1,14 @@
+import random
+import re
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from nsymm import (
     HSFamily,
     LinMap,
+    NCPoly,
     NotADerivationError,
     TestAlgebra,
     d_from_delta,
@@ -26,8 +30,144 @@ from nsymm import (
     z_in_pprime,
 )
 from nsymm.hsops import ddx_matrix
+from nsymm.newton import c_coeff
+from nsymm.words import compositions_of
 
 F = Fraction
+
+
+# --- oracles: dense loops and composition sums --------------------------------
+#
+# The library checks laws on the sparse structure constants and builds
+# families by recursions; these are the direct definitions, kept as
+# independent references for exact comparison.
+
+
+def _dense_mul(table, u, v):
+    dim = len(table)
+    acc = [F(0)] * dim
+    right = [(j, b) for j, b in enumerate(v) if b]
+    for i, a in enumerate(u):
+        if not a:
+            continue
+        for j, b in right:
+            for k, s in enumerate(table[i][j]):
+                acc[k] += a * b * s
+    return tuple(acc)
+
+
+def _unit_vector(dim, i):
+    return tuple(F(int(i == t)) for t in range(dim))
+
+
+def oracle_associativity_failures(table):
+    """Every basis triple (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k), in i-j-k order."""
+    dim = len(table)
+    basis = [_unit_vector(dim, i) for i in range(dim)]
+    return [
+        (i, j, k)
+        for i in range(dim)
+        for j in range(dim)
+        for k in range(dim)
+        if _dense_mul(table, table[i][j], basis[k]) != _dense_mul(table, basis[i], table[j][k])
+    ]
+
+
+def oracle_hs_failures(algebra, maps):
+    """Every (n, i, j) violating d_n(e_i e_j) = sum_k d_k(e_i) d_{n-k}(e_j), in order."""
+    dim = algebra.dim
+    table = algebra.table
+    cols = [[_unit_vector(dim, i) for i in range(dim)]] + [list(m.columns) for m in maps]
+
+    def apply(columns, v):
+        acc = [F(0)] * dim
+        for l, c in enumerate(v):
+            if c:
+                acc = [a + c * s for a, s in zip(acc, columns[l])]
+        return tuple(acc)
+
+    failures = []
+    for n in range(1, len(maps) + 1):
+        for i in range(dim):
+            for j in range(dim):
+                lhs = apply(cols[n], table[i][j])
+                rhs = [F(0)] * dim
+                for k in range(n + 1):
+                    prod = _dense_mul(table, cols[k][i], cols[n - k][j])
+                    rhs = [a + b for a, b in zip(rhs, prod)]
+                if lhs != tuple(rhs):
+                    failures.append((n, i, j))
+    return failures
+
+
+def _word_compose(maps, word, dim):
+    # rightmost letter applied first: fold the matrix product left to right
+    out = LinMap.identity(dim)
+    for letter in word:
+        out = out @ maps[letter - 1]
+    return out
+
+
+def oracle_d_from_delta(deltas, dim):
+    """d_n = sum over compositions of c_coeff(r) * delta_r."""
+    maps = []
+    for n in range(1, len(deltas) + 1):
+        acc = LinMap.zero(dim)
+        for word in compositions_of(n):
+            acc = acc + _word_compose(deltas, word, dim).scale(c_coeff(word))
+        maps.append(acc)
+    return tuple(maps)
+
+
+def oracle_partial_from_d(maps, dim):
+    """partial_n = sum over compositions (r_1..r_m) of (-1)^(m+1)/m * d_{r_1}...d_{r_m}."""
+    partials = []
+    for n in range(1, len(maps) + 1):
+        acc = LinMap.zero(dim)
+        for word in compositions_of(n):
+            m = len(word)
+            sign = 1 if m % 2 else -1
+            acc = acc + _word_compose(maps, word, dim).scale(Fraction(sign, m))
+        partials.append(acc)
+    return tuple(partials)
+
+
+def oracle_d_from_partial(partials, dim):
+    """d_n = sum over compositions (r_1..r_m) of partial_{r_1}...partial_{r_m} / m!."""
+    maps = []
+    for n in range(1, len(partials) + 1):
+        acc = LinMap.zero(dim)
+        for word in compositions_of(n):
+            acc = acc + _word_compose(partials, word, dim).scale(Fraction(1, factorial(len(word))))
+        maps.append(acc)
+    return tuple(maps)
+
+
+def oracle_operator_from_word_poly(p, maps, dim):
+    total = LinMap.zero(dim)
+    for word, coefficient in p.items():
+        total = total + _word_compose(maps, word, dim).scale(coefficient)
+    return total
+
+
+def free_word_family():
+    """An order-3 free extension on the dim-15 free word algebra; every d_n nonzero."""
+    A = free_word_algebra(3)
+    return free_hs_extend(
+        {("x", 1): {"y": 1}, ("x", 2): {"x": 1, "yy": -2}, ("y", 1): {"xy": 1}, ("y", 3): {"x": "1/2"}},
+        A,
+    )
+
+
+def inner_sequence(size):
+    """Five seeded inner derivations of the upper-triangular algebra."""
+    A = upper_triangular_algebra(size)
+    rng = random.Random(f"inner-{size}")
+    seq = []
+    for _ in range(5):
+        element = {label: rng.randint(-3, 3) for label in rng.sample(A.labels, 3)}
+        seq.append(inner_derivation(A, element))
+    return A, tuple(seq)
 
 
 # --- algebra construction ---------------------------------------------------
@@ -69,6 +209,50 @@ def test_association_failure_is_caught():
     }
     with pytest.raises(ValueError, match="associativity"):
         TestAlgebra.from_products(("1", "a", "b"), (1, 0, 0), products)
+
+
+def test_association_failure_names_first_triple():
+    # the algebra above fails on several triples; the error names the first
+    labels = ("1", "a", "b")
+    products = {
+        (0, 0): (1, 0, 0), (0, 1): (0, 1, 0), (0, 2): (0, 0, 1),
+        (1, 0): (0, 1, 0), (2, 0): (0, 0, 1),
+        (1, 1): (0, 0, 1), (1, 2): (1, 0, 0),
+    }
+    table = [[(F(0),) * 3 for _ in range(3)] for _ in range(3)]
+    for (i, j), vec in products.items():
+        table[i][j] = tuple(F(c) for c in vec)
+    failures = oracle_associativity_failures(table)
+    assert len(failures) >= 2
+    first = "({}, {}, {})".format(*(labels[t] for t in failures[0]))
+    with pytest.raises(ValueError, match=re.escape(f"associativity fails on basis triple {first}")):
+        TestAlgebra.from_products(labels, (1, 0, 0), products)
+
+
+def test_perturbed_word_algebra_names_first_triple():
+    # y*x := yx + xy keeps the unit law but breaks associativity on four
+    # triples; in j-i-k order the first would be (y, x, x), not (x, y, x)
+    A = free_word_algebra(3)
+    x, y, xy, yx = (A.labels.index(label) for label in ("x", "y", "xy", "yx"))
+    table = [list(row) for row in A.table]
+    table[y][x] = tuple(F(int(t in (xy, yx))) for t in range(A.dim))
+    table = tuple(tuple(row) for row in table)
+    failures = oracle_associativity_failures(table)
+    assert len(failures) == 4 and failures[0] == (x, y, x)
+    first = "({}, {}, {})".format(*(A.labels[t] for t in failures[0]))
+    with pytest.raises(ValueError, match=re.escape(f"associativity fails on basis triple {first}")):
+        TestAlgebra(A.labels, A.unit, table)
+
+
+@pytest.mark.parametrize(
+    "algebra",
+    [truncated_polynomial_algebra(t) for t in (1, 3, 5)]
+    + [upper_triangular_algebra(s) for s in (2, 3, 4)]
+    + [free_word_algebra(d) for d in (1, 2, 3)],
+    ids=lambda A: f"dim{A.dim}-{A.labels[1]}",
+)
+def test_catalog_algebras_pass_dense_associativity_oracle(algebra):
+    assert oracle_associativity_failures(algebra.table) == []
 
 
 def test_unit_failure_is_caught():
@@ -165,6 +349,25 @@ def test_perturbed_family_reports_witness():
     assert n >= 1 and 0 <= i < 7 and 0 <= j < 7
     with pytest.raises(ValueError, match="law fails"):
         HSFamily(fam.algebra, tuple(maps))
+
+
+def test_hs_defect_reports_oracle_first_witness():
+    for fam, perturb in ((taylor_hs(6), (1, 3)), (taylor_hs(6), (2, 0)), (free_word_family(), (1, 5))):
+        maps = list(fam.maps)
+        level, column = perturb
+        cols = [list(col) for col in maps[level].columns]
+        cols[column] = [c + 1 for c in cols[column]]
+        cols[column + 1] = [c - F(1, 2) for c in cols[column + 1]]
+        maps[level] = LinMap(tuple(tuple(col) for col in cols))
+        failures = oracle_hs_failures(fam.algebra, maps)
+        assert len(failures) >= 2
+        assert hs_defect(fam.algebra, maps) == failures[0]
+
+
+def test_hs_defect_agrees_with_oracle_on_valid_families():
+    for fam in (taylor_hs(4), free_word_family()):
+        assert oracle_hs_failures(fam.algebra, fam.maps) == []
+        assert hs_defect(fam.algebra, fam.maps) is None
 
 
 def x2ddx(trunc):
@@ -331,3 +534,74 @@ def test_family_accessors(inner_family):
     assert inner_family.order == 4
     assert inner_family.d(0) == LinMap.identity(inner_family.algebra.dim)
     assert inner_family.d(2) == inner_family.maps[1]
+
+
+# --- recursions against the composition sums ---------------------------------
+
+
+def _check_family_conversions(family):
+    dim = family.algebra.dim
+    deltas = delta_from_d(family)
+    partials = partial_from_d(family)
+    assert partials == oracle_partial_from_d(family.maps, dim)
+    assert d_from_delta(deltas, family.algebra).maps == oracle_d_from_delta(deltas, dim)
+    assert d_from_partial(partials, family.algebra).maps == oracle_d_from_partial(partials, dim)
+    for n in range(1, family.order + 1):
+        z = z_in_pprime(n)
+        assert operator_from_word_poly(z, deltas, dim) == oracle_operator_from_word_poly(z, deltas, dim)
+
+
+@pytest.mark.parametrize("trunc", [2, 3, 4, 5, 6])
+def test_taylor_conversions_match_composition_sums(trunc):
+    _check_family_conversions(taylor_hs(trunc))
+
+
+def test_free_extension_conversions_match_composition_sums():
+    family = free_word_family()
+    assert not any(m.is_zero() for m in family.maps)
+    _check_family_conversions(family)
+
+
+@pytest.mark.parametrize("size", [3, 4])
+def test_inner_sequences_match_composition_sums(size):
+    A, seq = inner_sequence(size)
+    assert seq[0] @ seq[1] != seq[1] @ seq[0]
+    built = d_from_partial(seq, A)
+    assert built.maps == oracle_d_from_partial(seq, A.dim)
+    assert d_from_delta(seq, A).maps == oracle_d_from_delta(seq, A.dim)
+    assert partial_from_d(built) == oracle_partial_from_d(built.maps, A.dim)
+    _check_family_conversions(built)
+    for n in range(1, 6):
+        for p in (z_in_pprime(n), u_of_z(n)):
+            assert operator_from_word_poly(p, seq, A.dim) == oracle_operator_from_word_poly(p, seq, A.dim)
+
+
+def test_operator_of_empty_word_and_zero_poly():
+    A, seq = inner_sequence(3)
+    p = NCPoly({(): 2, (1, 2): -1})
+    assert operator_from_word_poly(p, seq, A.dim) == oracle_operator_from_word_poly(p, seq, A.dim)
+    assert operator_from_word_poly(NCPoly.zero(), seq, A.dim) == LinMap.zero(A.dim)
+
+
+def test_linmap_arithmetic_matches_dense_model():
+    rng = random.Random(7)
+    dim = 5
+
+    def rand_columns():
+        return tuple(
+            tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.4 else F(0) for _ in range(dim))
+            for _ in range(dim)
+        )
+
+    for _ in range(20):
+        a, b = rand_columns(), rand_columns()
+        A, B = LinMap(a), LinMap(b)
+        c = F(rng.randint(-4, 4), rng.randint(1, 4))
+        assert (A + B).columns == tuple(tuple(x + y for x, y in zip(u, v)) for u, v in zip(a, b))
+        assert (A - B).columns == tuple(tuple(x - y for x, y in zip(u, v)) for u, v in zip(a, b))
+        assert A.scale(c).columns == tuple(tuple(c * x for x in u) for u in a)
+        product = tuple(
+            tuple(sum((a[l][i] * col[l] for l in range(dim)), F(0)) for i in range(dim)) for col in b
+        )
+        assert (A @ B).columns == product
+        assert (A - A).is_zero() and A.is_zero() == all(not x for u in a for x in u)

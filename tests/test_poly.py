@@ -95,6 +95,19 @@ def test_bad_inputs():
         NCPoly.generator(0)
 
 
+@pytest.mark.parametrize("pair", [(1.5, 2), (3, 2.9), (True, 2), (1, True), (Fraction(1, 2), 3), ("1", 2)])
+def test_pair_coefficient_rejects_non_int_components(pair):
+    # int() would truncate (1.5, 2) to 1/2 and (3, 2.9) to 3/2
+    with pytest.raises(TypeError):
+        NCPoly({(1,): pair})
+
+
+def test_pair_coefficient_normalizes():
+    assert NCPoly({(1,): (2, -4)}).coeff((1,)) == Fraction(-1, 2)
+    with pytest.raises(ZeroDivisionError):
+        NCPoly({(1,): (1, 0)})
+
+
 @settings(max_examples=60)
 @given(polys, polys, polys)
 def test_mul_associative_and_unital(p, q, r):
