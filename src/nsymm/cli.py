@@ -149,24 +149,19 @@ def _write_json(path, data) -> None:
         handle.write("\n")
 
 
-def _load_family(path):
-    data = _load_json(path)
+def _parsed(path, data, parse, max_degree):
+    """Parse a family or derivation file and bound its order by the degree limit."""
     try:
-        return family_from_data(data)
+        algebra, maps = parse(data)
     except FormatError as exc:
         raise CliError(f"{path}: {exc}") from None
+    if len(maps) > max_degree:
+        raise CliError(f"{path}: order {len(maps)} exceeds the degree limit {max_degree}")
+    return algebra, maps
 
 
-def _load_derivations(path):
-    data = _load_json(path)
-    try:
-        return derivations_from_data(data)
-    except FormatError as exc:
-        raise CliError(f"{path}: {exc}") from None
-
-
-def _validated_family(path) -> HSFamily:
-    algebra, maps = _load_family(path)
+def _validated_family(path, max_degree) -> HSFamily:
+    algebra, maps = _parsed(path, _load_json(path), family_from_data, max_degree)
     defect = hs_defect(algebra, maps)
     if defect is not None:
         n, i, j = defect
@@ -183,19 +178,13 @@ def _cmd_hs(args) -> int:
     if action == "validate":
         data = _load_json(args.input)
         if isinstance(data, dict) and "maps" in data:
-            try:
-                algebra, maps = family_from_data(data)
-            except FormatError as exc:
-                raise CliError(f"{args.input}: {exc}") from None
+            algebra, maps = _parsed(args.input, data, family_from_data, args.max_degree)
             defect = hs_defect(algebra, maps)
             ok = defect is None
             witness = None if ok else {"n": defect[0], "i": defect[1], "j": defect[2]}
             kind = "family"
         elif isinstance(data, dict) and "derivations" in data:
-            try:
-                algebra, maps = derivations_from_data(data)
-            except FormatError as exc:
-                raise CliError(f"{args.input}: {exc}") from None
+            algebra, maps = _parsed(args.input, data, derivations_from_data, args.max_degree)
             witness = None
             for t, d in enumerate(maps):
                 bad = derivation_defect(d, algebra)
@@ -215,14 +204,16 @@ def _cmd_hs(args) -> int:
         raise CliError(f"hs {action} requires an output file")
 
     if action in ("extract-delta", "extract-partial"):
-        family = _validated_family(args.input)
+        family = _validated_family(args.input, args.max_degree)
         extract = delta_from_d if action == "extract-delta" else partial_from_d
         maps = extract(family)
         _write_json(args.output, derivations_to_data(family.algebra, maps))
         return 0
 
     # build-from-delta / build-from-partial
-    algebra, maps = _load_derivations(args.input)
+    algebra, maps = _parsed(
+        args.input, _load_json(args.input), derivations_from_data, args.max_degree
+    )
     build = d_from_delta if action == "build-from-delta" else d_from_partial
     try:
         family = build(maps, algebra)

@@ -13,14 +13,13 @@ both facts mechanically at bounded degree.
 
 from __future__ import annotations
 
-import time
 from functools import lru_cache
 from math import factorial
 
 from .config import check_index
 from .hopf import HopfFamily, coproduct
 from .poly import NCPoly, Tensor2
-from .reports import Check, Report, poly_witness, tensor_witness
+from .reports import Report
 from .words import compositions_of
 
 
@@ -77,47 +76,26 @@ def verify_iso(max_degree: int) -> Report:
     check_index(max_degree, max_degree, what="max_degree")
     report = Report(suite="iso", max_degree=max_degree)
     for n in range(1, max_degree + 1):
-        start = time.perf_counter_ns()
-        round_z = expand_u_in_z(z_of_u(n, max_degree), max_degree)
-        defect_z = round_z - NCPoly.generator(n)
-        report.add(
-            Check(
-                law="round-trip Z->U->Z",
-                degree=n,
-                passed=not defect_z,
-                witness=None if not defect_z else poly_witness(defect_z),
-                elapsed_us=(time.perf_counter_ns() - start) // 1000,
-            )
+        report.timed(
+            "round-trip Z->U->Z",
+            n,
+            lambda: expand_u_in_z(z_of_u(n, max_degree), max_degree) - NCPoly.generator(n),
         )
-
-        start = time.perf_counter_ns()
-        round_u = expand_z_in_u(u_of_z(n, max_degree), max_degree)
-        defect_u = round_u - NCPoly.generator(n)
-        report.add(
-            Check(
-                law="round-trip U->Z->U",
-                degree=n,
-                passed=not defect_u,
-                witness=None if not defect_u else poly_witness(defect_u),
-                elapsed_us=(time.perf_counter_ns() - start) // 1000,
-            )
+        report.timed(
+            "round-trip U->Z->U",
+            n,
+            lambda: expand_z_in_u(u_of_z(n, max_degree), max_degree) - NCPoly.generator(n),
         )
-
-        start = time.perf_counter_ns()
-        lhs = coproduct(z_of_u(n, max_degree), HopfFamily.LIEHOPF, max_degree)
-        rhs = Tensor2.zero()
-        for i in range(n + 1):
-            left = z_of_u(i, max_degree) if i else NCPoly.one()
-            right = z_of_u(n - i, max_degree) if n - i else NCPoly.one()
-            rhs = rhs + Tensor2.outer(left, right)
-        defect_co = lhs - rhs
-        report.add(
-            Check(
-                law="coalgebra morphism",
-                degree=n,
-                passed=not defect_co,
-                witness=None if not defect_co else tensor_witness(defect_co),
-                elapsed_us=(time.perf_counter_ns() - start) // 1000,
-            )
-        )
+        report.timed("coalgebra morphism", n, lambda: _coalgebra_defect(n, max_degree))
     return report
+
+
+def _coalgebra_defect(n: int, max_degree: int) -> Tensor2:
+    """Primitive-generator coproduct of z_of_u(n) minus the image of the binomial one."""
+    lhs = coproduct(z_of_u(n, max_degree), HopfFamily.LIEHOPF, max_degree)
+    rhs = Tensor2.zero()
+    for i in range(n + 1):
+        left = z_of_u(i, max_degree) if i else NCPoly.one()
+        right = z_of_u(n - i, max_degree) if n - i else NCPoly.one()
+        rhs = rhs + Tensor2.outer(left, right)
+    return lhs - rhs

@@ -1,8 +1,16 @@
-"""Verification report containers shared by the check suites and the CLI."""
+"""Verification report containers shared by the check suites and the CLI.
+
+Every suite records its checks through :meth:`Report.timed`: it runs one
+check, times it, and files the result with the witness that
+:func:`witness` derives from the check's defect.
+"""
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
+
+from .poly import Tensor2
 
 
 def poly_witness(defect) -> dict:
@@ -22,6 +30,22 @@ def tensor_witness(defect) -> dict:
         "right_word": list(right),
         "coeff": {"num": str(coefficient.numerator), "den": str(coefficient.denominator)},
     }
+
+
+def witness(defect) -> dict | None:
+    """The record that shows a check's defect, or None.
+
+    A nonzero polynomial or tensor gives its first term and a ready-made
+    record dict is used as it is; no defect and a bare ``True`` (a failed
+    yes/no check) give none.
+    """
+    if not defect or defect is True:
+        return None
+    if isinstance(defect, dict):
+        return defect
+    if isinstance(defect, Tensor2):
+        return tensor_witness(defect)
+    return poly_witness(defect)
 
 
 @dataclass(frozen=True)
@@ -55,6 +79,25 @@ class Report:
 
     def add(self, check: Check):
         self.checks.append(check)
+
+    def timed(self, law: str, degree: int, run) -> None:
+        """Time ``run()`` and record its result as the defect of one check.
+
+        A falsy defect means the law holds; any other value fails the
+        check, with the witness that :func:`witness` derives from it.
+        """
+        start = time.perf_counter_ns()
+        defect = run()
+        elapsed_us = (time.perf_counter_ns() - start) // 1000
+        self.add(
+            Check(
+                law=law,
+                degree=degree,
+                passed=not defect,
+                witness=witness(defect),
+                elapsed_us=elapsed_us,
+            )
+        )
 
     @property
     def passed(self) -> bool:

@@ -8,7 +8,6 @@ suites live with their subject modules and are re-exported here.
 from __future__ import annotations
 
 import random
-import time
 
 from .config import check_index
 from .explog import verify_iso
@@ -28,16 +27,10 @@ from .newton import (
 )
 from .poly import NCPoly
 from .qsymm import verify_hs_qsymm
-from .reports import Check, Report, poly_witness, tensor_witness
+from .reports import Report
 from .words import compositions_of
 
 _SEED = 0x5EED
-
-
-def _timed(fn):
-    start = time.perf_counter_ns()
-    result = fn()
-    return result, (time.perf_counter_ns() - start) // 1000
 
 
 def primitivity_suite(max_degree: int) -> Report:
@@ -49,17 +42,10 @@ def primitivity_suite(max_degree: int) -> Report:
             ("left Newton primitive", newton_p_left(n, max_degree)),
             ("right Newton primitive", newton_p_right(n, max_degree)),
         ):
-            (defect, elapsed) = _timed(
-                lambda poly=poly: primitivity_defect(poly, HopfFamily.NSYMM, max_degree)
-            )
-            report.add(
-                Check(
-                    law=f"{label} is primitive",
-                    degree=n,
-                    passed=not defect,
-                    witness=None if not defect else tensor_witness(defect),
-                    elapsed_us=elapsed,
-                )
+            report.timed(
+                f"{label} is primitive",
+                n,
+                lambda: primitivity_defect(poly, HopfFamily.NSYMM, max_degree),
             )
     return report
 
@@ -68,69 +54,45 @@ def newton_consistency_suite(max_degree: int) -> Report:
     """The closed forms, recursions, and expansions agree with one another."""
     check_index(max_degree, max_degree, what="max_degree")
     report = Report(suite="newton-consistency", max_degree=max_degree)
-
-    def add_poly_check(law, n, defect, elapsed):
-        report.add(
-            Check(
-                law=law,
-                degree=n,
-                passed=not defect,
-                witness=None if not defect else poly_witness(defect),
-                elapsed_us=elapsed,
-            )
-        )
-
     for n in range(1, max_degree + 1):
-        defect, elapsed = _timed(
-            lambda n=n: newton_p_explicit(n, max_degree) - newton_p_left(n, max_degree)
+        report.timed(
+            "closed form equals left recursion",
+            n,
+            lambda: newton_p_explicit(n, max_degree) - newton_p_left(n, max_degree),
         )
-        add_poly_check("closed form equals left recursion", n, defect, elapsed)
-
-        defect, elapsed = _timed(
-            lambda n=n: z_in_pprime_via_c(n, max_degree) - z_in_pprime(n, max_degree)
+        report.timed(
+            "suffix-sum coefficients equal recursive inversion",
+            n,
+            lambda: z_in_pprime_via_c(n, max_degree) - z_in_pprime(n, max_degree),
         )
-        add_poly_check("suffix-sum coefficients equal recursive inversion", n, defect, elapsed)
-
-        defect, elapsed = _timed(
-            lambda n=n: z_in_pprime(n, max_degree).substitute(
+        report.timed(
+            "substituting the primitives back recovers the generator",
+            n,
+            lambda: z_in_pprime(n, max_degree).substitute(
                 lambda k: newton_p_right(k, max_degree)
             )
-            - NCPoly.generator(n)
+            - NCPoly.generator(n),
         )
-        add_poly_check("substituting the primitives back recovers the generator", n, defect, elapsed)
-
-        defect, elapsed = _timed(
-            lambda n=n: newton_p_left(n, max_degree).reverse_words()
-            - newton_p_right(n, max_degree)
+        report.timed(
+            "word reversal swaps left and right primitives",
+            n,
+            lambda: newton_p_left(n, max_degree).reverse_words() - newton_p_right(n, max_degree),
         )
-        add_poly_check("word reversal swaps left and right primitives", n, defect, elapsed)
-
-        start = time.perf_counter_ns()
-        congruent = all(
-            len(word) >= 2
-            for word in (
-                newton_p_right(n, max_degree) - NCPoly.generator(n).scale(n)
-            ).support()
+        report.timed(
+            "right primitive is n*Z_n modulo longer words",
+            n,
+            lambda: any(
+                len(word) < 2
+                for word in (
+                    newton_p_right(n, max_degree) - NCPoly.generator(n).scale(n)
+                ).support()
+            ),
         )
-        report.add(
-            Check(
-                law="right primitive is n*Z_n modulo longer words",
-                degree=n,
-                passed=congruent,
-                elapsed_us=(time.perf_counter_ns() - start) // 1000,
-            )
-        )
-
         if n >= 2:
-            start = time.perf_counter_ns()
-            fractional = not z_in_pprime(n, max_degree).is_integral()
-            report.add(
-                Check(
-                    law="generator expansion needs denominators",
-                    degree=n,
-                    passed=fractional,
-                    elapsed_us=(time.perf_counter_ns() - start) // 1000,
-                )
+            report.timed(
+                "generator expansion needs denominators",
+                n,
+                lambda: z_in_pprime(n, max_degree).is_integral(),
             )
     return report
 
@@ -145,6 +107,11 @@ def _random_poly(rng: random.Random, max_weight: int) -> NCPoly:
     return NCPoly(terms)
 
 
+def _first_triple(defect: dict):
+    """The first discrepant key of a coassociativity defect, as a record."""
+    return {"triple": [list(w) for w in next(iter(defect))]} if defect else None
+
+
 def hopf_laws_suite(max_degree: int) -> Report:
     """Coassociativity, counit laws, and multiplicativity, both families."""
     check_index(max_degree, max_degree, what="max_degree")
@@ -153,29 +120,15 @@ def hopf_laws_suite(max_degree: int) -> Report:
     for family in families:
         for n in range(1, max_degree + 1):
             g = NCPoly.generator(n)
-            defect, elapsed = _timed(lambda: coassociativity_defect(g, family, max_degree))
-            report.add(
-                Check(
-                    law=f"coassociativity on a generator [{family.value}]",
-                    degree=n,
-                    passed=not defect,
-                    witness=None
-                    if not defect
-                    else {"triple": [list(w) for w in next(iter(defect))]},
-                    elapsed_us=elapsed,
-                )
+            report.timed(
+                f"coassociativity on a generator [{family.value}]",
+                n,
+                lambda: _first_triple(coassociativity_defect(g, family, max_degree)),
             )
-
-            (left, right), elapsed = _timed(lambda: counit_law_defects(g, family, max_degree))
-            bad = left or right
-            report.add(
-                Check(
-                    law=f"counit laws on a generator [{family.value}]",
-                    degree=n,
-                    passed=not bad,
-                    witness=None if not bad else poly_witness(left if left else right),
-                    elapsed_us=elapsed,
-                )
+            report.timed(
+                f"counit laws on a generator [{family.value}]",
+                n,
+                lambda: next(filter(None, counit_law_defects(g, family, max_degree)), None),
             )
 
     rng = random.Random(_SEED)
@@ -183,19 +136,11 @@ def hopf_laws_suite(max_degree: int) -> Report:
         for trial in range(8):
             p = _random_poly(rng, max_degree // 2)
             q = _random_poly(rng, max_degree - max(p.degree, 0))
-            start = time.perf_counter_ns()
-            defect = coproduct(p * q, family, max_degree) - coproduct(
-                p, family, max_degree
-            ) * coproduct(q, family, max_degree)
-            elapsed = (time.perf_counter_ns() - start) // 1000
-            report.add(
-                Check(
-                    law=f"coproduct is multiplicative on a sampled pair [{family.value}]",
-                    degree=max(p.degree, 0) + max(q.degree, 0),
-                    passed=not defect,
-                    witness=None if not defect else tensor_witness(defect),
-                    elapsed_us=elapsed,
-                )
+            report.timed(
+                f"coproduct is multiplicative on a sampled pair [{family.value}]",
+                max(p.degree, 0) + max(q.degree, 0),
+                lambda: coproduct(p * q, family, max_degree)
+                - coproduct(p, family, max_degree) * coproduct(q, family, max_degree),
             )
     return report
 

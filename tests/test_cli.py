@@ -191,6 +191,50 @@ def test_hs_schema_error(tmp_path, capsys):
     assert "structure_constants" in err
 
 
+@pytest.fixture()
+def taylor_deltas_file(tmp_path):
+    fam = taylor_hs(6)
+    path = tmp_path / "taylor6_deltas.json"
+    path.write_text(json.dumps(derivations_to_data(fam.algebra, fam.maps[:1] * 6)))
+    return path
+
+
+@pytest.mark.parametrize(
+    "action, source",
+    [
+        ("validate", "family"),
+        ("validate", "derivations"),
+        ("extract-delta", "family"),
+        ("extract-partial", "family"),
+        ("build-from-delta", "derivations"),
+        ("build-from-partial", "derivations"),
+    ],
+)
+def test_hs_actions_enforce_degree_limit(
+    taylor_file, taylor_deltas_file, tmp_path, capsys, action, source
+):
+    path = taylor_file if source == "family" else taylor_deltas_file
+    out_file = tmp_path / "out.json"
+    argv = ["hs", action, str(path)] + ([] if action == "validate" else [str(out_file)])
+    code, out, err = run_cli(capsys, *argv, "--max-degree", "3")
+    assert code == 2 and out == ""
+    assert "order 6 exceeds the degree limit 3" in err
+    assert not out_file.exists()
+    assert run_cli(capsys, *argv, "--max-degree", "6")[0] == 0
+
+
+def test_hs_empty_sequence_within_any_limit(tmp_path, capsys):
+    A = upper_triangular_algebra(2)
+    for key, data in (
+        ("maps", family_to_data(A, ())),
+        ("derivations", derivations_to_data(A, ())),
+    ):
+        path = tmp_path / f"empty_{key}.json"
+        path.write_text(json.dumps(data))
+        code, out, _ = run_cli(capsys, "hs", "validate", str(path), "--max-degree", "1")
+        assert code == 0 and "valid" in out
+
+
 # --- qsymm subcommand -------------------------------------------------------
 
 

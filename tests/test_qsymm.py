@@ -138,6 +138,35 @@ def test_d_qsymm_matches_last_part_rule(n):
         assert d_qsymm(n, M(c)) == expected
 
 
+def d_qsymm_by_deconcat(n, q):
+    # oracle: (id (x) alpha_n) applied to the deconcatenation of q
+    acc = QSPoly.zero()
+    for (left, right), coeff in deconcat(q).items():
+        if right == (n,):
+            acc = acc + M(left, coeff)
+    return acc
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_d_qsymm_equals_deconcat_oracle(n):
+    for c in compositions_up_to(8):
+        assert d_qsymm(n, M(c)) == d_qsymm_by_deconcat(n, M(c))
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        M((1, 2)) + 3 * M((1, 2, 2)) - M((2,)) + QSPoly.one(),
+        M((2, 2), "1/2") + M((3, 2), "-5/3") + M((4,), 7) + M((2, 1, 2)),
+        quasi_shuffle(M((1,)), M((2,))) + quasi_shuffle(M((2,)), M((1, 2))),
+        QSPoly.zero(),
+    ],
+)
+def test_d_qsymm_equals_deconcat_oracle_on_combinations(q):
+    for n in range(1, 9):
+        assert d_qsymm(n, q) == d_qsymm_by_deconcat(n, q)
+
+
 def test_d1_satisfies_plain_leibniz():
     for a, b in product(BASIS6, repeat=2):
         if weight(a) + weight(b) > 6:
