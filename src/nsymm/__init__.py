@@ -7,7 +7,10 @@ generators (explog), the Hasse-Schmidt derivation calculus on concrete
 test algebras (hsops), the quasi-shuffle dual (qsymm), serialization
 (serialize), verification suites (suites), and a CLI (cli).
 
-The hot kernels run on a compiled extension when available and fall
+Every layer, the Hasse-Schmidt calculus included, stores exact
+rationals one way: normalized (num, den) int pairs in term maps, merged
+by one kernel module; fractions.Fraction appears only at the public
+face.  The kernels run on a compiled extension when available and fall
 back to pure Python; see nsymm._backend and NSYMM_BACKEND.
 """
 

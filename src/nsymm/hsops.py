@@ -24,6 +24,16 @@ instead of sums over the 2^(n-1) compositions of n:
 A word of derivations acts with its rightmost factor applied first,
 matching the module convention (Z_i Z_j) . a = Z_i (Z_j . a); the exact
 round-trips on noncommutative algebras pin that convention down.
+
+Storage is the kernel term-map format of nsymm.poly: the unit, each
+structure constant e_i e_j and each LinMap column is a sparse
+{basis index: (num, den)} map of normalized pairs with no zero entries,
+merged by the backend's add_scaled_into, so "is zero" is "is empty".
+Stored term maps are never mutated, so maps and algebras may share them.
+The public face (TestAlgebra.unit/.table/mul/element/basis/zero,
+LinMap.columns/apply) is dense Fraction tuples, converted at the
+boundary as NCPoly.items() does; inputs are coerced by coeff_pair, which
+refuses floats and bools.
 """
 
 from __future__ import annotations
@@ -34,85 +44,117 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable, Mapping, Sequence
 
+from ._backend import kernels as _k
 from .config import check_index
-from .poly import NCPoly
+from .poly import NCPoly, coeff_pair
 
 Vector = tuple[Fraction, ...]
+Terms = dict  # {basis index: (num, den)}, normalized, no zero entries
+
+_ONE = (1, 1)
 
 
 class NotADerivationError(ValueError):
     """An input map failed the Leibniz law it was required to satisfy."""
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"not an exact rational: {value!r}")
+def _terms(values) -> Terms:
+    """The nonzero coordinates as pairs; a zero int or Fraction is skipped uncoerced."""
+    out = {}
+    for k, c in enumerate(values):
+        if c or type(c) not in (int, Fraction):
+            pair = coeff_pair(c)
+            if pair[0]:
+                out[k] = pair
+    return out
 
 
-_ZERO = Fraction(0)
+def _dense(terms: Terms, dim: int) -> Vector:
+    out = [Fraction(0)] * dim
+    for k, (num, den) in terms.items():
+        out[k] = Fraction(num, den)
+    return tuple(out)
 
 
-@dataclass(frozen=True)
+def _mul_into(acc: Terms, table, u: Terms, v: Terms, sign: int = 1) -> Terms:
+    """acc += sign * u v through the structure constants; returns acc."""
+    right = v.items()
+    for i, (num, den) in u.items():
+        row, a = table[i], (sign * num, den)
+        for j, b in right:
+            prod = row[j]
+            if prod:
+                _k.add_scaled_into(acc, prod, _k.rat_mul(a, b))
+    return acc
+
+
+def _apply(columns, v: Terms) -> Terms:
+    acc = {}
+    for j, c in v.items():
+        _k.add_scaled_into(acc, columns[j], c)
+    return acc
+
+
 class TestAlgebra:
-    """A finite-dimensional associative unital algebra via structure constants."""
+    """A finite-dimensional associative unital algebra via structure constants.
+
+    ``TestAlgebra(labels, unit, table)`` takes dense coordinates with
+    table[i][j] = e_i * e_j; ``from_products`` takes the nonzero products.
+    """
 
     __test__ = False  # keep pytest from collecting this as a test class
+    __slots__ = ("labels", "_unit", "_table")
 
-    labels: tuple[str, ...]
-    unit: Vector
-    table: tuple[tuple[Vector, ...], ...]  # table[i][j] = e_i * e_j
+    def __init__(self, labels, unit, table):
+        dim = len(labels)
+        if len(table) != dim or any(len(row) != dim for row in table):
+            raise ValueError("structure data does not match the basis size")
+        products = {(i, j): vec for i, row in enumerate(table) for j, vec in enumerate(row)}
+        self._build(labels, unit, products)
+
+    @classmethod
+    def from_products(cls, labels, unit, products: Mapping) -> "TestAlgebra":
+        """Build from a sparse {(i, j): vector} table; missing products are zero."""
+        self = cls.__new__(cls)
+        self._build(labels, unit, products)
+        return self
+
+    def _build(self, labels, unit, products: Mapping) -> None:
+        self.labels = tuple(labels)
+        dim = len(self.labels)
+        if len(unit) != dim:
+            raise ValueError("structure data does not match the basis size")
+        table = [[{} for _ in range(dim)] for _ in range(dim)]
+        for (i, j), vec in products.items():
+            if len(vec) != dim:
+                raise ValueError(f"product vector for ({i}, {j}) has wrong length")
+            table[i][j] = _terms(vec)
+        self._unit = _terms(unit)
+        self._table = tuple(map(tuple, table))
+        self.__post_init__()
 
     def __post_init__(self):
-        dim = len(self.labels)
-        if len(self.unit) != dim or len(self.table) != dim:
-            raise ValueError("structure data does not match the basis size")
-        for row in self.table:
-            if len(row) != dim or any(len(v) != dim for v in row):
-                raise ValueError("structure data does not match the basis size")
-        # sparse views; also cached basis vectors (validation touches them a lot)
-        object.__setattr__(
-            self,
-            "_sparse",
-            tuple(
-                tuple(tuple((k, s) for k, s in enumerate(vec) if s) for vec in row)
-                for row in self.table
-            ),
-        )
-        object.__setattr__(
-            self,
-            "_basis",
-            tuple(
-                tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)
-            ),
-        )
+        """Check the unit law and associativity on every basis triple."""
+        dim, table = self.dim, self._table
         for i in range(dim):
-            e = self.basis(i)
-            if self.mul(self.unit, e) != e or self.mul(e, self.unit) != e:
+            e = {i: _ONE}
+            if _mul_into({}, table, self._unit, e) != e or _mul_into({}, table, e, self._unit) != e:
                 raise ValueError(f"unit law fails on basis element {self.labels[i]!r}")
-        # (e_i e_j) e_k == e_i (e_j e_k) on every basis triple, expanded
-        # through the sparse table
-        sp = self._sparse
+        # (e_i e_j) e_k == e_i (e_j e_k), expanded through the sparse table
         for i in range(dim):
-            row_i = sp[i]
+            row_i = table[i]
             for j in range(dim):
-                left, row_j = row_i[j], sp[j]
+                left, row_j = row_i[j], table[j]
                 for k in range(dim):
                     right = row_j[k]
                     if not (left or right):
                         continue
-                    acc: dict = {}
-                    for l, c in left:
-                        for m, s in sp[l][k]:
-                            acc[m] = acc.get(m, _ZERO) + c * s
-                    for l, c in right:
-                        for m, s in row_i[l]:
-                            acc[m] = acc.get(m, _ZERO) - c * s
-                    if any(acc.values()):
+                    acc: Terms = {}
+                    for l, c in left.items():
+                        _k.add_scaled_into(acc, table[l][k], c)
+                    for l, (num, den) in right.items():
+                        _k.add_scaled_into(acc, row_i[l], (-num, den))
+                    if acc:
                         raise ValueError(
                             "associativity fails on basis triple "
                             f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})"
@@ -122,135 +164,128 @@ class TestAlgebra:
     def dim(self) -> int:
         return len(self.labels)
 
+    @property
+    def unit(self) -> Vector:
+        return _dense(self._unit, self.dim)
+
+    @property
+    def table(self) -> tuple[tuple[Vector, ...], ...]:
+        return tuple(tuple(_dense(vec, self.dim) for vec in row) for row in self._table)
+
+    def __eq__(self, other):
+        if type(other) is not TestAlgebra:
+            return NotImplemented
+        return (self.labels, self._unit, self._table) == (other.labels, other._unit, other._table)
+
+    def __hash__(self):
+        return hash((self.labels, frozenset(self._unit.items())))
+
+    def __repr__(self):
+        return f"TestAlgebra({self.labels!r}, {self.unit!r}, {self.table!r})"
+
     def zero(self) -> Vector:
-        return (_ZERO,) * self.dim
+        return _dense({}, self.dim)
 
     def basis(self, i: int) -> Vector:
-        return self._basis[i]
+        return _dense({i: _ONE}, self.dim)
 
     def mul(self, u: Vector, v: Vector) -> Vector:
-        acc = [_ZERO] * self.dim
-        right = [(j, b) for j, b in enumerate(v) if b]
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            srow = self._sparse[i]
-            for j, b in right:
-                prod = srow[j]
-                if not prod:
-                    continue
-                ab = a * b
-                for k, s in prod:
-                    acc[k] += ab * s
-        return tuple(acc)
+        return _dense(_mul_into({}, self._table, _terms(u), _terms(v)), self.dim)
 
     def element(self, value) -> Vector:
         """Coerce a {label: coeff} mapping or a coordinate sequence."""
+        return _dense(self._element_terms(value), self.dim)
+
+    def _element_terms(self, value) -> Terms:
         if isinstance(value, Mapping):
-            coords = [_ZERO] * self.dim
+            coords = [0] * self.dim
             index = {label: i for i, label in enumerate(self.labels)}
             for label, c in value.items():
                 if label not in index:
                     raise ValueError(f"unknown basis label {label!r}")
-                coords[index[label]] = _as_fraction(c)
-            return tuple(coords)
-        coords = tuple(_as_fraction(c) for c in value)
-        if len(coords) != self.dim:
-            raise ValueError(f"expected {self.dim} coordinates, got {len(coords)}")
-        return coords
-
-    @classmethod
-    def from_products(cls, labels, unit, products: Mapping) -> "TestAlgebra":
-        """Build from a sparse {(i, j): vector} table; missing products are zero."""
-        labels = tuple(labels)
-        dim = len(labels)
-        zero = (_ZERO,) * dim
-        table = [[zero] * dim for _ in range(dim)]
-        for (i, j), vec in products.items():
-            row = tuple(_as_fraction(c) for c in vec)
-            if len(row) != dim:
-                raise ValueError(f"product vector for ({i}, {j}) has wrong length")
-            table[i][j] = row
-        unit_vec = tuple(_as_fraction(c) for c in unit)
-        return cls(labels, unit_vec, tuple(tuple(row) for row in table))
+                coords[index[label]] = c
+        else:
+            coords = tuple(value)
+            if len(coords) != self.dim:
+                raise ValueError(f"expected {self.dim} coordinates, got {len(coords)}")
+        return _terms(coords)
 
 
-@dataclass(frozen=True)
 class LinMap:
     """Rational matrix acting on a test algebra; column j = image of e_j."""
 
-    columns: tuple[Vector, ...]
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns):
+        columns = tuple(columns)
+        if any(len(col) != len(columns) for col in columns):
+            raise ValueError("matrix is not square")
+        self._columns = tuple(_terms(col) for col in columns)
+
+    @classmethod
+    def _raw(cls, columns: Iterable[Terms]) -> "LinMap":
+        # internal fast path: columns already sparse and canonical
+        self = cls.__new__(cls)
+        self._columns = tuple(columns)
+        return self
 
     @property
     def dim(self) -> int:
-        return len(self.columns)
+        return len(self._columns)
+
+    @property
+    def columns(self) -> tuple[Vector, ...]:
+        return tuple(_dense(col, self.dim) for col in self._columns)
 
     @classmethod
     def zero(cls, dim: int) -> "LinMap":
-        return cls(((_ZERO,) * dim,) * dim)
+        return cls._raw({} for _ in range(dim))
 
     @classmethod
     def identity(cls, dim: int) -> "LinMap":
-        return cls(tuple(tuple(Fraction(int(i == j)) for i in range(dim)) for j in range(dim)))
-
-    @classmethod
-    def from_columns(cls, columns) -> "LinMap":
-        cols = tuple(tuple(_as_fraction(c) for c in col) for col in columns)
-        dim = len(cols)
-        if any(len(col) != dim for col in cols):
-            raise ValueError("matrix is not square")
-        return cls(cols)
-
-    def _sparse_columns(self):
-        cached = getattr(self, "_sparse", None)
-        if cached is None:
-            cached = tuple(
-                tuple((i, s) for i, s in enumerate(col) if s) for col in self.columns
-            )
-            object.__setattr__(self, "_sparse", cached)
-        return cached
-
-    def _apply_sparse(self, entries) -> Vector:
-        acc = [_ZERO] * self.dim
-        sparse = self._sparse_columns()
-        for j, c in entries:
-            for i, s in sparse[j]:
-                acc[i] += c * s
-        return tuple(acc)
+        return cls._raw({i: _ONE} for i in range(dim))
 
     def apply(self, v: Vector) -> Vector:
-        return self._apply_sparse((j, c) for j, c in enumerate(v) if c)
+        return _dense(_apply(self._columns, _terms(v)), self.dim)
 
     def __matmul__(self, other: "LinMap") -> "LinMap":
         # self after other
-        return LinMap(tuple(self._apply_sparse(col) for col in other._sparse_columns()))
+        return LinMap._raw(_apply(self._columns, col) for col in other._columns)
 
     def __add__(self, other: "LinMap") -> "LinMap":
-        return _combine(((1, self), (1, other)), self.dim)
+        return _combine(((_ONE, self), (_ONE, other)), self.dim)
 
     def __sub__(self, other: "LinMap") -> "LinMap":
-        return _combine(((1, self), (-1, other)), self.dim)
+        return _combine(((_ONE, self), ((-1, 1), other)), self.dim)
 
     def scale(self, value) -> "LinMap":
-        return _combine(((_as_fraction(value), self),), self.dim)
+        return _combine(((coeff_pair(value), self),), self.dim)
 
     def __rmul__(self, value) -> "LinMap":
         return self.scale(value)
 
     def is_zero(self) -> bool:
-        return not any(self._sparse_columns())
+        return not any(self._columns)
+
+    def __eq__(self, other):
+        if type(other) is not LinMap:
+            return NotImplemented
+        return self._columns == other._columns
+
+    def __hash__(self):
+        return hash(tuple(frozenset(col.items()) for col in self._columns))
+
+    def __repr__(self):
+        return f"LinMap({self.columns!r})"
 
 
 def _combine(terms: Iterable[tuple], dim: int) -> LinMap:
-    """sum of c * m over (c, m) pairs of a rational and a map, on the nonzero entries."""
-    acc = [[_ZERO] * dim for _ in range(dim)]
+    """sum of c * m over (c, m) pairs of a (num, den) pair and a map."""
+    columns = [{} for _ in range(dim)]
     for c, m in terms:
-        if not c:
-            continue
-        for col, entries in zip(acc, m._sparse_columns()):
-            for i, s in entries:
-                col[i] += c * s
-    return LinMap(tuple(tuple(col) for col in acc))
+        for acc, col in zip(columns, m._columns):
+            _k.add_scaled_into(acc, col, c)
+    return LinMap._raw(columns)
 
 
 def derivation_defect(d: LinMap, algebra: TestAlgebra):
@@ -261,21 +296,15 @@ def derivation_defect(d: LinMap, algebra: TestAlgebra):
     """
     if d.dim != algebra.dim:
         raise ValueError("map and algebra dimensions differ")
-    sp = algebra._sparse
-    cols = d._sparse_columns()
+    table, cols = algebra._table, d._columns
     for i in range(algebra.dim):
+        e_i = {i: _ONE}
         for j in range(algebra.dim):
-            acc: dict = {}
-            for l, c in sp[i][j]:  # d(e_i e_j)
-                for t, s in cols[l]:
-                    acc[t] = acc.get(t, _ZERO) + c * s
-            for t, s in cols[j]:  # - e_i d(e_j)
-                for m, c in sp[i][t]:
-                    acc[m] = acc.get(m, _ZERO) - s * c
-            for t, s in cols[i]:  # - d(e_i) e_j
-                for m, c in sp[t][j]:
-                    acc[m] = acc.get(m, _ZERO) - s * c
-            if any(acc.values()):
+            e_j = {j: _ONE}
+            acc = _apply(cols, table[i][j])  # d(e_i e_j)
+            _mul_into(acc, table, e_i, cols[j], -1)  # - e_i d(e_j)
+            _mul_into(acc, table, cols[i], e_j, -1)  # - d(e_i) e_j
+            if acc:
                 return (i, j)
     return None
 
@@ -294,31 +323,15 @@ def hs_defect(algebra: TestAlgebra, maps: Sequence[LinMap]):
     for d in maps:
         if d.dim != dim:
             raise ValueError("map and algebra dimensions differ")
-    sp = algebra._sparse
-    identity = tuple(((i, Fraction(1)),) for i in range(dim))
-    cols = [identity] + [d._sparse_columns() for d in maps]
+    table = algebra._table
+    cols = [LinMap.identity(dim)._columns] + [d._columns for d in maps]
     for n in range(1, len(maps) + 1):
-        dn = cols[n]
         for i in range(dim):
             for j in range(dim):
-                acc: dict = {}
-                for l, c in sp[i][j]:  # d_n(e_i e_j)
-                    for t, s in dn[l]:
-                        acc[t] = acc.get(t, _ZERO) + c * s
+                acc = _apply(cols[n], table[i][j])  # d_n(e_i e_j)
                 for k in range(n + 1):  # - sum d_k(e_i) d_{n-k}(e_j)
-                    right = cols[n - k][j]
-                    if not right:
-                        continue
-                    for a, ca in cols[k][i]:
-                        row = sp[a]
-                        for b, cb in right:
-                            prod = row[b]
-                            if not prod:
-                                continue
-                            cab = ca * cb
-                            for t, s in prod:
-                                acc[t] = acc.get(t, _ZERO) - cab * s
-                if any(acc.values()):
+                    _mul_into(acc, table, cols[k][i], cols[n - k][j], -1)
+                if acc:
                     return (n, i, j)
     return None
 
@@ -433,14 +446,12 @@ def free_word_algebra(depth: int, letters: tuple[str, ...] = ("x", "y")) -> Test
 
 def inner_derivation(algebra: TestAlgebra, element) -> LinMap:
     """ad(m): v -> m*v - v*m, always a derivation."""
-    m = algebra.element(element)
+    m, table = algebra._element_terms(element), algebra._table
     columns = []
     for j in range(algebra.dim):
-        e = algebra.basis(j)
-        left = algebra.mul(m, e)
-        right = algebra.mul(e, m)
-        columns.append(tuple(a - b for a, b in zip(left, right)))
-    return LinMap(tuple(columns))
+        e = {j: _ONE}
+        columns.append(_mul_into(_mul_into({}, table, m, e), table, e, m, -1))
+    return LinMap._raw(columns)
 
 
 def taylor_hs(trunc: int, max_degree=None) -> HSFamily:
@@ -462,26 +473,19 @@ def _taylor_family(trunc: int) -> HSFamily:
     algebra = truncated_polynomial_algebra(trunc)
     maps = []
     for n in range(1, trunc + 1):
-        columns = []
-        for k in range(trunc + 1):
-            columns.append(
-                tuple(
-                    Fraction(_binomial(n + k - 1, n)) if t == k + n else _ZERO
-                    for t in range(trunc + 1)
-                )
+        # column k: C(n+k-1, n) x^(k+n), zero for k = 0 and past the cutoff
+        maps.append(
+            LinMap._raw(
+                {k + n: (_binomial(n + k - 1, n), 1)} if k and k + n <= trunc else {}
+                for k in range(trunc + 1)
             )
-        maps.append(LinMap(tuple(columns)))
+        )
     return HSFamily(algebra, tuple(maps))
 
 
 def ddx_matrix(trunc: int) -> LinMap:
     """Plain differentiation on the x-power basis (NOT a derivation here)."""
-    columns = []
-    for k in range(trunc + 1):
-        columns.append(
-            tuple(Fraction(k) if t == k - 1 else _ZERO for t in range(trunc + 1))
-        )
-    return LinMap(tuple(columns))
+    return LinMap._raw({k - 1: (k, 1)} if k else {} for k in range(trunc + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +527,7 @@ def d_from_delta(deltas: Sequence[LinMap], algebra: TestAlgebra) -> HSFamily:
     _require_derivations(deltas, algebra, "delta")
     maps: list[LinMap] = []
     for n in range(1, len(deltas) + 1):
-        w = Fraction(1, n)
+        w = (1, n)
         terms = [(w, deltas[k - 1] @ maps[n - k - 1]) for k in range(1, n)]
         terms.append((w, deltas[n - 1]))
         maps.append(_combine(terms, algebra.dim))
@@ -540,7 +544,7 @@ def _length_graded(maps: Sequence[LinMap], dim: int) -> dict[tuple[int, int], Li
     for m in range(2, order + 1):
         for n in range(m, order + 1):
             graded[(m, n)] = _combine(
-                ((1, maps[k - 1] @ graded[(m - 1, n - k)]) for k in range(1, n - m + 2)), dim
+                ((_ONE, maps[k - 1] @ graded[(m - 1, n - k)]) for k in range(1, n - m + 2)), dim
             )
     return graded
 
@@ -555,7 +559,7 @@ def partial_from_d(family: HSFamily) -> tuple[LinMap, ...]:
     graded = _length_graded(family.maps, dim)
     return tuple(
         _combine(
-            ((Fraction(1 if m % 2 else -1, m), graded[(m, n)]) for m in range(1, n + 1)), dim
+            (((1 if m % 2 else -1, m), graded[(m, n)]) for m in range(1, n + 1)), dim
         )
         for n in range(1, family.order + 1)
     )
@@ -572,7 +576,7 @@ def d_from_partial(partials: Sequence[LinMap], algebra: TestAlgebra) -> HSFamily
     dim = algebra.dim
     graded = _length_graded(partials, dim)
     maps = tuple(
-        _combine(((Fraction(1, factorial(m)), graded[(m, n)]) for m in range(1, n + 1)), dim)
+        _combine((((1, factorial(m)), graded[(m, n)]) for m in range(1, n + 1)), dim)
         for n in range(1, len(partials) + 1)
     )
     return HSFamily(algebra, maps)
@@ -609,7 +613,7 @@ def free_hs_extend(
     if nmaps is None:
         nmaps = depth
 
-    images: dict[tuple[str, int], Vector] = {}
+    images: dict[tuple[str, int], Terms] = {}
     for (letter, n), value in generator_images.items():
         if letter not in letters:
             raise ValueError(f"unknown generator {letter!r}")
@@ -617,44 +621,36 @@ def free_hs_extend(
             raise ValueError(f"generator image level must be an integer >= 1, got {n!r}")
         if n > nmaps:
             raise ValueError(f"generator image level {n} exceeds the family order {nmaps}")
-        vec = algebra.element(value)
-        if vec[0]:
+        vec = algebra._element_terms(value)
+        if 0 in vec:
             raise ValueError(
                 f"image of ({letter!r}, {n}) has a component on the unit; "
                 "truncation makes such families violate the convolution law"
             )
         images[(letter, n)] = vec
 
-    zero = algebra.zero()
-    value: dict[tuple[int, str], Vector] = {}
+    table = algebra._table
+    value: dict[tuple[int, str], Terms] = {}
 
-    def d_of(n: int, word: str) -> Vector:
+    def d_of(n: int, word: str) -> Terms:
         if n == 0:
-            return algebra.basis(index[word])
+            return {index[word]: _ONE}
         got = value.get((n, word))
         if got is not None:
             return got
-        if word == "":
-            out = zero
-        elif len(word) == 1:
-            out = images.get((word, n), zero)
+        if len(word) <= 1:
+            out = images.get((word, n), {})
         else:
             head, rest = word[0], word[1:]
-            acc = [_ZERO] * algebra.dim
+            out = {}
             for k in range(n + 1):
-                a = algebra.basis(index[head]) if k == 0 else images.get((head, k), zero)
-                prod = algebra.mul(a, d_of(n - k, rest))
-                for t, s in enumerate(prod):
-                    if s:
-                        acc[t] += s
-            out = tuple(acc)
+                a = {index[head]: _ONE} if k == 0 else images.get((head, k), {})
+                _mul_into(out, table, a, d_of(n - k, rest))
         value[(n, word)] = out
         return out
 
-    maps = []
-    for n in range(1, nmaps + 1):
-        maps.append(LinMap(tuple(d_of(n, w) for w in words)))
-    return HSFamily(algebra, tuple(maps))
+    maps = tuple(LinMap._raw(d_of(n, w) for w in words) for n in range(1, nmaps + 1))
+    return HSFamily(algebra, maps)
 
 
 def operator_from_word_poly(p: NCPoly, maps: Sequence[LinMap], dim: int) -> LinMap:
@@ -669,7 +665,7 @@ def operator_from_word_poly(p: NCPoly, maps: Sequence[LinMap], dim: int) -> LinM
     def products():
         path: list[int] = []
         stack = [LinMap.identity(dim)]  # stack[t] = product of path[:t]
-        for word, coefficient in sorted(p.items()):
+        for word, coefficient in sorted(p._terms.items()):
             common = 0
             while common < min(len(path), len(word)) and path[common] == word[common]:
                 common += 1

@@ -208,12 +208,12 @@ def _vector_from_data(data, dim: int, path: str) -> tuple:
 
 
 def algebra_to_data(algebra: TestAlgebra) -> dict:
-    constants = []
-    for i in range(algebra.dim):
-        for j in range(algebra.dim):
-            vec = algebra.table[i][j]
-            if any(vec):
-                constants.append([i, j, _vector_data(vec)])
+    constants = [
+        [i, j, _vector_data(vec)]
+        for i, row in enumerate(algebra.table)
+        for j, vec in enumerate(row)
+        if any(vec)
+    ]
     return {
         "labels": list(algebra.labels),
         "unit": _vector_data(algebra.unit),

@@ -605,3 +605,67 @@ def test_linmap_arithmetic_matches_dense_model():
         )
         assert (A @ B).columns == product
         assert (A - A).is_zero() and A.is_zero() == all(not x for u in a for x in u)
+
+
+# --- exact inputs and canonical storage ----------------------------------------
+
+
+@pytest.mark.parametrize("bad", [0.5, 0.0, True, False], ids=repr)
+def test_entries_reject_floats_and_bools(bad):
+    A = truncated_polynomial_algebra(2)
+    entries = [
+        lambda: LinMap(((bad, 0), (0, 1))),
+        lambda: TestAlgebra(("1",), (bad,), (((1,),),)),
+        lambda: TestAlgebra(("1",), (1,), (((bad,),),)),
+        lambda: TestAlgebra.from_products(("1",), (bad,), {(0, 0): (1,)}),
+        lambda: TestAlgebra.from_products(("1",), (1,), {(0, 0): (bad,)}),
+        lambda: A.element([bad, 0, 1]),
+        lambda: A.element({"x": bad}),
+        lambda: A.mul(A.unit, (0, bad, 0)),
+        lambda: LinMap.identity(3).apply((bad, 0, 0)),
+        lambda: LinMap.identity(3).scale(bad),
+        lambda: free_hs_extend({("x", 1): {"y": bad}}, free_word_algebra(2)),
+    ]
+    for entry in entries:
+        with pytest.raises(TypeError):
+            entry()
+
+
+def test_float_matrix_and_bool_unit_are_rejected():
+    with pytest.raises(TypeError):
+        LinMap(((0.5, 0.0), (0.0, 0.5)))
+    with pytest.raises(TypeError):
+        TestAlgebra(("1",), (True,), (((True,),),))
+
+
+def _is_canonical(m):
+    return LinMap(m.columns) == m and (m - m).is_zero()
+
+
+def test_noncanonical_storage_fails_the_canonical_check():
+    assert _is_canonical(LinMap(((0, F(2, 4)), (F(-3), 0))))
+    assert not _is_canonical(LinMap._raw([{0: (0, 1)}]))  # a stored zero
+    assert not _is_canonical(LinMap._raw([{0: (2, 2)}]))  # an unreduced pair
+
+
+def test_returned_maps_are_canonical():
+    family = free_word_family()
+    algebra, dim = family.algebra, family.algebra.dim
+    A, seq = inner_sequence(3)
+    deltas = delta_from_d(family)
+    partials = partial_from_d(family)
+    maps = {
+        "free_hs_extend": family.maps,
+        "delta_from_d": deltas,
+        "d_from_delta": d_from_delta(deltas, algebra).maps,
+        "partial_from_d": partials,
+        "d_from_partial": d_from_partial(partials, algebra).maps + d_from_partial(seq, A).maps,
+        "inner_derivation": seq,
+        "operator_from_word_poly": tuple(
+            operator_from_word_poly(p, ms, dim)
+            for p, ms in ((z_in_pprime(3), deltas), (u_of_z(3), family.maps), (NCPoly({(): "1/2"}), deltas))
+        ),
+        "taylor_hs": taylor_hs(5).maps,
+    }
+    for name, ms in maps.items():
+        assert ms and all(_is_canonical(m) for m in ms), name
