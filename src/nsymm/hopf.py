@@ -2,8 +2,11 @@
 
 NSYMM sends the degree-n generator to sum_{i+j=n} Z_i (x) Z_j (index 0
 meaning the unit); LIEHOPF makes every generator primitive.  Both
-extend to words multiplicatively and to polynomials linearly, which is
-exactly how :func:`coproduct` computes them.
+extend to words multiplicatively and to polynomials linearly.
+:func:`coproduct` evaluates that morphism on the trie of the support
+(``poly._evaluate``), so words that share a prefix share its work; the
+word-by-word coproduct ``_word_coproduct`` serves the coassociativity
+check and the quasi-shuffle duality.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from functools import lru_cache
 
 from ._backend import kernels as _k
 from .config import resolve_limit, DegreeOverflowError
-from .poly import NCPoly, Tensor2
+from .poly import NCPoly, Tensor2, _evaluate
 
 
 class HopfFamily(enum.Enum):
@@ -32,6 +35,9 @@ def _generator_coproduct(n: int, family: HopfFamily) -> dict:
             terms[(left, right)] = (1, 1)
         return terms
     return {((n,), ()): (1, 1), ((), (n,)): (1, 1)}
+
+
+_TENSOR_ONE_TERMS = {((), ()): (1, 1)}
 
 
 @lru_cache(maxsize=65536)
@@ -55,10 +61,14 @@ def _check_degree(p: NCPoly, max_degree):
 def coproduct(p: NCPoly, family: HopfFamily, max_degree=None) -> Tensor2:
     """Comultiplication, as an algebra morphism into the tensor square."""
     _check_degree(p, max_degree)
-    acc: dict = {}
-    for word, pair in p._terms.items():
-        _k.add_scaled_into(acc, _word_coproduct(word, family), pair)
-    return Tensor2._raw(acc)
+    return Tensor2._raw(
+        _evaluate(
+            p._terms,
+            lambda letter: _generator_coproduct(letter, family),
+            _k.mul_tensor_terms,
+            _TENSOR_ONE_TERMS,
+        )
+    )
 
 
 def counit(p: NCPoly) -> Fraction:

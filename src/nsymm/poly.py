@@ -211,19 +211,68 @@ class NCPoly(_TermMap):
         """Apply the algebra morphism sending letter n to images(n).
 
         ``images`` is a callable or mapping from letter to NCPoly; the
-        image of a word is the product of its letters' images.
+        image of a word is the product of its letters' images.  Words
+        that share a prefix share its work (see :func:`_evaluate`).
         """
         lookup = images.__getitem__ if isinstance(images, Mapping) else images
-        acc: dict = {}
-        for word, pair in self._terms.items():
-            product = _ONE_TERMS
-            for letter in word:
-                product = _k.mul_word_terms(product, lookup(letter)._terms)
-            _k.add_scaled_into(acc, product, pair)
-        return NCPoly._raw(acc)
+        return NCPoly._raw(
+            _evaluate(
+                self._terms,
+                lambda letter: lookup(letter)._terms,
+                _k.mul_word_terms,
+                _ONE_TERMS,
+            )
+        )
 
 
 _ONE_TERMS = {(): (1, 1)}
+
+
+def _evaluate(terms: dict, image, product, unit: dict) -> dict:
+    """Image of a word-keyed term map under an algebra morphism.
+
+    ``image(letter)`` gives the terms of a letter's image, ``product``
+    multiplies two image term maps and ``unit`` is the image of the empty
+    word.  Writing Q_w for the quotient of the polynomial below the prefix
+    w (the terms c_{wv} v), the image is computed by the Horner rule
+
+        image(Q_w) = c_w * unit + sum_a image(a) * image(Q_{wa})
+
+    over the trie of the support: one product per trie edge instead of one
+    per letter of every word, with cancellation at every node.  The trie
+    is walked in lexicographic order of the words, so that the subtree of
+    each node is contiguous; ``path`` holds the letters from the root to
+    the current node and ``accs[d]`` the image of the quotient below
+    ``path[:d]`` accumulated so far.  The walk keeps its own stack, so a
+    word may be longer than the interpreter's recursion limit.
+    """
+    path: list = []
+    accs: list = [{}]
+
+    def fold(depth):
+        # close the nodes below depth, adding image(a) * image(Q_{wa}) to each parent
+        while len(path) > depth:
+            letter_image = image(path.pop())
+            acc = accs.pop()
+            if acc and letter_image:
+                out = product(letter_image, acc)
+                if accs[-1]:
+                    _k.add_scaled_into(accs[-1], out, (1, 1))
+                else:
+                    accs[-1] = out
+
+    for word in sorted(terms):
+        depth = 0
+        shared = min(len(path), len(word))
+        while depth < shared and path[depth] == word[depth]:
+            depth += 1
+        fold(depth)
+        for letter in word[depth:]:
+            path.append(letter)
+            accs.append({})
+        _k.add_scaled_into(accs[-1], unit, terms[word])
+    fold(0)
+    return accs[0]
 
 
 class Tensor2(_TermMap):

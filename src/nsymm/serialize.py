@@ -11,6 +11,7 @@ strings ("-3/2") throughout.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .hsops import LinMap, TestAlgebra
 from .poly import NCPoly, Tensor2
@@ -188,11 +189,18 @@ def _rational_str(value: Fraction) -> str:
     return str(value)
 
 
+@lru_cache(maxsize=4096)
+def _parse_rational(text: str) -> Fraction:
+    # a family file repeats a few strings ("0", "1") thousands of times;
+    # a failed parse raises and is not cached
+    return Fraction(text)
+
+
 def _rational_from_str(data, path: str) -> Fraction:
     if not isinstance(data, str):
         raise FormatError(f"{path}: scalars must be exact rational strings like '-3/2'")
     try:
-        return Fraction(data)
+        return _parse_rational(data)
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"{path}: {exc}") from None
 

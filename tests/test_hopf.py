@@ -1,5 +1,7 @@
+import sys
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,8 +18,13 @@ from nsymm import (
     degree_limit,
     is_primitive,
     newton_p_left,
+    newton_p_right,
     primitivity_defect,
+    u_of_z,
+    z_in_pprime,
+    z_of_u,
 )
+from nsymm.hopf import _word_coproduct
 
 NS, LH = HopfFamily.NSYMM, HopfFamily.LIEHOPF
 
@@ -120,3 +127,73 @@ def test_degree_overflow():
     with degree_limit(10):
         assert counit_law_defects(big, NS) == (NCPoly.zero(), NCPoly.zero())
     assert coproduct(big, NS, max_degree=9).degree == 9
+
+
+# --- coproduct against the word-by-word sum ----------------------------------
+
+
+def _coproduct_oracle(p, family):
+    """Sum over the words w of p of c_w times the coproduct of w."""
+    acc = Tensor2.zero()
+    for word, coefficient in p.items():
+        acc = acc + coefficient * Tensor2(_word_coproduct(word, family))
+    return acc
+
+
+@pytest.mark.parametrize("family", [NS, LH])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_coproduct_matches_oracle_on_expansions(family, n):
+    for p in (newton_p_left(n), newton_p_right(n), z_of_u(n), u_of_z(n)):
+        assert coproduct(p, family) == _coproduct_oracle(p, family)
+
+
+@pytest.mark.parametrize("family", [NS, LH])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_coproduct_matches_oracle_on_pprime_expansion(family, n):
+    p = z_in_pprime(n).substitute(newton_p_right)
+    assert coproduct(p, family) == _coproduct_oracle(p, family)
+
+
+@pytest.mark.parametrize("family", [NS, LH])
+def test_coproduct_matches_oracle_on_random_tries(family, trie_polys):
+    for p in trie_polys:
+        assert coproduct(p, family) == _coproduct_oracle(p, family)
+
+
+@pytest.mark.parametrize("family", [NS, LH])
+def test_coproduct_of_primitives_cancels_inside_the_trie(family):
+    # primitive, so nearly all terms cancel; in the primitive-generator
+    # family, the primitives are carried over by Z_k -> z_of_u(k)
+    for n, c in zip(range(2, 8), (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3))):
+        p = c * newton_p_left(n) - newton_p_right(n) + u_of_z(n)
+        if family is LH:
+            p = p.substitute(z_of_u)
+        expected = Tensor2.outer(p, NCPoly.one()) + Tensor2.outer(NCPoly.one(), p)
+        assert coproduct(p, family) == _coproduct_oracle(p, family) == expected
+
+
+@pytest.mark.parametrize("family", [NS, LH])
+def test_coproduct_of_zero_and_constants(family):
+    assert coproduct(NCPoly.zero(), family) == Tensor2.zero()
+    assert coproduct(NCPoly.scalar("-3/4"), family) == Fraction(-3, 4) * Tensor2.one()
+
+
+def _frame_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("family", [NS, LH])
+def test_coproduct_word_longer_than_recursion_limit(family):
+    limit = _frame_depth() + 50
+    n = limit + 50
+    expected = Tensor2({((1,) * k, (1,) * (n - k)): comb(n, k) for k in range(n + 1)})
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        got = coproduct(NCPoly.word((1,) * n), family, max_degree=n)
+    finally:
+        sys.setrecursionlimit(old)
+    assert got == expected

@@ -1,9 +1,24 @@
+from collections.abc import Mapping
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nsymm import NCPoly, Tensor2, is_integral, ncp_add, ncp_mul, ncp_scale, tensor_mul
+from nsymm import (
+    NCPoly,
+    Tensor2,
+    is_integral,
+    ncp_add,
+    ncp_mul,
+    ncp_scale,
+    newton_p_left,
+    newton_p_right,
+    tensor_mul,
+    u_of_z,
+    z_in_pprime,
+    z_of_u,
+)
 
 Z1 = NCPoly.generator(1)
 Z2 = NCPoly.generator(2)
@@ -157,3 +172,92 @@ def test_tensor_mul_associative(a, b, c):
 def test_functional_aliases():
     assert ncp_add(Z1, Z2) == Z1 + Z2
     assert ncp_mul(Z1, Z2) == Z1 * Z2
+
+
+# --- substitute against the word-by-word sum ---------------------------------
+
+
+def _substitute_oracle(p, images):
+    """Sum over the words w of p of c_w times the product of w's letter images."""
+    lookup = images.__getitem__ if isinstance(images, Mapping) else images
+    acc = NCPoly.zero()
+    for word, coefficient in p.items():
+        image = NCPoly.one()
+        for letter in word:
+            image = image * lookup(letter)
+        acc = acc + coefficient * image
+    return acc
+
+
+# letter 2 goes to the square of letter 1's image and letter 3 to zero, so
+# Z2 - Z1*Z1 and every word holding a 3 map to zero
+CANCELLING = {1: Z1, 2: Z1 * Z1, 3: NCPoly.zero()}
+IMAGE_FAMILIES = {
+    "z_of_u": z_of_u,
+    "u_of_z": u_of_z,
+    "newton_p_right": newton_p_right,
+    "affine": lambda k: NCPoly.one() - 2 * NCPoly.generator(k) + Z1 * NCPoly.generator(k),
+    "cancelling": CANCELLING,
+    "cancelling, read-only mapping": MappingProxyType(CANCELLING),
+}
+
+
+@pytest.mark.parametrize("family", ["z_of_u", "u_of_z", "newton_p_right"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_substitute_matches_oracle_on_expansions(family, n):
+    images = IMAGE_FAMILIES[family]
+    for p in (newton_p_left(n), newton_p_right(n), z_of_u(n), u_of_z(n)):
+        assert p.substitute(images) == _substitute_oracle(p, images)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_substitute_change_of_generators_round_trips(n):
+    generator = NCPoly.generator(n)
+    assert z_of_u(n).substitute(u_of_z) == _substitute_oracle(z_of_u(n), u_of_z) == generator
+    assert u_of_z(n).substitute(z_of_u) == _substitute_oracle(u_of_z(n), z_of_u) == generator
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_substitute_primitives_into_pprime_expansion(n):
+    p = z_in_pprime(n)
+    expected = NCPoly.generator(n)
+    assert p.substitute(newton_p_right) == _substitute_oracle(p, newton_p_right) == expected
+
+
+@pytest.mark.parametrize("family", sorted(IMAGE_FAMILIES))
+def test_substitute_matches_oracle_on_random_tries(family, trie_polys):
+    images = IMAGE_FAMILIES[family]
+    for p in trie_polys:
+        assert p.substitute(images) == _substitute_oracle(p, images)
+
+
+def test_substitute_cancels_inside_the_trie(trie_polys):
+    for left, right in zip(trie_polys[::2], trie_polys[1::2]):
+        p = left * (NCPoly.generator(2) - Z1 * Z1) * right + NCPoly.word((1, 3, 1), 5)
+        assert p
+        assert p.substitute(CANCELLING) == NCPoly.zero()
+        assert _substitute_oracle(p, CANCELLING) == NCPoly.zero()
+
+
+def test_substitute_zero_and_constants():
+    for images in IMAGE_FAMILIES.values():
+        assert NCPoly.zero().substitute(images) == NCPoly.zero()
+        assert NCPoly.scalar("-3/4").substitute(images) == NCPoly.scalar("-3/4")
+
+
+def test_substitute_mapping_and_callable_agree():
+    p = NCPoly({(): 1, (1,): 2, (1, 2): -1, (2, 1, 1): "1/3", (3, 1): 4})
+    by_mapping = p.substitute(CANCELLING)
+    assert by_mapping == p.substitute(CANCELLING.__getitem__)
+    assert by_mapping == p.substitute(MappingProxyType(CANCELLING))
+    assert by_mapping == NCPoly({(): 1, (1,): 2, (1, 1, 1): -1, (1, 1, 1, 1): "1/3"})
+
+
+def test_substitute_missing_letter_still_raises():
+    with pytest.raises(KeyError):
+        NCPoly.word((1, 4)).substitute(CANCELLING)
+
+
+def test_substitute_word_longer_than_recursion_limit():
+    word = NCPoly.word((1,) * 3000)
+    assert word.substitute(NCPoly.generator) == word

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -211,3 +212,29 @@ def test_family_bad_matrix_shape():
     data["maps"][0]["columns"] = data["maps"][0]["columns"][:-1]
     with pytest.raises(FormatError, match="columns"):
         family_from_data(data)
+
+
+def test_family_with_repeated_strings_round_trips_exactly():
+    # maps whose columns repeat "0" and a few fractions many times over
+    fam = taylor_hs(6)
+    algebra = fam.algebra
+    dim = algebra.dim
+    scaled = tuple(m.scale(Fraction(-3, 2)) for m in fam.maps)
+    text = json.dumps(family_to_data(algebra, fam.maps + scaled))
+    assert text.count('"0"') > 500 and text.count('"-3/2"') >= 5
+    back_algebra, back_maps = family_from_data(json.loads(text))
+    assert back_algebra == algebra
+    assert back_maps == fam.maps + scaled
+    assert json.dumps(family_to_data(back_algebra, back_maps)) == text
+    assert all(len(col) == dim for m in back_maps for col in m.columns)
+
+
+@pytest.mark.parametrize("bad", ["1/0", "2/x", "", "0x1"])
+def test_bad_coordinate_string_names_its_path(bad):
+    fam = taylor_hs(4)
+    for t, k, s in ((1, 2, 3), (0, 4, 0), (3, 0, 4)):
+        data = family_to_data(fam.algebra, fam.maps)
+        data["maps"][t]["columns"][k][s] = bad
+        with pytest.raises(FormatError) as info:
+            family_from_data(data)
+        assert str(info.value).startswith(f"$.maps[{t}].columns[{k}][{s}]: ")
