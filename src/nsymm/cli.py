@@ -44,7 +44,7 @@ from .serialize import (
     render_tensor,
     tensor_to_data,
 )
-from .suites import SUITES, run_suite
+from .suites import CEILINGS, SUITES, run_suite
 
 
 class CliError(Exception):
@@ -128,6 +128,12 @@ def _cmd_explog(args) -> int:
 
 def _cmd_verify(args) -> int:
     _check_n(args.max_degree, args, what="max_degree")
+    ceiling = CEILINGS[args.suite]
+    if args.max_degree > ceiling:
+        raise CliError(
+            f"verify {args.suite}: --max-degree {args.max_degree} "
+            f"exceeds the suite's ceiling {ceiling}"
+        )
     report = run_suite(args.suite, args.max_degree)
     _emit(args, report.render(), report.to_data())
     return 0 if report.passed else 1
@@ -308,7 +314,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_explog.set_defaults(handler=_cmd_explog)
 
     p_verify = sub.add_parser(
-        "verify", parents=[common], help="run a named verification suite"
+        "verify",
+        parents=[common],
+        help="run a named verification suite",
+        description="Run a named verification suite. --max-degree is capped per suite: "
+        + ", ".join(f"{name} {CEILINGS[name]}" for name in sorted(CEILINGS))
+        + ".",
     )
     p_verify.add_argument("suite", choices=sorted(SUITES))
     p_verify.set_defaults(handler=_cmd_verify)

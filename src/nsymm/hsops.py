@@ -38,7 +38,6 @@ refuses floats and bools.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -340,22 +339,42 @@ def is_hs(algebra: TestAlgebra, maps: Sequence[LinMap]) -> bool:
     return hs_defect(algebra, maps) is None
 
 
-@dataclass(frozen=True)
 class HSFamily:
-    """A validated Hasse-Schmidt family (d_1, ..., d_L) on one algebra."""
+    """A validated Hasse-Schmidt family (d_1, ..., d_L) on one algebra.
 
-    algebra: TestAlgebra
-    maps: tuple[LinMap, ...]
+    Immutable, compared and hashed by its algebra and maps.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "maps", tuple(self.maps))
-        defect = hs_defect(self.algebra, self.maps)
+    __slots__ = ("algebra", "maps")
+
+    def __init__(self, algebra: TestAlgebra, maps: Sequence[LinMap]):
+        maps = tuple(maps)
+        defect = hs_defect(algebra, maps)
         if defect is not None:
             n, i, j = defect
             raise ValueError(
                 f"not a Hasse-Schmidt family: law fails at n={n} on basis pair "
-                f"({self.algebra.labels[i]!r}, {self.algebra.labels[j]!r})"
+                f"({algebra.labels[i]!r}, {algebra.labels[j]!r})"
             )
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "maps", maps)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable HSFamily")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable HSFamily")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.algebra, self.maps) == (other.algebra, other.maps)
+
+    def __hash__(self):
+        return hash((self.algebra, self.maps))
+
+    def __repr__(self):
+        return f"HSFamily(algebra={self.algebra!r}, maps={self.maps!r})"
 
     @property
     def order(self) -> int:

@@ -8,7 +8,6 @@ check, times it, and files the result with the witness that
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from .poly import Tensor2
 
@@ -48,15 +47,45 @@ def witness(defect) -> dict | None:
     return poly_witness(defect)
 
 
-@dataclass(frozen=True)
 class Check:
-    """One verified law: what was checked, at which degree, and the outcome."""
+    """One verified law: what was checked, at which degree, and the outcome.
 
-    law: str
-    degree: int
-    passed: bool
-    witness: dict | None = None
-    elapsed_us: int = 0
+    Immutable, compared and hashed by its five fields.
+    """
+
+    __slots__ = ("law", "degree", "passed", "witness", "elapsed_us")
+
+    def __init__(
+        self,
+        law: str,
+        degree: int,
+        passed: bool,
+        witness: dict | None = None,
+        elapsed_us: int = 0,
+    ):
+        for name, value in zip(self.__slots__, (law, degree, passed, witness, elapsed_us)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Check")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Check")
+
+    def _fields(self) -> tuple:
+        return (self.law, self.degree, self.passed, self.witness, self.elapsed_us)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = zip(self.__slots__, self._fields())
+        return "Check(" + ", ".join(f"{name}={value!r}" for name, value in fields) + ")"
 
     def to_record(self) -> dict:
         record = {
@@ -70,12 +99,36 @@ class Check:
         return record
 
 
-@dataclass
 class Report:
-    suite: str
-    max_degree: int
-    checks: list[Check] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
+    """The checks of one suite run up to a degree bound, plus free-form meta."""
+
+    __slots__ = ("suite", "max_degree", "checks", "meta")
+
+    def __init__(
+        self,
+        suite: str,
+        max_degree: int,
+        checks: list[Check] | None = None,
+        meta: dict | None = None,
+    ):
+        self.suite = suite
+        self.max_degree = max_degree
+        self.checks = [] if checks is None else checks
+        self.meta = {} if meta is None else meta
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # mutable
+
+    def _fields(self) -> tuple:
+        return (self.suite, self.max_degree, self.checks, self.meta)
+
+    def __repr__(self):
+        fields = zip(self.__slots__, self._fields())
+        return "Report(" + ", ".join(f"{name}={value!r}" for name, value in fields) + ")"
 
     def add(self, check: Check):
         self.checks.append(check)

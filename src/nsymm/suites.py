@@ -154,6 +154,22 @@ SUITES = {
 }
 
 
+# The largest degree `nsymm verify` accepts for each suite: the highest
+# degree at which one run took under 5 s and 100 MB peak RSS in process
+# (Python 3.11.7, pure-Python kernels, 2 vCPUs).  Measured there:
+# primitivity 4.4 s at 14, 9.7 s at 15; iso 3.9 s at 14, 10.9 s at 15;
+# newton-consistency 4.5 s at 16, 9.4 s and 142 MB at 17; qsymm-hs 2.6 s
+# at 11, 11.2 s and 170 MB at 12; hopf-laws, which samples, 0.9 s and
+# 85 MB at 20, where the compositions it samples from double per degree.
+CEILINGS = {
+    "primitivity": 14,
+    "newton-consistency": 16,
+    "iso": 14,
+    "qsymm-hs": 11,
+    "hopf-laws": 20,
+}
+
+
 def run_suite(name: str, max_degree: int) -> Report:
     if name not in SUITES:
         raise KeyError(name)

@@ -5,7 +5,10 @@ import sys
 import pytest
 
 from nsymm import LinMap, inner_derivation, taylor_hs, upper_triangular_algebra
+from nsymm import cli
 from nsymm.cli import main
+from nsymm.reports import Report
+from nsymm.suites import CEILINGS, SUITES
 from nsymm.serialize import derivations_to_data, family_to_data, poly_from_data
 
 
@@ -94,6 +97,60 @@ def test_verify_rejects_bad_degree():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "primitivity", "--max-degree", "0"])
     assert exc.value.code == 2
+
+
+@pytest.fixture()
+def no_suite_runs(monkeypatch):
+    """Fail fast instead of running a suite far above its ceiling."""
+
+    def run_suite(name, max_degree):
+        raise AssertionError(f"{name} ran at degree {max_degree}")
+
+    monkeypatch.setattr(cli, "run_suite", run_suite)
+
+
+def test_verify_rejects_degree_30(no_suite_runs, capsys):
+    code, out, err = run_cli(capsys, "verify", "primitivity", "--max-degree", "30")
+    assert code == 2 and out == ""
+    assert "exceeds the suite's ceiling 14" in err
+
+
+def test_verify_ceilings_cover_every_suite():
+    assert set(CEILINGS) == set(SUITES)
+    assert min(CEILINGS[s] for s in ("primitivity", "iso", "newton-consistency")) >= 12
+    assert CEILINGS["qsymm-hs"] >= 10
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_verify_rejects_degree_above_ceiling(no_suite_runs, capsys, suite):
+    ceiling = CEILINGS[suite]
+    code, out, err = run_cli(capsys, "verify", suite, "--max-degree", str(ceiling + 1))
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: verify {suite}: --max-degree {ceiling + 1} exceeds the suite's ceiling {ceiling}\n"
+    )
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_verify_accepts_degree_at_ceiling(monkeypatch, capsys, suite):
+    calls = []
+
+    def run_suite(name, max_degree):
+        calls.append((name, max_degree))
+        return Report(suite=name, max_degree=max_degree)
+
+    monkeypatch.setattr(cli, "run_suite", run_suite)
+    code, _, err = run_cli(capsys, "verify", suite, "--max-degree", str(CEILINGS[suite]))
+    assert code == 0 and err == ""
+    assert calls == [(suite, CEILINGS[suite])]
+
+
+def test_verify_help_lists_the_ceilings(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    for suite, ceiling in CEILINGS.items():
+        assert f"{suite} {ceiling}" in out
 
 
 def test_verify_rejects_unknown_suite():
@@ -306,3 +363,18 @@ def test_console_script_runs():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "(1/2)·P'2 + (1/2)·P'1·P'1"
+
+
+def test_cli_import_loads_no_dataclasses():
+    # every CLI request is a fresh process, so its import cost is paid each time
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, nsymm.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

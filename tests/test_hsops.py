@@ -351,6 +351,20 @@ def test_perturbed_family_reports_witness():
         HSFamily(fam.algebra, tuple(maps))
 
 
+def test_hs_family_is_immutable_and_compared_by_value():
+    fam = taylor_hs(4)
+    same = HSFamily(algebra=fam.algebra, maps=list(fam.maps))
+    assert same == fam and hash(same) == hash(fam)
+    assert isinstance(same.maps, tuple)
+    assert same != HSFamily(fam.algebra, fam.maps[:2])
+    with pytest.raises(AttributeError):
+        same.maps = ()
+    with pytest.raises(AttributeError):
+        del same.algebra
+    with pytest.raises(AttributeError):
+        same.extra = 1
+
+
 def test_hs_defect_reports_oracle_first_witness():
     for fam, perturb in ((taylor_hs(6), (1, 3)), (taylor_hs(6), (2, 0)), (free_word_family(), (1, 5))):
         maps = list(fam.maps)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from nsymm import NCPoly, Tensor2
 from nsymm.cli import main
 from nsymm.reports import Check, Report, poly_witness, tensor_witness
@@ -61,3 +63,33 @@ def test_cli_verify_exits_1_on_failing_report(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL" in out
+
+
+def test_check_is_immutable_and_compared_by_value():
+    check = Check("law", 3, True)
+    assert check == Check(law="law", degree=3, passed=True, witness=None, elapsed_us=0)
+    assert check != Check("law", 3, True, elapsed_us=1)
+    assert hash(check) == hash(Check("law", 3, True))
+    assert check.witness is None and check.elapsed_us == 0
+    with pytest.raises(AttributeError):
+        check.passed = False
+    with pytest.raises(AttributeError):
+        del check.law
+    with pytest.raises(AttributeError):
+        check.extra = 1
+    assert "degree=3" in repr(check)
+
+
+def test_report_defaults_are_fresh_and_compared_by_value():
+    first, second = Report("iso", 2), Report(suite="iso", max_degree=2)
+    assert first == second
+    first.add(Check("law", 1, True))
+    first.meta["k"] = 1
+    assert second.checks == [] and second.meta == {}
+    assert first != second
+    assert failing_report() == failing_report()
+    assert failing_report() != Report("iso", 2)
+    with pytest.raises(TypeError):
+        hash(first)
+    with pytest.raises(AttributeError):
+        first.extra = 1
