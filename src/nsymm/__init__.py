@@ -9,9 +9,8 @@ test algebras (hsops), the quasi-shuffle dual (qsymm), serialization
 
 Every layer, the Hasse-Schmidt calculus included, stores exact
 rationals one way: normalized (num, den) int pairs in term maps, merged
-by one kernel module; fractions.Fraction appears only at the public
-face.  The kernels run on a compiled extension when available and fall
-back to pure Python; see nsymm._backend and NSYMM_BACKEND.
+by one pure-Python kernel module (nsymm._core_py); fractions.Fraction
+appears only at the public face.
 """
 
 from ._backend import BACKEND, backend_name

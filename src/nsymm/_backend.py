@@ -1,38 +1,15 @@
-"""Kernel backend selection.
+"""The kernel module that every layer calls.
 
-By default the compiled extension (nsymm._core) is used when it imported
-cleanly, otherwise the pure-Python kernels.  Set NSYMM_BACKEND=python to
-force the fallback, or NSYMM_BACKEND=compiled to fail loudly when the
-extension is missing.
+``kernels`` is nsymm._core_py, the one implementation of the term-map
+kernels.  Callers look each kernel up on it at call time (``_k.<name>``),
+so a tracer can wrap a kernel by rebinding it on the module.
 """
 
-import os
+from . import _core_py as kernels
 
-_requested = os.environ.get("NSYMM_BACKEND", "auto").strip().lower()
-
-if _requested in ("auto", ""):
-    try:
-        from . import _core as kernels
-
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _core_py as kernels
-
-        BACKEND = "python"
-elif _requested in ("compiled", "c"):
-    from . import _core as kernels
-
-    BACKEND = "compiled"
-elif _requested in ("python", "pure"):
-    from . import _core_py as kernels
-
-    BACKEND = "python"
-else:
-    raise ImportError(
-        f"NSYMM_BACKEND={_requested!r} not recognized; use 'compiled', 'python', or 'auto'"
-    )
+BACKEND = "python"
 
 
 def backend_name():
-    """Which kernel backend this process is running on."""
+    """Which kernel backend this process is running on (always "python")."""
     return BACKEND

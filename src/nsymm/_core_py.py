@@ -1,13 +1,15 @@
-"""Hot-loop kernels over raw term maps, pure-Python edition.
+"""Hot-loop kernels over raw term maps.
 
 A raw term map is a plain dict from an opaque hashable key (a word
 tuple, or a pair of word tuples for tensors) to a normalized rational
 pair ``(num, den)``: arbitrary-precision ints, ``den >= 1``,
 ``gcd(num, den) == 1``, and no stored pair has ``num == 0``.
 
-``nsymm._core`` is the compiled twin of this module; the two must stay
-behaviorally identical (tests/test_backends.py checks them against each
-other).  Everything here is exact integer arithmetic — no floats.
+This is the package's one kernel module (``nsymm._backend.kernels``);
+tests/test_rational_kernels.py holds it to a ``fractions.Fraction``
+model.  The ``*_into`` kernels add their result to an accumulator in
+place and leave their operands untouched.  Everything here is exact
+integer arithmetic — no floats.
 """
 
 from math import gcd
@@ -131,68 +133,109 @@ def add_scaled_into(acc, terms, c):
 def mul_word_terms(a, b):
     """Bilinear concatenation product of word-keyed term maps."""
     out = {}
-    for ka, va in a.items():
-        an, ad = va
-        for kb, vb in b.items():
-            g1 = gcd(an, vb[1])
-            g2 = gcd(vb[0], ad)
-            wn = (an // g1) * (vb[0] // g2)
-            wd = (ad // g2) * (vb[1] // g1)
-            k = ka + kb
-            p = out.get(k)
-            if p is None:
-                out[k] = (wn, wd)
-            else:
-                n = p[0] * wd + wn * p[1]
-                if n == 0:
-                    del out[k]
-                else:
-                    d = p[1] * wd
-                    g = gcd(n, d)
-                    out[k] = (n // g, d // g)
+    mul_word_into(out, a, b)
     return out
 
 
 def mul_tensor_terms(a, b):
     """Componentwise concatenation product of pair-keyed term maps."""
     out = {}
-    for ka, va in a.items():
-        an, ad = va
-        la, ra = ka
+    mul_tensor_into(out, a, b)
+    return out
+
+
+def mul_word_into(acc, a, b):
+    """acc += a * b under concatenation, in place; acc stays canonical."""
+    for ka, (an, ad) in a.items():
+        unit = an == 1 and ad == 1
         for kb, vb in b.items():
-            g1 = gcd(an, vb[1])
-            g2 = gcd(vb[0], ad)
-            wn = (an // g1) * (vb[0] // g2)
-            wd = (ad // g2) * (vb[1] // g1)
-            k = (la + kb[0], ra + kb[1])
-            p = out.get(k)
+            # exact fast paths: a unit factor copies the pair; integers need no gcd
+            if unit:
+                wn, wd = vb
+            elif ad == 1 and vb[1] == 1:
+                wn, wd = an * vb[0], 1
+            else:
+                g1 = gcd(an, vb[1])
+                g2 = gcd(vb[0], ad)
+                wn = (an // g1) * (vb[0] // g2)
+                wd = (ad // g2) * (vb[1] // g1)
+            k = ka + kb
+            p = acc.get(k)
             if p is None:
-                out[k] = (wn, wd)
+                acc[k] = (wn, wd)
+            elif wd == 1 and p[1] == 1:
+                n = p[0] + wn
+                if n:
+                    acc[k] = (n, 1)
+                else:
+                    del acc[k]
             else:
                 n = p[0] * wd + wn * p[1]
                 if n == 0:
-                    del out[k]
+                    del acc[k]
                 else:
                     d = p[1] * wd
                     g = gcd(n, d)
-                    out[k] = (n // g, d // g)
-    return out
+                    acc[k] = (n // g, d // g)
+
+
+def mul_tensor_into(acc, a, b):
+    """acc += a * b componentwise on pair keys, in place; acc stays canonical."""
+    for (la, ra), (an, ad) in a.items():
+        unit = an == 1 and ad == 1
+        for (lb, rb), vb in b.items():
+            # exact fast paths: a unit factor copies the pair; integers need no gcd
+            if unit:
+                wn, wd = vb
+            elif ad == 1 and vb[1] == 1:
+                wn, wd = an * vb[0], 1
+            else:
+                g1 = gcd(an, vb[1])
+                g2 = gcd(vb[0], ad)
+                wn = (an // g1) * (vb[0] // g2)
+                wd = (ad // g2) * (vb[1] // g1)
+            k = (la + lb, ra + rb)
+            p = acc.get(k)
+            if p is None:
+                acc[k] = (wn, wd)
+            elif wd == 1 and p[1] == 1:
+                n = p[0] + wn
+                if n:
+                    acc[k] = (n, 1)
+                else:
+                    del acc[k]
+            else:
+                n = p[0] * wd + wn * p[1]
+                if n == 0:
+                    del acc[k]
+                else:
+                    d = p[1] * wd
+                    g = gcd(n, d)
+                    acc[k] = (n // g, d // g)
 
 
 def quasi_shuffle_words(u, v):
-    """Overlapping shuffle of two compositions; integer coefficients."""
-    if not u:
-        return {v: (1, 1)}
-    if not v:
-        return {u: (1, 1)}
-    out = {}
-    for head, sub in (
-        (u[:1], quasi_shuffle_words(u[1:], v)),
-        (v[:1], quasi_shuffle_words(u, v[1:])),
-        ((u[0] + v[0],), quasi_shuffle_words(u[1:], v[1:])),
-    ):
-        for k, c in sub.items():
-            kk = head + k
-            p = out.get(kk)
-            out[kk] = (p[0] + c[0], 1) if p is not None else c
-    return out
+    """Overlapping shuffle of two compositions; integer coefficients.
+
+    By the first-letter recursion u*v = u0(u'*v) + v0(u*v') + (u0+v0)(u'*v'),
+    built bottom-up over the suffix pairs (u[i:], v[j:]), so each suffix
+    product is formed once.  ``below[j]`` is the product of u[i+1:] and
+    v[j:], and ``row[j]`` that of u[i:] and v[j:].
+    """
+    below = [{v[j:]: (1, 1)} for j in range(len(v) + 1)]
+    for i in range(len(u) - 1, -1, -1):
+        row = [None] * len(v) + [{u[i:]: (1, 1)}]
+        for j in range(len(v) - 1, -1, -1):
+            out = {}
+            for head, sub in (
+                (u[i : i + 1], below[j]),
+                (v[j : j + 1], row[j + 1]),
+                ((u[i] + v[j],), below[j + 1]),
+            ):
+                for k, c in sub.items():
+                    kk = head + k
+                    p = out.get(kk)
+                    out[kk] = (p[0] + c[0], 1) if p is not None else c
+            row[j] = out
+        below = row
+    return below[0]

@@ -65,7 +65,7 @@ def coproduct(p: NCPoly, family: HopfFamily, max_degree=None) -> Tensor2:
         _evaluate(
             p._terms,
             lambda letter: _generator_coproduct(letter, family),
-            _k.mul_tensor_terms,
+            _k.mul_tensor_into,
             _TENSOR_ONE_TERMS,
         )
     )

@@ -219,7 +219,7 @@ class NCPoly(_TermMap):
             _evaluate(
                 self._terms,
                 lambda letter: lookup(letter)._terms,
-                _k.mul_word_terms,
+                _k.mul_word_into,
                 _ONE_TERMS,
             )
         )
@@ -228,12 +228,13 @@ class NCPoly(_TermMap):
 _ONE_TERMS = {(): (1, 1)}
 
 
-def _evaluate(terms: dict, image, product, unit: dict) -> dict:
+def _evaluate(terms: dict, image, product_into, unit: dict) -> dict:
     """Image of a word-keyed term map under an algebra morphism.
 
-    ``image(letter)`` gives the terms of a letter's image, ``product``
-    multiplies two image term maps and ``unit`` is the image of the empty
-    word.  Writing Q_w for the quotient of the polynomial below the prefix
+    ``image(letter)`` gives the terms of a letter's image,
+    ``product_into(acc, x, y)`` adds the product x * y of two image term
+    maps to ``acc`` in place, and ``unit`` is the image of the empty word.
+    Writing Q_w for the quotient of the polynomial below the prefix
     w (the terms c_{wv} v), the image is computed by the Horner rule
 
         image(Q_w) = c_w * unit + sum_a image(a) * image(Q_{wa})
@@ -243,8 +244,12 @@ def _evaluate(terms: dict, image, product, unit: dict) -> dict:
     is walked in lexicographic order of the words, so that the subtree of
     each node is contiguous; ``path`` holds the letters from the root to
     the current node and ``accs[d]`` the image of the quotient below
-    ``path[:d]`` accumulated so far.  The walk keeps its own stack, so a
-    word may be longer than the interpreter's recursion limit.
+    ``path[:d]`` accumulated so far.  Closing a node multiplies its
+    letter's image straight into its parent's accumulator, so no product
+    is built as a dict of its own.  Only accumulators made here are
+    written to; the letter images and ``unit`` (often cached) are only
+    read.  The walk keeps its own stack, so a word may be longer than the
+    interpreter's recursion limit.
     """
     path: list = []
     accs: list = [{}]
@@ -255,11 +260,7 @@ def _evaluate(terms: dict, image, product, unit: dict) -> dict:
             letter_image = image(path.pop())
             acc = accs.pop()
             if acc and letter_image:
-                out = product(letter_image, acc)
-                if accs[-1]:
-                    _k.add_scaled_into(accs[-1], out, (1, 1))
-                else:
-                    accs[-1] = out
+                product_into(accs[-1], letter_image, acc)
 
     for word in sorted(terms):
         depth = 0

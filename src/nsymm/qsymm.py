@@ -19,8 +19,8 @@ recursion (Hoffman, *Quasi-shuffle products*, J. Algebraic Combin. 11,
 n the right side of the law on (M_u, M_v) has at most three terms, and
 the left side for every n comes from the one product M_u * M_v.  The
 check therefore walks the basis pairs once and tests every n on each.
-The product kernel recurses on first letters, so the check does not
-reduce to the kernel's own definition.  Word-pair products are
+The product kernel is built by the first-letter recursion, so the check
+does not reduce to the kernel's own definition.  Word-pair products are
 memoized; the cached dicts are never handed out, only merged into
 fresh accumulators.
 """

@@ -153,6 +153,44 @@ def test_verify_help_lists_the_ceilings(capsys):
         assert f"{suite} {ceiling}" in out
 
 
+# One cheap request per capped command, so a missing ceiling fails fast.
+CAPPED_REQUESTS = {
+    "newton": ["newton", "1"],
+    "explog": ["explog", "1"],
+    "qsymm": ["qsymm", "shuffle", "1", "1"],
+}
+
+
+def test_command_ceilings_admit_the_default_bound():
+    assert set(cli.COMMAND_CEILINGS) == set(CAPPED_REQUESTS)
+    assert min(cli.COMMAND_CEILINGS.values()) >= cli.DEFAULT_MAX_DEGREE
+
+
+@pytest.mark.parametrize("command", sorted(CAPPED_REQUESTS))
+def test_command_rejects_degree_above_ceiling(capsys, command):
+    ceiling = cli.COMMAND_CEILINGS[command]
+    code, out, err = run_cli(capsys, *CAPPED_REQUESTS[command], "--max-degree", str(ceiling + 1))
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: {command}: --max-degree {ceiling + 1} exceeds the command's ceiling {ceiling}\n"
+    )
+
+
+@pytest.mark.parametrize("command", sorted(CAPPED_REQUESTS))
+def test_command_accepts_degree_at_ceiling(capsys, command):
+    ceiling = cli.COMMAND_CEILINGS[command]
+    code, out, err = run_cli(capsys, *CAPPED_REQUESTS[command], "--max-degree", str(ceiling))
+    assert code == 0 and out and err == ""
+
+
+@pytest.mark.parametrize("command", sorted(CAPPED_REQUESTS))
+def test_command_help_lists_its_ceiling(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert f"--max-degree is capped at {cli.COMMAND_CEILINGS[command]}" in out
+
+
 def test_verify_rejects_unknown_suite():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])

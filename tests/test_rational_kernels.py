@@ -1,11 +1,14 @@
-"""The selected kernel backend against a fractions.Fraction model."""
+"""The kernel module against a fractions.Fraction model."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from nsymm import HopfFamily, NCPoly, coproduct, newton_p_right, u_of_z, z_in_pprime, z_of_u
 from nsymm._backend import kernels as K
+from nsymm.hopf import _TENSOR_ONE_TERMS, _generator_coproduct
+from nsymm.poly import _ONE_TERMS
 
 pairs = st.tuples(
     st.integers(min_value=-(10**18), max_value=10**18),
@@ -123,3 +126,137 @@ def test_quasi_shuffle_words_small():
         (2, 1): (1, 1),
         (3,): (1, 1),
     }
+
+
+# --- the in-place products ------------------------------------------------
+
+# Coefficients that reach every branch of the in-place products: the unit
+# pair, small integers (their sums cancel often) and small rationals.
+small_pairs = st.one_of(
+    st.just((1, 1)),
+    st.integers(-3, 3).filter(bool).map(lambda n: (n, 1)),
+    st.tuples(st.integers(-3, 3).filter(bool), st.integers(2, 4)).map(
+        lambda nd: K.rat_norm(*nd)
+    ),
+)
+short_words = st.lists(st.integers(1, 2), max_size=2).map(tuple)
+
+
+def small_maps(keys, min_size=0):
+    return st.dictionaries(keys, small_pairs, min_size=min_size, max_size=5)
+
+
+def into_model(acc, a, b, concat):
+    expected = model(acc)
+    for ka, va in model(a).items():
+        for kb, vb in model(b).items():
+            k = concat(ka, kb)
+            expected[k] = expected.get(k, Fraction(0)) + va * vb
+    return expected
+
+
+def check_into(kernel, acc, a, b, concat):
+    expected = into_model(acc, a, b, concat)
+    a_before, b_before = dict(a), dict(b)
+    got = dict(acc)
+    assert kernel(got, a, b) is None
+    check_same(got, expected)
+    assert a == a_before and b == b_before
+
+
+def concat_words(u, v):
+    return u + v
+
+
+def concat_pairs(u, v):
+    return (u[0] + v[0], u[1] + v[1])
+
+
+@given(small_maps(short_words, min_size=1), small_maps(short_words), small_maps(short_words))
+def test_mul_word_into_model(acc, a, b):
+    check_into(K.mul_word_into, acc, a, b, concat_words)
+
+
+short_pairs = st.tuples(short_words, short_words)
+
+
+@given(small_maps(short_pairs, min_size=1), small_maps(short_pairs), small_maps(short_pairs))
+def test_mul_tensor_into_model(acc, a, b):
+    check_into(K.mul_tensor_into, acc, a, b, concat_pairs)
+
+
+@given(term_maps, term_maps)
+def test_mul_tensor_terms_model(a, b):
+    pa = {(k, k[::-1]): v for k, v in a.items()}
+    pb = {(k[::-1], k): v for k, v in b.items()}
+    check_same(K.mul_tensor_terms(pa, pb), into_model({}, pa, pb, concat_pairs))
+
+
+# (acc, a, b, acc afterwards) on word keys, one case per branch of the
+# in-place products; the tensor kernel runs them on the keys (w, w).
+INTO_BRANCHES = {
+    "unit outer, rational sum": (
+        {(1, 2): (1, 2)}, {(1,): (1, 1)}, {(2,): (3, 2)}, {(1, 2): (2, 1)}
+    ),
+    "unit outer, integer sum cancels": (
+        {(1, 2): (-5, 1)}, {(1,): (1, 1)}, {(2,): (5, 1)}, {}
+    ),
+    "unit outer, integer plus rational": (
+        {(1, 2): (1, 1)}, {(1,): (1, 1)}, {(2,): (1, 2)}, {(1, 2): (3, 2)}
+    ),
+    "integer times integer": (
+        {(1, 2): (1, 1)}, {(1,): (2, 1)}, {(2,): (3, 1)}, {(1, 2): (7, 1)}
+    ),
+    "integer sum cancels": (
+        {(1, 2): (-6, 1), (3,): (1, 1)}, {(1,): (2, 1)}, {(2,): (3, 1)}, {(3,): (1, 1)}
+    ),
+    "integer into a new key": (
+        {(3,): (1, 2)}, {(1,): (-2, 1)}, {(2,): (3, 1)}, {(3,): (1, 2), (1, 2): (-6, 1)}
+    ),
+    "mixed rationals": (
+        {(1, 2): (1, 2)}, {(1,): (2, 3)}, {(2,): (3, 4)}, {(1, 2): (1, 1)}
+    ),
+    "mixed rationals cancel": (
+        {(1, 2): (-1, 2)}, {(1,): (-2, 3)}, {(2,): (-3, 4)}, {}
+    ),
+}
+
+
+def doubled(terms):
+    return {(k, k): v for k, v in terms.items()}
+
+
+@pytest.mark.parametrize("case", sorted(INTO_BRANCHES))
+def test_in_place_products_on_each_branch(case):
+    acc, a, b, after = INTO_BRANCHES[case]
+    got = dict(acc)
+    K.mul_word_into(got, a, b)
+    assert got == after
+    got = doubled(acc)
+    K.mul_tensor_into(got, doubled(a), doubled(b))
+    assert got == doubled(after)
+
+
+def test_evaluator_leaves_cached_images_unchanged():
+    families = tuple(HopfFamily)
+    images = {
+        "generator coproducts": [_generator_coproduct(n, f) for f in families for n in range(1, 7)],
+        "z_of_u": [z_of_u(n, 6)._terms for n in range(1, 7)],
+        "u_of_z": [u_of_z(n, 6)._terms for n in range(1, 7)],
+        "newton_p_right": [newton_p_right(n, 6)._terms for n in range(1, 7)],
+        "units": [_ONE_TERMS, _TENSOR_ONE_TERMS],
+    }
+    before = {name: [dict(t) for t in terms] for name, terms in images.items()}
+
+    # nested words with unit coefficients, so an accumulator could alias an image
+    nested = NCPoly({(): 1, (1,): 1, (1, 2): 1, (1, 2, 1): -1, (2,): 1})
+    polys = [z_of_u(6, 6), u_of_z(6, 6), newton_p_right(6, 6), nested]
+    for p in polys:
+        for family in families:
+            coproduct(p, family, 12)
+        p.substitute(lambda k: z_of_u(k, 6))
+        p.substitute(lambda k: u_of_z(k, 6))
+    for n in range(1, 7):
+        z_in_pprime(n, 6).substitute(lambda k: newton_p_right(k, 6))
+
+    assert {name: [dict(t) for t in terms] for name, terms in images.items()} == before
