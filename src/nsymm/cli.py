@@ -117,6 +117,15 @@ NEWTON_VARIANTS = {
 # 1.1 s and 77 MB at 21, 2.0 s and 117 MB at 22.
 COMMAND_CEILINGS = {"newton": 15, "explog": 15, "qsymm": 21}
 
+# The largest algebra dimension that hs accepts, measured the same way on
+# its costliest actions (validate, extract-partial, build-from-partial and
+# the delta pair) with families of order 8.  The truncated polynomial
+# algebras, the densest tables of the catalog, cost the most: at most 3.7 s
+# and 86 MB at dim 112, 5.5 s and 104 MB at 120.  Upper-triangular algebras
+# took 2.5 s and 86 MB at 171 (108 MB at 190); free word algebras 2.5 s and
+# 51 MB at 127 (13.3 s, 225 MB at 255).
+HS_MAX_DIM = 112
+
 
 def _check_ceiling(args):
     ceiling = COMMAND_CEILINGS[args.command]
@@ -177,7 +186,12 @@ def _write_json(path, data) -> None:
 
 
 def _parsed(path, data, parse, max_degree):
-    """Parse a family or derivation file and bound its order by the degree limit."""
+    """Parse a family or derivation file; bound its dimension first, then its order."""
+    raw = data.get("algebra") if isinstance(data, dict) else None
+    labels = raw.get("labels") if isinstance(raw, dict) else None
+    if isinstance(labels, list) and len(labels) > HS_MAX_DIM:
+        # refused before parsing, whose associativity check is itself a law check
+        raise CliError(f"{path}: algebra dimension {len(labels)} exceeds the hs cap {HS_MAX_DIM}")
     try:
         algebra, maps = parse(data)
     except FormatError as exc:
@@ -189,15 +203,16 @@ def _parsed(path, data, parse, max_degree):
 
 def _validated_family(path, max_degree) -> HSFamily:
     algebra, maps = _parsed(path, _load_json(path), family_from_data, max_degree)
-    defect = hs_defect(algebra, maps)
-    if defect is not None:
-        n, i, j = defect
+    try:
+        return HSFamily(algebra, maps)  # checks the law once
+    except ValueError:
+        # only a failing family pays for the second walk that names the witness
+        n, i, j = hs_defect(algebra, maps)
         raise CliError(
             f"{path}: input family fails the convolution law at n={n} on basis pair "
             f"({algebra.labels[i]!r}, {algebra.labels[j]!r})",
             code=1,
-        )
-    return HSFamily(algebra, maps)
+        ) from None
 
 
 def _cmd_hs(args) -> int:
@@ -357,7 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_hs = sub.add_parser(
-        "hs", parents=[common], help="Hasse-Schmidt family conversions on test algebras"
+        "hs",
+        parents=[common],
+        help="Hasse-Schmidt family conversions on test algebras",
+        description="Hasse-Schmidt family conversions on test algebras. "
+        f"The algebra dimension is capped at {HS_MAX_DIM}.",
     )
     p_hs.add_argument(
         "action",

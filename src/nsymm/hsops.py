@@ -5,7 +5,11 @@ is checked associative and unital on construction.  A family
 (d_1, ..., d_L) of linear maps (d_0 = identity, implicit) is
 Hasse-Schmidt when d_n(ab) = sum_{k=0..n} d_k(a) d_{n-k}(b); that law
 and the plain Leibniz law are verified on ALL basis pairs, which by
-bilinearity is a complete proof at the given dimension.
+bilinearity is a complete proof at the given dimension.  The checks walk
+only the nonzero structure constants e_a e_b: both laws share one walk
+(_law_defect; Leibniz is the law of order 1), and associativity makes
+its own.  A pair or triple that no nonzero product reaches has both
+sides zero, so skipping it leaves the proof complete.
 
 The conversions both ways between families and sequences of ordinary
 derivations mirror the symbolic layer, by recursions that share work
@@ -38,6 +42,7 @@ refuses floats and bools.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -102,7 +107,7 @@ class TestAlgebra:
     """
 
     __test__ = False  # keep pytest from collecting this as a test class
-    __slots__ = ("labels", "_unit", "_table")
+    __slots__ = ("labels", "_unit", "_table", "_products")
 
     def __init__(self, labels, unit, table):
         dim = len(labels)
@@ -130,6 +135,10 @@ class TestAlgebra:
             table[i][j] = _terms(vec)
         self._unit = _terms(unit)
         self._table = tuple(map(tuple, table))
+        # the nonzero structure constants (a, b, e_a e_b), in a-b order
+        self._products = tuple(
+            (a, b, prod) for a, row in enumerate(self._table) for b, prod in enumerate(row) if prod
+        )
         self.__post_init__()
 
     def __post_init__(self):
@@ -139,25 +148,31 @@ class TestAlgebra:
             e = {i: _ONE}
             if _mul_into({}, table, self._unit, e) != e or _mul_into({}, table, e, self._unit) != e:
                 raise ValueError(f"unit law fails on basis element {self.labels[i]!r}")
-        # (e_i e_j) e_k == e_i (e_j e_k), expanded through the sparse table
+        # For each i, (e_i e_j) e_k - e_i (e_j e_k) is summed over the nonzero
+        # products only, into one accumulator per pair (j, k) that they reach;
+        # a pair that none reaches has both sides zero.
+        by_left = [[] for _ in range(dim)]  # by_left[a]: (b, e_a e_b), nonzero
+        by_support = [[] for _ in range(dim)]  # by_support[l]: (j dim + k, -[e_l](e_j e_k))
+        for a, b, prod in self._products:
+            by_left[a].append((b, prod))
+            for l, (num, den) in prod.items():
+                by_support[l].append((a * dim + b, (-num, den)))
         for i in range(dim):
-            row_i = table[i]
-            for j in range(dim):
-                left, row_j = row_i[j], table[j]
-                for k in range(dim):
-                    right = row_j[k]
-                    if not (left or right):
-                        continue
-                    acc: Terms = {}
-                    for l, c in left.items():
-                        _k.add_scaled_into(acc, table[l][k], c)
-                    for l, (num, den) in right.items():
-                        _k.add_scaled_into(acc, row_i[l], (-num, den))
-                    if acc:
-                        raise ValueError(
-                            "associativity fails on basis triple "
-                            f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})"
-                        )
+            acc: defaultdict[int, Terms] = defaultdict(dict)
+            for j, prod in by_left[i]:  # (e_i e_j) e_k
+                for l, c in prod.items():
+                    for k, right in by_left[l]:
+                        _k.add_scaled_into(acc[j * dim + k], right, c)
+            for l, left in by_left[i]:  # - e_i (e_j e_k)
+                for key, c in by_support[l]:
+                    _k.add_scaled_into(acc[key], left, c)
+            failures = [key for key, terms in acc.items() if terms]
+            if failures:
+                j, k = divmod(min(failures), dim)
+                raise ValueError(
+                    "associativity fails on basis triple "
+                    f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})"
+                )
 
     @property
     def dim(self) -> int:
@@ -287,25 +302,54 @@ def _combine(terms: Iterable[tuple], dim: int) -> LinMap:
     return LinMap._raw(columns)
 
 
+def _law_defect(algebra: TestAlgebra, maps: Sequence[LinMap]) -> tuple[int, int, int] | None:
+    """First (n, i, j) with d_n(e_i e_j) != sum_k d_k(e_i) d_{n-k}(e_j), or None.
+
+    d_n is maps[n-1], and d_0 the identity.  Each n is one walk over the
+    nonzero products e_a e_b: it adds d_n(e_a e_b) into the accumulator of
+    the pair (a, b), then subtracts c_i c_j e_a e_b from that of (i, j)
+    whenever e_a has coefficient c_i in d_k(e_i) and e_b has c_j in
+    d_{n-k}(e_j).  A pair that no product reaches has both sides zero, so
+    by bilinearity this is a complete proof over all basis pairs; the
+    witness is the smallest failing pair at the first failing n.
+    """
+    dim, products = algebra.dim, algebra._products
+    if any(d.dim != dim for d in maps):
+        raise ValueError("map and algebra dimensions differ")
+    cols = [LinMap.identity(dim)._columns] + [d._columns for d in maps]
+    rows = []  # rows[k][a] = {i: coefficient of e_a in d_k(e_i)}
+    for columns in cols:
+        row = [{} for _ in range(dim)]
+        for i, col in enumerate(columns):
+            for a, c in col.items():
+                row[a][i] = c
+        rows.append(row)
+    for n in range(1, len(cols)):
+        acc = defaultdict(dict, ((a * dim + b, _apply(cols[n], prod)) for a, b, prod in products))
+        for k in range(n + 1):
+            left, right = rows[k], rows[n - k]
+            for a, b, prod in products:
+                row_a, row_b = left[a], right[b]
+                if not (row_a and row_b):
+                    continue
+                for i, (num, den) in row_a.items():
+                    c_i, base = (-num, den), i * dim
+                    for j, c_j in row_b.items():
+                        _k.add_scaled_into(acc[base + j], prod, _k.rat_mul(c_i, c_j))
+        failures = [key for key, terms in acc.items() if terms]
+        if failures:
+            return (n, *divmod(min(failures), dim))
+    return None
+
+
 def derivation_defect(d: LinMap, algebra: TestAlgebra):
     """First basis pair (i, j) violating the Leibniz law, or None.
 
-    Checked on every basis pair, which by bilinearity is a complete
-    proof at this dimension.
+    The Leibniz law is the convolution law of order 1, so this is the
+    same complete proof over every basis pair as hs_defect.
     """
-    if d.dim != algebra.dim:
-        raise ValueError("map and algebra dimensions differ")
-    table, cols = algebra._table, d._columns
-    for i in range(algebra.dim):
-        e_i = {i: _ONE}
-        for j in range(algebra.dim):
-            e_j = {j: _ONE}
-            acc = _apply(cols, table[i][j])  # d(e_i e_j)
-            _mul_into(acc, table, e_i, cols[j], -1)  # - e_i d(e_j)
-            _mul_into(acc, table, cols[i], e_j, -1)  # - d(e_i) e_j
-            if acc:
-                return (i, j)
-    return None
+    defect = _law_defect(algebra, (d,))
+    return None if defect is None else defect[1:]
 
 
 def is_derivation(d: LinMap, algebra: TestAlgebra) -> bool:
@@ -318,21 +362,7 @@ def hs_defect(algebra: TestAlgebra, maps: Sequence[LinMap]):
     Complete check over every degree n <= len(maps) and every basis
     pair, in exact arithmetic.
     """
-    dim = algebra.dim
-    for d in maps:
-        if d.dim != dim:
-            raise ValueError("map and algebra dimensions differ")
-    table = algebra._table
-    cols = [LinMap.identity(dim)._columns] + [d._columns for d in maps]
-    for n in range(1, len(maps) + 1):
-        for i in range(dim):
-            for j in range(dim):
-                acc = _apply(cols[n], table[i][j])  # d_n(e_i e_j)
-                for k in range(n + 1):  # - sum d_k(e_i) d_{n-k}(e_j)
-                    _mul_into(acc, table, cols[k][i], cols[n - k][j], -1)
-                if acc:
-                    return (n, i, j)
-    return None
+    return _law_defect(algebra, maps)
 
 
 def is_hs(algebra: TestAlgebra, maps: Sequence[LinMap]) -> bool:

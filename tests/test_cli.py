@@ -4,7 +4,15 @@ import sys
 
 import pytest
 
-from nsymm import LinMap, inner_derivation, taylor_hs, upper_triangular_algebra
+from nsymm import (
+    LinMap,
+    TestAlgebra,
+    free_word_algebra,
+    inner_derivation,
+    taylor_hs,
+    upper_triangular_algebra,
+)
+from nsymm import hsops
 from nsymm import cli
 from nsymm.cli import main
 from nsymm.reports import Report
@@ -328,6 +336,112 @@ def test_hs_empty_sequence_within_any_limit(tmp_path, capsys):
         path.write_text(json.dumps(data))
         code, out, _ = run_cli(capsys, "hs", "validate", str(path), "--max-degree", "1")
         assert code == 0 and "valid" in out
+
+
+def test_hs_extract_checks_the_law_once_on_a_valid_family(taylor_file, tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(algebra, maps):
+        calls.append(len(maps))
+        return original(algebra, maps)
+
+    original = hsops.hs_defect
+    monkeypatch.setattr(hsops, "hs_defect", counted)
+    monkeypatch.setattr(cli, "hs_defect", counted)
+    code, _, err = run_cli(capsys, "hs", "extract-delta", str(taylor_file), str(tmp_path / "d.json"))
+    assert code == 0 and err == ""
+    assert calls == [6]
+
+
+def test_hs_extract_names_the_witness_of_an_invalid_family(taylor_file, tmp_path, capsys):
+    data = json.loads(taylor_file.read_text())
+    data["maps"][0]["columns"][1][0] = "7"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "hs", "extract-partial", str(bad), str(tmp_path / "p.json"))
+    assert code == 1 and out == ""
+    assert err == (
+        f"error: {bad}: input family fails the convolution law at n=1 on basis pair ('x', 'x')\n"
+    )
+    assert not (tmp_path / "p.json").exists()
+
+
+def _square_zero_data(dim, key):
+    """1 + N with N N = 0 in dimension dim, and one zero map: cheap to check at any size."""
+
+    def e(t):
+        return ["1" if s == t else "0" for s in range(dim)]
+
+    constants = [[0, t, e(t)] for t in range(dim)] + [[t, 0, e(t)] for t in range(1, dim)]
+    algebra = {"labels": ["1"] + [f"n{t}" for t in range(1, dim)], "unit": e(0), "structure_constants": constants}
+    return {"algebra": algebra, key: [{"columns": [["0"] * dim for _ in range(dim)]}]}
+
+
+HS_REQUESTS = [
+    ("validate", "maps"),
+    ("validate", "derivations"),
+    ("extract-delta", "maps"),
+    ("extract-partial", "maps"),
+    ("build-from-delta", "derivations"),
+    ("build-from-partial", "derivations"),
+]
+
+
+@pytest.mark.parametrize("action, key", HS_REQUESTS)
+def test_hs_rejects_dimension_above_the_cap(tmp_path, capsys, monkeypatch, action, key):
+    def no_law_check(*args):
+        raise AssertionError("a law was checked above the cap")
+
+    monkeypatch.setattr(TestAlgebra, "__post_init__", no_law_check)
+    monkeypatch.setattr(hsops, "_law_defect", no_law_check)
+    cap = cli.HS_MAX_DIM
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(_square_zero_data(cap + 1, key)))
+    out_file = tmp_path / "out.json"
+    argv = ["hs", action, str(path)] + ([] if action == "validate" else [str(out_file)])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: algebra dimension {cap + 1} exceeds the hs cap {cap}\n"
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("action, key", [HS_REQUESTS[0], HS_REQUESTS[1], HS_REQUESTS[2]])
+def test_hs_accepts_dimension_at_the_cap(tmp_path, capsys, action, key):
+    path = tmp_path / "at-cap.json"
+    path.write_text(json.dumps(_square_zero_data(cli.HS_MAX_DIM, key)))
+    out_file = tmp_path / "out.json"
+    argv = ["hs", action, str(path)] + ([] if action == "validate" else [str(out_file)])
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+
+
+# The algebras of the benchmark's cli-requests workload: dims 6, 7, 10, 15, 31.
+CLI_REQUEST_ALGEBRAS = [
+    lambda: upper_triangular_algebra(3),
+    lambda: free_word_algebra(2),
+    lambda: upper_triangular_algebra(4),
+    lambda: free_word_algebra(3),
+    lambda: free_word_algebra(4),
+]
+
+
+@pytest.mark.parametrize("make", CLI_REQUEST_ALGEBRAS, ids=["dim6", "dim7", "dim10", "dim15", "dim31"])
+def test_hs_accepts_every_benchmark_request_size(tmp_path, capsys, make):
+    A = make()
+    d = inner_derivation(A, {A.labels[1]: 1, A.labels[-1]: "1/2"})
+    for name, data in (("family", family_to_data(A, (d,))), ("derivations", derivations_to_data(A, (d, d)))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "hs", "validate", str(path))
+        assert err == ""
+        assert out.startswith(f"{name} ")  # a verdict, not a refusal
+
+
+def test_hs_help_lists_the_dimension_cap(capsys):
+    with pytest.raises(SystemExit):
+        main(["hs", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert f"The algebra dimension is capped at {cli.HS_MAX_DIM}." in out
 
 
 # --- qsymm subcommand -------------------------------------------------------

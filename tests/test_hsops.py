@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -73,30 +74,44 @@ def oracle_associativity_failures(table):
     ]
 
 
+def _dense_apply(columns, v):
+    acc = [F(0)] * len(columns)
+    for l, c in enumerate(v):
+        if c:
+            acc = [a + c * s for a, s in zip(acc, columns[l])]
+    return tuple(acc)
+
+
 def oracle_hs_failures(algebra, maps):
     """Every (n, i, j) violating d_n(e_i e_j) = sum_k d_k(e_i) d_{n-k}(e_j), in order."""
     dim = algebra.dim
     table = algebra.table
     cols = [[_unit_vector(dim, i) for i in range(dim)]] + [list(m.columns) for m in maps]
 
-    def apply(columns, v):
-        acc = [F(0)] * dim
-        for l, c in enumerate(v):
-            if c:
-                acc = [a + c * s for a, s in zip(acc, columns[l])]
-        return tuple(acc)
-
     failures = []
     for n in range(1, len(maps) + 1):
         for i in range(dim):
             for j in range(dim):
-                lhs = apply(cols[n], table[i][j])
+                lhs = _dense_apply(cols[n], table[i][j])
                 rhs = [F(0)] * dim
                 for k in range(n + 1):
                     prod = _dense_mul(table, cols[k][i], cols[n - k][j])
                     rhs = [a + b for a, b in zip(rhs, prod)]
                 if lhs != tuple(rhs):
                     failures.append((n, i, j))
+    return failures
+
+
+def oracle_derivation_failures(algebra, d):
+    """Every basis pair (i, j) with d(e_i e_j) != d(e_i) e_j + e_i d(e_j), in i-j order."""
+    dim, table, cols = algebra.dim, algebra.table, d.columns
+    basis = [_unit_vector(dim, i) for i in range(dim)]
+    failures = []
+    for i in range(dim):
+        for j in range(dim):
+            rhs = zip(_dense_mul(table, cols[i], basis[j]), _dense_mul(table, basis[i], cols[j]))
+            if _dense_apply(cols, table[i][j]) != tuple(a + b for a, b in rhs):
+                failures.append((i, j))
     return failures
 
 
@@ -244,6 +259,22 @@ def test_perturbed_word_algebra_names_first_triple():
         TestAlgebra(A.labels, A.unit, table)
 
 
+def test_association_failure_with_zero_left_product_names_first_triple():
+    # E23 * E12 := E12 keeps the unit law; the first failing triple is
+    # (E11, E23, E12), where E11 E23 = 0 but E23 E12 is not
+    A = upper_triangular_algebra(3)
+    e11, e12, e23 = (A.labels.index(label) for label in ("E11", "E12", "E23"))
+    table = [list(row) for row in A.table]
+    table[e23][e12] = A.basis(e12)
+    table = tuple(tuple(row) for row in table)
+    failures = oracle_associativity_failures(table)
+    i, j, k = failures[0]
+    assert (i, j, k) == (e11, e23, e12)
+    assert not any(table[i][j]) and any(table[j][k])
+    with pytest.raises(ValueError, match=re.escape("associativity fails on basis triple (E11, E23, E12)")):
+        TestAlgebra(A.labels, A.unit, table)
+
+
 @pytest.mark.parametrize(
     "algebra",
     [truncated_polynomial_algebra(t) for t in (1, 3, 5)]
@@ -382,6 +413,127 @@ def test_hs_defect_agrees_with_oracle_on_valid_families():
     for fam in (taylor_hs(4), free_word_family()):
         assert oracle_hs_failures(fam.algebra, fam.maps) == []
         assert hs_defect(fam.algebra, fam.maps) is None
+
+
+# --- the law walk against the per-pair oracles --------------------------------
+#
+# hs_defect and derivation_defect walk only the nonzero products e_a e_b,
+# while the oracles test every basis pair densely.  Besides seeded
+# perturbations, the cases below pin what a shortcut in the walk would
+# lose: a failing pair whose product is zero, a defect that only the
+# middle terms 0 < k < n carry, failures at several n and several failing
+# pairs at one n.
+
+
+def _perturbed(maps, changes):
+    """The maps with delta added to entry (row, column) of d_level, for each (level, column, row, delta)."""
+    cols = [[list(col) for col in m.columns] for m in maps]
+    for level, column, row, delta in changes:
+        cols[level - 1][column][row] += delta
+    return [LinMap(tuple(map(tuple, c))) for c in cols]
+
+
+LAW_FAMILIES = ("free-3", "truncated-6", "upper-3", "upper-4")
+
+
+@lru_cache(maxsize=None)
+def law_family(name):
+    """(algebra, maps) of a valid family on one of the catalog algebras."""
+    if name == "free-3":
+        family = free_word_family()
+        return family.algebra, family.maps
+    if name == "truncated-6":
+        return taylor_hs(6).algebra, taylor_hs(6).maps
+    size, length = {"upper-3": (3, 4), "upper-4": (4, 3)}[name]
+    A, seq = inner_sequence(size)
+    return A, d_from_partial(seq[:length], A).maps
+
+
+def _seeded_changes(rng, order, dim, levels):
+    return [
+        (level, rng.randrange(dim), rng.randrange(dim), F(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2))))
+        for level in rng.sample(range(1, order + 1), min(levels, order))
+        for _ in range(rng.randint(1, 3))
+    ]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("name", LAW_FAMILIES)
+def test_hs_defect_matches_oracle_on_seeded_perturbations(name, seed):
+    algebra, maps = law_family(name)
+    rng = random.Random(f"hs-{name}-{seed}")
+    bad = _perturbed(maps, _seeded_changes(rng, len(maps), algebra.dim, 1 + seed % 2))
+    failures = oracle_hs_failures(algebra, bad)
+    assert hs_defect(algebra, bad) == (failures[0] if failures else None)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("name", LAW_FAMILIES)
+def test_derivation_defect_matches_oracle_on_seeded_perturbations(name, seed):
+    algebra, maps = law_family(name)
+    rng = random.Random(f"leibniz-{name}-{seed}")
+    d = (maps[0], LinMap.zero(algebra.dim))[seed % 2]  # d_1 of a family is a derivation
+    assert oracle_derivation_failures(algebra, d) == []
+    bad = _perturbed([d], _seeded_changes(rng, 1, algebra.dim, 1))[0]
+    failures = oracle_derivation_failures(algebra, bad)
+    assert derivation_defect(bad, algebra) == (failures[0] if failures else None)
+
+
+def test_law_walk_catches_a_failing_pair_whose_product_is_zero():
+    # d_1(yxx) += y: the first failure is (x, yxx), where x yxx overflows
+    # the cutoff, so that pair is in no nonzero product; later failures,
+    # such as (y, xx), are
+    algebra, maps = law_family("free-3")
+    x, y, xx, yxx = (algebra.labels.index(label) for label in ("x", "y", "xx", "yxx"))
+    bad = _perturbed(maps, [(1, yxx, y, F(1))])
+    failures = oracle_hs_failures(algebra, bad)
+    assert failures[0] == (1, x, yxx) and not any(algebra.table[x][yxx])
+    assert (1, y, xx) in failures and any(algebra.table[y][xx])
+    assert hs_defect(algebra, bad) == failures[0]
+    leibniz = oracle_derivation_failures(algebra, bad[0])
+    assert leibniz[0] == (x, yxx) and len(leibniz) >= 2
+    assert derivation_defect(bad[0], algebra) == leibniz[0]
+
+
+@pytest.mark.parametrize(
+    "name, extra",
+    [
+        ("truncated-6", lambda A: x2ddx(6)),
+        ("upper-3", lambda A: inner_derivation(A, {"E12": 1})),
+        ("upper-4", lambda A: inner_derivation(A, {"E23": 2, "E34": -1})),
+        ("free-3", lambda A: inner_derivation(A, {"x": 1})),
+    ],
+)
+def test_law_walk_catches_a_defect_of_the_middle_terms_only(name, extra):
+    # d_1 + delta is still a derivation, so the law holds at n = 1; at every
+    # n >= 2 the k = 0 and k = n terms are unchanged, and only the middle
+    # terms, which hold d_1, differ
+    algebra, maps = law_family(name)
+    bad = [maps[0] + extra(algebra)] + list(maps[1:])
+    failures = oracle_hs_failures(algebra, bad)
+    assert failures and failures[0][0] >= 2
+    assert hs_defect(algebra, bad[:1]) is None
+    assert hs_defect(algebra, bad) == failures[0]
+
+
+@pytest.mark.parametrize("name", ["truncated-6", "upper-3", "free-3"])
+def test_law_walk_reports_the_first_of_failures_at_several_n(name):
+    algebra, maps = law_family(name)
+    rng = random.Random(f"several-{name}")
+    changes = [(level, rng.randrange(1, algebra.dim), rng.randrange(1, algebra.dim), F(1)) for level in (2, 3)]
+    bad = _perturbed(maps, changes)
+    failures = oracle_hs_failures(algebra, bad)
+    first_n = failures[0][0]
+    assert len({n for n, _, _ in failures}) >= 2
+    assert sum(1 for n, _, _ in failures if n == first_n) >= 2  # several pairs at one n
+    assert hs_defect(algebra, bad) == failures[0]
+    assert hs_defect(algebra, bad[:first_n]) == failures[0]
+    # with d_(first_n) restored, the witness moves to the next failing n
+    fixed = list(bad)
+    fixed[first_n - 1] = maps[first_n - 1]
+    later = oracle_hs_failures(algebra, fixed)
+    assert later[0][0] > first_n
+    assert hs_defect(algebra, fixed) == later[0]
 
 
 def x2ddx(trunc):
