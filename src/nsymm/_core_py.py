@@ -8,8 +8,12 @@ pair ``(num, den)``: arbitrary-precision ints, ``den >= 1``,
 This is the package's one kernel module (``nsymm._backend.kernels``);
 tests/test_rational_kernels.py holds it to a ``fractions.Fraction``
 model.  The ``*_into`` kernels add their result to an accumulator in
-place and leave their operands untouched.  Everything here is exact
-integer arithmetic — no floats.
+place and leave their operands untouched.  ``add_scaled_into`` is the
+one loop that merges a term map into another: the sum, difference,
+negation and scaling kernels are each one call of it on a fresh dict.
+Only the two products and the quasi-shuffle keep merge loops of their
+own, inlined for speed.  Everything here is exact integer arithmetic —
+no floats.
 """
 
 from math import gcd
@@ -51,59 +55,31 @@ def rat_mul(a, b):
     return ((an // g1) * (bn // g2), (ad // g2) * (bd // g1))
 
 
-def add_terms(a, b):
-    if not b:
-        return dict(a)
-    if not a:
-        return dict(b)
+_ONE = (1, 1)
+_MINUS_ONE = (-1, 1)
+
+
+def _merged(a, b, c):
+    """a + c * b as a new term map; a and b stay untouched."""
     out = dict(a)
-    for k, v in b.items():
-        p = out.get(k)
-        if p is None:
-            out[k] = v
-        else:
-            n = p[0] * v[1] + v[0] * p[1]
-            if n == 0:
-                del out[k]
-            else:
-                d = p[1] * v[1]
-                g = gcd(n, d)
-                out[k] = (n // g, d // g)
+    add_scaled_into(out, b, c)
     return out
+
+
+def add_terms(a, b):
+    return _merged(a, b, _ONE)
 
 
 def sub_terms(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        p = out.get(k)
-        if p is None:
-            out[k] = (-v[0], v[1])
-        else:
-            n = p[0] * v[1] - v[0] * p[1]
-            if n == 0:
-                del out[k]
-            else:
-                d = p[1] * v[1]
-                g = gcd(n, d)
-                out[k] = (n // g, d // g)
-    return out
+    return _merged(a, b, _MINUS_ONE)
 
 
 def neg_terms(a):
-    return {k: (-v[0], v[1]) for k, v in a.items()}
+    return _merged({}, a, _MINUS_ONE)
 
 
 def scale_terms(a, c):
-    cn, cd = c
-    if cn == 0:
-        return {}
-    out = {}
-    for k, v in a.items():
-        vn, vd = v
-        g1 = gcd(vn, cd)
-        g2 = gcd(cn, vd)
-        out[k] = ((vn // g1) * (cn // g2), (vd // g2) * (cd // g1))
-    return out
+    return _merged({}, a, c)
 
 
 def add_scaled_into(acc, terms, c):
@@ -111,12 +87,17 @@ def add_scaled_into(acc, terms, c):
     cn, cd = c
     if cn == 0 or not terms:
         return
+    sign = cn if cd == 1 and (cn == 1 or cn == -1) else 0
     for k, v in terms.items():
         vn, vd = v
-        g1 = gcd(vn, cd)
-        g2 = gcd(cn, vd)
-        wn = (vn // g1) * (cn // g2)
-        wd = (vd // g2) * (cd // g1)
+        # exact fast path: a coefficient of +-1 copies the pair, sign flipped as needed
+        if sign:
+            wn, wd = sign * vn, vd
+        else:
+            g1 = gcd(vn, cd)
+            g2 = gcd(cn, vd)
+            wn = (vn // g1) * (cn // g2)
+            wd = (vd // g2) * (cd // g1)
         p = acc.get(k)
         if p is None:
             acc[k] = (wn, wd)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
+from itertools import islice
 
 from .config import DEFAULT_MAX_DEGREE, DegreeOverflowError, check_index
 from .explog import u_of_z, z_of_u
@@ -35,6 +37,7 @@ from .qsymm import QSPoly, d_qsymm, deconcat, pairing, quasi_shuffle
 from .poly import NCPoly
 from .serialize import (
     FormatError,
+    _coeff_data,
     derivations_from_data,
     derivations_to_data,
     family_from_data,
@@ -82,21 +85,30 @@ def _common_flags():
     return parent
 
 
-def _emit(args, text: str, data) -> None:
-    payload = text if args.output_format == "text" else json.dumps(data, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
-    else:
-        print(payload)
+def _emit(args, text, data, path=None) -> None:
+    """Write text (--format text, unless None) or data as indented JSON, then a newline.
+
+    The output goes to path, else to --out, else to stdout.  The JSON has
+    the bytes of json.dump(data, handle, indent=2), streamed in blocks of
+    chunks: never held as one string, and one write per block even when
+    stdout is unbuffered (PYTHONUNBUFFERED).
+    """
+    path = path or args.out
+    with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as handle:
+        if text is not None and args.output_format == "text":
+            handle.write(text)
+        else:
+            chunks = json.JSONEncoder(indent=2).iterencode(data)
+            for block in iter(lambda: "".join(islice(chunks, 4096)), ""):
+                handle.write(block)
+        handle.write("\n")
 
 
-def _check_n(n, args, what="n"):
+def _check_n(n, args):
     try:
-        check_index(n, args.max_degree, what=what)
+        check_index(n, args.max_degree, what="n")
     except (DegreeOverflowError, ValueError) as exc:
         raise CliError(str(exc)) from None
-    return n
 
 
 NEWTON_VARIANTS = {
@@ -108,14 +120,17 @@ NEWTON_VARIANTS = {
 }
 
 
-# The largest --max-degree that newton, explog and qsymm accept: the
+# The largest --max-degree that newton, explog, qsymm and hs accept: the
 # highest degree at which the costliest request of the command took under
 # 5 s and 100 MB peak RSS in process, with --format json (Python 3.11.7,
 # 2 vCPUs).  Measured there: every newton variant and explog direction
 # with n at the bound, at most 1.3 s and 61 MB at 15, 2.3 s and 109 MB at
 # 16; qsymm shuffle of the all-ones compositions that split the bound,
-# 1.1 s and 77 MB at 21, 2.0 s and 117 MB at 22.
-COMMAND_CEILINGS = {"newton": 15, "explog": 15, "qsymm": 21}
+# 1.1 s and 77 MB at 21, 2.0 s and 117 MB at 22.  For hs the degree bounds
+# the family order: every action on the Taylor family of that order on the
+# dim-112 truncated polynomial algebra (the cap below), median of 3, at
+# most 4.4 s and 90 MB at order 11 and 5.2 s and 90 MB at 12.
+COMMAND_CEILINGS = {"newton": 15, "explog": 15, "qsymm": 21, "hs": 11}
 
 # The largest algebra dimension that hs accepts, measured the same way on
 # its costliest actions (validate, extract-partial, build-from-partial and
@@ -157,7 +172,6 @@ def _cmd_explog(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _check_n(args.max_degree, args, what="max_degree")
     ceiling = CEILINGS[args.suite]
     if args.max_degree > ceiling:
         raise CliError(
@@ -177,12 +191,6 @@ def _load_json(path):
         raise CliError(f"{path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-
-
-def _write_json(path, data) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=2)
-        handle.write("\n")
 
 
 def _parsed(path, data, parse, max_degree):
@@ -216,8 +224,13 @@ def _validated_family(path, max_degree) -> HSFamily:
 
 
 def _cmd_hs(args) -> int:
+    _check_ceiling(args)
     action = args.action
     if action == "validate":
+        if args.output is not None:
+            raise CliError(
+                f"hs validate writes no OUT.json, got {args.output!r}; use --out for its verdict"
+            )
         data = _load_json(args.input)
         if isinstance(data, dict) and "maps" in data:
             algebra, maps = _parsed(args.input, data, family_from_data, args.max_degree)
@@ -244,12 +257,14 @@ def _cmd_hs(args) -> int:
 
     if args.output is None:
         raise CliError(f"hs {action} requires an output file")
+    if args.out is not None:
+        raise CliError(f"hs {action} writes OUT.json; --out {args.out!r} is not used")
 
     if action in ("extract-delta", "extract-partial"):
         family = _validated_family(args.input, args.max_degree)
         extract = delta_from_d if action == "extract-delta" else partial_from_d
         maps = extract(family)
-        _write_json(args.output, derivations_to_data(family.algebra, maps))
+        _emit(args, None, derivations_to_data(family.algebra, maps), args.output)
         return 0
 
     # build-from-delta / build-from-partial
@@ -261,7 +276,7 @@ def _cmd_hs(args) -> int:
         family = build(maps, algebra)
     except NotADerivationError as exc:
         raise CliError(f"{args.input}: {exc}", code=1) from None
-    _write_json(args.output, family_to_data(family.algebra, family.maps))
+    _emit(args, None, family_to_data(family.algebra, family.maps), args.output)
     return 0
 
 
@@ -324,7 +339,7 @@ def _cmd_qsymm(args) -> int:
     _check_weight(sum(a), args, "monomial weight")
     _check_weight(sum(w), args, "word weight")
     value = pairing(QSPoly.monomial(a), NCPoly.word(w))
-    _emit(args, str(value), {"value": {"num": str(value.numerator), "den": str(value.denominator)}})
+    _emit(args, str(value), {"value": _coeff_data(value)})
     return 0
 
 
@@ -375,8 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
         "hs",
         parents=[common],
         help="Hasse-Schmidt family conversions on test algebras",
-        description="Hasse-Schmidt family conversions on test algebras. "
-        f"The algebra dimension is capped at {HS_MAX_DIM}.",
+        description=_capped("Hasse-Schmidt family conversions on test algebras", "hs")
+        + f" The algebra dimension is capped at {HS_MAX_DIM}.",
     )
     p_hs.add_argument(
         "action",

@@ -109,14 +109,8 @@ def counit_law_defects(p: NCPoly, family: HopfFamily, max_degree=None):
     Returns the pair of NCPoly residuals (left law, right law); both are
     zero exactly when the counit laws hold for p.
     """
-    two = coproduct(p, family, max_degree)
-    left_acc: dict = {}
-    right_acc: dict = {}
-    for (left, right), pair in two._terms.items():
-        if not left:
-            _k.add_scaled_into(left_acc, {right: (1, 1)}, pair)
-        if not right:
-            _k.add_scaled_into(right_acc, {left: (1, 1)}, pair)
-    recovered_left = NCPoly._raw(left_acc)
-    recovered_right = NCPoly._raw(right_acc)
+    terms = coproduct(p, family, max_degree)._terms.items()
+    # each (left, right) key is unique, so no two terms land on one word
+    recovered_left = NCPoly._raw({right: pair for (left, right), pair in terms if not left})
+    recovered_right = NCPoly._raw({left: pair for (left, right), pair in terms if not right})
     return recovered_left - p, recovered_right - p

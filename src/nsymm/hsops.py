@@ -45,7 +45,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 from typing import Iterable, Mapping, Sequence
 
 from ._backend import kernels as _k
@@ -422,16 +422,6 @@ class HSFamily:
 
 
 @lru_cache(maxsize=None)
-def _binomial(k: int, n: int) -> int:
-    if n < 0 or n > k:
-        return 0
-    out = 1
-    for t in range(n):
-        out = out * (k - t) // (t + 1)
-    return out
-
-
-@lru_cache(maxsize=None)
 def truncated_polynomial_algebra(trunc: int) -> TestAlgebra:
     """Rational polynomials in one variable modulo x^(trunc+1)."""
     if trunc < 1:
@@ -525,7 +515,7 @@ def _taylor_family(trunc: int) -> HSFamily:
         # column k: C(n+k-1, n) x^(k+n), zero for k = 0 and past the cutoff
         maps.append(
             LinMap._raw(
-                {k + n: (_binomial(n + k - 1, n), 1)} if k and k + n <= trunc else {}
+                {k + n: (comb(n + k - 1, n), 1)} if k and k + n <= trunc else {}
                 for k in range(trunc + 1)
             )
         )

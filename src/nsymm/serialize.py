@@ -4,8 +4,9 @@ Polynomials serialize as {"basis": tag, "terms": [{"word": [...],
 "coeff": {"num": "...", "den": "..."}}]} with terms in the term order
 (weight, length, lex); numerators and denominators travel as decimal
 strings so round-trips are bit-exact.  Tensors carry left_word and
-right_word instead.  Test algebras and map families use exact rational
-strings ("-3/2") throughout.
+right_word instead; one codec serves both, over the fields of the key.
+Test algebras and map families use exact rational strings ("-3/2")
+throughout.
 """
 
 from __future__ import annotations
@@ -67,25 +68,26 @@ def _join_signed(chunks) -> str:
     return "".join(out)
 
 
-def render_poly(p, basis: str = "Z") -> str:
-    _check_basis(basis)
-    if not p:
-        return "0"
-    return _join_signed(
-        (coefficient < 0, _coefficient_chunk(coefficient, render_word(word, basis)))
-        for word, coefficient in p.items()
-    )
-
-
-def render_tensor(t: Tensor2, basis: str = "Z") -> str:
+def _render(t, basis: str, body) -> str:
     _check_basis(basis)
     if not t:
         return "0"
-    chunks = []
-    for (left, right), coefficient in t.items():
-        body = f"{render_word(left, basis) or '1'}⊗{render_word(right, basis) or '1'}"
-        chunks.append((coefficient < 0, _coefficient_chunk(coefficient, body)))
-    return _join_signed(chunks)
+    return _join_signed(
+        (coefficient < 0, _coefficient_chunk(coefficient, body(key, basis)))
+        for key, coefficient in t.items()
+    )
+
+
+def _tensor_body(key, basis: str) -> str:
+    return "⊗".join(render_word(word, basis) or "1" for word in key)
+
+
+def render_poly(p, basis: str = "Z") -> str:
+    return _render(p, basis, render_word)
+
+
+def render_tensor(t: Tensor2, basis: str = "Z") -> str:
+    return _render(t, basis, _tensor_body)
 
 
 # ---------------------------------------------------------------------------
@@ -115,69 +117,64 @@ def _word_from_data(data, path: str) -> tuple:
     return tuple(data)
 
 
-def poly_to_data(p, basis: str) -> dict:
+# The fields that name the words of a term's key: a polynomial is keyed
+# by one word, a tensor by a (left, right) pair of words.
+_POLY_FIELDS = ("word",)
+_TENSOR_FIELDS = ("left_word", "right_word")
+
+
+def _terms_to_data(t, basis: str, fields) -> dict:
     _check_basis(basis)
-    return {
-        "basis": basis,
-        "terms": [
-            {"word": list(word), "coeff": _coeff_data(coefficient)}
-            for word, coefficient in p.items()
-        ],
-    }
+    one = len(fields) == 1
+    terms = []
+    for key, coefficient in t.items():
+        record = dict(zip(fields, map(list, (key,) if one else key)))
+        record["coeff"] = _coeff_data(coefficient)
+        terms.append(record)
+    return {"basis": basis, "terms": terms}
+
+
+def _terms_from_data(data, fields):
+    """Parse {basis, terms} into a dict from key to Fraction; returns (dict, basis)."""
+    if not isinstance(data, dict) or "basis" not in data or "terms" not in data:
+        raise FormatError("$: expected an object with 'basis' and 'terms'")
+    basis = _check_basis(data["basis"])
+    if not isinstance(data["terms"], list):
+        raise FormatError("$.terms: expected a list")
+    wanted = {*fields, "coeff"}
+    named = ", ".join(repr(field) for field in fields)
+    terms = {}
+    for t, record in enumerate(data["terms"]):
+        path = f"$.terms[{t}]"
+        if not isinstance(record, dict) or not wanted <= set(record):
+            raise FormatError(f"{path}: expected an object with {named} and 'coeff'")
+        words = tuple(_word_from_data(record[field], f"{path}.{field}") for field in fields)
+        key = words[0] if len(fields) == 1 else words
+        if key in terms:
+            shown = ", ".join(f"{field} {list(word)}" for field, word in zip(fields, words))
+            raise FormatError(f"{path}: duplicate {shown}")
+        terms[key] = _coeff_from_data(record["coeff"], f"{path}.coeff")
+    return terms, basis
+
+
+def poly_to_data(p, basis: str) -> dict:
+    return _terms_to_data(p, basis, _POLY_FIELDS)
 
 
 def poly_from_data(data, cls=NCPoly):
     """Rebuild a polynomial; returns (poly, basis_tag)."""
-    if not isinstance(data, dict) or "basis" not in data or "terms" not in data:
-        raise FormatError("$: expected an object with 'basis' and 'terms'")
-    basis = _check_basis(data["basis"])
+    terms, basis = _terms_from_data(data, _POLY_FIELDS)
     if basis == "M" and cls is NCPoly:
         cls = QSPoly
-    terms = {}
-    if not isinstance(data["terms"], list):
-        raise FormatError("$.terms: expected a list")
-    for t, record in enumerate(data["terms"]):
-        path = f"$.terms[{t}]"
-        if not isinstance(record, dict) or "word" not in record or "coeff" not in record:
-            raise FormatError(f"{path}: expected an object with 'word' and 'coeff'")
-        word = _word_from_data(record["word"], f"{path}.word")
-        if word in terms:
-            raise FormatError(f"{path}: duplicate word {list(word)}")
-        terms[word] = _coeff_from_data(record["coeff"], f"{path}.coeff")
     return cls(terms), basis
 
 
 def tensor_to_data(t: Tensor2, basis: str) -> dict:
-    _check_basis(basis)
-    return {
-        "basis": basis,
-        "terms": [
-            {
-                "left_word": list(left),
-                "right_word": list(right),
-                "coeff": _coeff_data(coefficient),
-            }
-            for (left, right), coefficient in t.items()
-        ],
-    }
+    return _terms_to_data(t, basis, _TENSOR_FIELDS)
 
 
 def tensor_from_data(data):
-    if not isinstance(data, dict) or "basis" not in data or "terms" not in data:
-        raise FormatError("$: expected an object with 'basis' and 'terms'")
-    basis = _check_basis(data["basis"])
-    terms = {}
-    for t, record in enumerate(data["terms"]):
-        path = f"$.terms[{t}]"
-        if not isinstance(record, dict) or not {"left_word", "right_word", "coeff"} <= set(record):
-            raise FormatError(f"{path}: expected left_word, right_word, and coeff")
-        key = (
-            _word_from_data(record["left_word"], f"{path}.left_word"),
-            _word_from_data(record["right_word"], f"{path}.right_word"),
-        )
-        if key in terms:
-            raise FormatError(f"{path}: duplicate tensor word pair")
-        terms[key] = _coeff_from_data(record["coeff"], f"{path}.coeff")
+    terms, basis = _terms_from_data(data, _TENSOR_FIELDS)
     return Tensor2(terms), basis
 
 

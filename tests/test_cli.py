@@ -9,6 +9,7 @@ from nsymm import (
     TestAlgebra,
     free_word_algebra,
     inner_derivation,
+    newton_p_explicit,
     taylor_hs,
     upper_triangular_algebra,
 )
@@ -17,7 +18,7 @@ from nsymm import cli
 from nsymm.cli import main
 from nsymm.reports import Report
 from nsymm.suites import CEILINGS, SUITES
-from nsymm.serialize import derivations_to_data, family_to_data, poly_from_data
+from nsymm.serialize import derivations_to_data, family_to_data, poly_from_data, poly_to_data
 
 
 def run_cli(capsys, *argv):
@@ -59,6 +60,22 @@ def test_newton_out_file(tmp_path, capsys):
     assert code == 0 and out == ""
     data = json.loads(target.read_text())
     assert data["terms"][0]["word"] == [2]
+
+
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        (["newton", "3", "--variant", "explicit"], lambda: poly_to_data(newton_p_explicit(3), "Z")),
+        (["qsymm", "pairing", "2,1", "2,1"], lambda: {"value": {"num": "1", "den": "1"}}),
+    ],
+)
+def test_json_output_bytes(tmp_path, capsys, argv, data):
+    expected = json.dumps(data(), indent=2) + "\n"
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0 and out == expected
+    target = tmp_path / "out.json"
+    assert run_cli(capsys, *argv, "--format", "json", "--out", str(target))[:2] == (0, "")
+    assert target.read_text(encoding="utf-8") == expected
 
 
 def test_newton_rejects_out_of_range(capsys):
@@ -165,8 +182,17 @@ def test_verify_help_lists_the_ceilings(capsys):
 CAPPED_REQUESTS = {
     "newton": ["newton", "1"],
     "explog": ["explog", "1"],
+    "hs": ["hs", "validate", "FAMILY"],
     "qsymm": ["qsymm", "shuffle", "1", "1"],
 }
+
+
+def capped_request(command, tmp_path):
+    """The command's CAPPED_REQUESTS argv, FAMILY a Taylor family file under tmp_path."""
+    family = tmp_path / "family.json"
+    fam = taylor_hs(3)
+    family.write_text(json.dumps(family_to_data(fam.algebra, fam.maps)))
+    return [str(family) if arg == "FAMILY" else arg for arg in CAPPED_REQUESTS[command]]
 
 
 def test_command_ceilings_admit_the_default_bound():
@@ -175,9 +201,10 @@ def test_command_ceilings_admit_the_default_bound():
 
 
 @pytest.mark.parametrize("command", sorted(CAPPED_REQUESTS))
-def test_command_rejects_degree_above_ceiling(capsys, command):
+def test_command_rejects_degree_above_ceiling(tmp_path, capsys, command):
     ceiling = cli.COMMAND_CEILINGS[command]
-    code, out, err = run_cli(capsys, *CAPPED_REQUESTS[command], "--max-degree", str(ceiling + 1))
+    argv = capped_request(command, tmp_path)
+    code, out, err = run_cli(capsys, *argv, "--max-degree", str(ceiling + 1))
     assert code == 2 and out == ""
     assert err == (
         f"error: {command}: --max-degree {ceiling + 1} exceeds the command's ceiling {ceiling}\n"
@@ -185,9 +212,10 @@ def test_command_rejects_degree_above_ceiling(capsys, command):
 
 
 @pytest.mark.parametrize("command", sorted(CAPPED_REQUESTS))
-def test_command_accepts_degree_at_ceiling(capsys, command):
+def test_command_accepts_degree_at_ceiling(tmp_path, capsys, command):
     ceiling = cli.COMMAND_CEILINGS[command]
-    code, out, err = run_cli(capsys, *CAPPED_REQUESTS[command], "--max-degree", str(ceiling))
+    argv = capped_request(command, tmp_path)
+    code, out, err = run_cli(capsys, *argv, "--max-degree", str(ceiling))
     assert code == 0 and out and err == ""
 
 
@@ -284,6 +312,35 @@ def test_hs_requires_output(taylor_file, capsys):
     code, _, err = run_cli(capsys, "hs", "extract-delta", str(taylor_file))
     assert code == 2
     assert "output" in err
+
+
+def test_hs_validate_rejects_an_output_file(taylor_file, tmp_path, capsys):
+    target = tmp_path / "verdict.json"
+    code, out, err = run_cli(capsys, "hs", "validate", str(taylor_file), str(target))
+    assert code == 2 and out == ""
+    assert f"hs validate writes no OUT.json, got {str(target)!r}" in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "action", ["extract-delta", "extract-partial", "build-from-delta", "build-from-partial"]
+)
+def test_hs_writers_reject_out(taylor_file, tmp_path, capsys, action):
+    target, other = tmp_path / "written.json", tmp_path / "other.json"
+    code, out, err = run_cli(
+        capsys, "hs", action, str(taylor_file), str(target), "--out", str(other)
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: hs {action} writes OUT.json; --out {str(other)!r} is not used\n"
+    assert not target.exists() and not other.exists()
+
+
+def test_hs_validate_writes_its_verdict_to_out(taylor_file, tmp_path, capsys):
+    target = tmp_path / "verdict.json"
+    argv = ["hs", "validate", str(taylor_file), "--format", "json", "--out", str(target)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (0, "", "")
+    assert json.loads(target.read_text()) == {"kind": "family", "valid": True, "witness": None}
 
 
 def test_hs_schema_error(tmp_path, capsys):

@@ -92,6 +92,11 @@ def test_sub_terms_model(a, b):
     check_same(K.sub_terms(a, b), expected)
 
 
+@given(term_maps)
+def test_neg_terms_model(a):
+    check_same(K.neg_terms(a), {k: -v for k, v in model(a).items()})
+
+
 @given(term_maps, pairs)
 def test_scale_terms_model(a, c):
     expected = {k: v * as_fraction(c) for k, v in model(a).items()}
@@ -116,6 +121,37 @@ def test_add_scaled_into_model(acc, terms, c):
     got = dict(acc)
     K.add_scaled_into(got, terms, c)
     check_same(got, expected)
+
+
+# (acc, terms, c, acc afterwards), one case per branch of add_scaled_into:
+# the +-1 fast path (new key, reduced sum, cancellation) and the general
+# cross-cancelled multiply, including coefficients just off the fast path.
+ADD_SCALED_BRANCHES = {
+    "plus one into a new key": (
+        {(2,): (1, 1)}, {(1,): (3, 2)}, (1, 1), {(2,): (1, 1), (1,): (3, 2)}
+    ),
+    "minus one into a new key": ({}, {(1,): (3, 2)}, (-1, 1), {(1,): (-3, 2)}),
+    "plus one, sum reduces": ({(1,): (1, 2)}, {(1,): (1, 6)}, (1, 1), {(1,): (2, 3)}),
+    "minus one, sum reduces": ({(1,): (1, 2)}, {(1,): (-1, 6)}, (-1, 1), {(1,): (2, 3)}),
+    "plus one cancels": ({(1,): (-3, 2)}, {(1,): (3, 2)}, (1, 1), {}),
+    "minus one cancels": ({(1,): (3, 2), (2,): (1, 1)}, {(1,): (3, 2)}, (-1, 1), {(2,): (1, 1)}),
+    "minus two": ({}, {(1,): (1, 2)}, (-2, 1), {(1,): (-1, 1)}),
+    "minus one half": ({(1,): (1, 1)}, {(1,): (1, 1)}, (-1, 2), {(1,): (1, 2)}),
+    "rational sum reduces": ({(1,): (1, 2)}, {(1,): (2, 3)}, (3, 4), {(1,): (1, 1)}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ADD_SCALED_BRANCHES))
+def test_add_scaled_into_on_each_branch(case):
+    acc, terms, c, after = ADD_SCALED_BRANCHES[case]
+    terms_before = dict(terms)
+    got = dict(acc)
+    K.add_scaled_into(got, terms, c)
+    assert got == after
+    assert terms == terms_before
+    if c in ((1, 1), (-1, 1)):
+        expected = (K.add_terms if c == (1, 1) else K.sub_terms)(acc, terms)
+        assert expected == after
 
 
 def test_quasi_shuffle_words_small():

@@ -146,6 +146,47 @@ def test_tensor_data_round_trip():
     ))
 
 
+@pytest.mark.parametrize("parse", [poly_from_data, tensor_from_data])
+@pytest.mark.parametrize("terms", [5, None, {"word": [1]}])
+def test_non_list_terms_rejected_at_their_path(parse, terms):
+    with pytest.raises(FormatError, match=r"^\$\.terms: expected a list$"):
+        parse({"basis": "Z", "terms": terms})
+
+
+ONE = {"num": "1", "den": "1"}
+
+
+@pytest.mark.parametrize(
+    "terms, message",
+    [
+        ([{"left_word": [1], "coeff": ONE}], r"^\$\.terms\[0\]: expected an object with"),
+        ([{"left_word": [1], "right_word": [0], "coeff": ONE}], r"^\$\.terms\[0\]\.right_word:"),
+        (
+            [{"left_word": [1], "right_word": [], "coeff": ONE}] * 2,
+            r"^\$\.terms\[1\]: duplicate left_word \[1\], right_word \[\]$",
+        ),
+    ],
+)
+def test_tensor_bad_data_rejected(terms, message):
+    with pytest.raises(FormatError, match=message):
+        tensor_from_data({"basis": "Z", "terms": terms})
+
+
+def test_poly_and_tensor_data_bytes():
+    p = NCPoly({(): "-1/2", (2, 1): 3})
+    t = coproduct(NCPoly.word((2,)), HopfFamily.NSYMM)
+    assert json.dumps(poly_to_data(p, "Z")) == (
+        '{"basis": "Z", "terms": [{"word": [], "coeff": {"num": "-1", "den": "2"}}, '
+        '{"word": [2, 1], "coeff": {"num": "3", "den": "1"}}]}'
+    )
+    assert json.dumps(tensor_to_data(t, "Z")) == (
+        '{"basis": "Z", "terms": ['
+        '{"left_word": [], "right_word": [2], "coeff": {"num": "1", "den": "1"}}, '
+        '{"left_word": [1], "right_word": [1], "coeff": {"num": "1", "den": "1"}}, '
+        '{"left_word": [2], "right_word": [], "coeff": {"num": "1", "den": "1"}}]}'
+    )
+
+
 # --- algebras and families --------------------------------------------------
 
 
