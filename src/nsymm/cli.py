@@ -86,22 +86,28 @@ def _common_flags():
 
 
 def _emit(args, text, data, path=None) -> None:
-    """Write text (--format text, unless None) or data as indented JSON, then a newline.
+    """Write text() (--format text, unless text is None) or data() as indented JSON.
 
-    The output goes to path, else to --out, else to stdout.  The JSON has
-    the bytes of json.dump(data, handle, indent=2), streamed in blocks of
-    chunks: never held as one string, and one write per block even when
-    stdout is unbuffered (PYTHONUNBUFFERED).
+    ``text`` and ``data`` are builders, and only the one whose form is
+    written is called.  The output, and a newline after it, goes to path,
+    else to --out, else to stdout.  The JSON has the bytes of
+    json.dump(data(), handle, indent=2), streamed in blocks of chunks:
+    never held as one string, and one write per block even when stdout is
+    unbuffered (PYTHONUNBUFFERED).
     """
     path = path or args.out
     with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as handle:
         if text is not None and args.output_format == "text":
-            handle.write(text)
+            handle.write(text())
         else:
-            chunks = json.JSONEncoder(indent=2).iterencode(data)
+            chunks = json.JSONEncoder(indent=2).iterencode(data())
             for block in iter(lambda: "".join(islice(chunks, 4096)), ""):
                 handle.write(block)
         handle.write("\n")
+
+
+def _emit_poly(args, poly, basis) -> None:
+    _emit(args, lambda: render_poly(poly, basis), lambda: poly_to_data(poly, basis))
 
 
 def _check_n(n, args):
@@ -156,7 +162,7 @@ def _cmd_newton(args) -> int:
     _check_n(args.n, args)
     compute, basis = NEWTON_VARIANTS[args.variant]
     poly = compute(args.n, args.max_degree)
-    _emit(args, render_poly(poly, basis), poly_to_data(poly, basis))
+    _emit_poly(args, poly, basis)
     return 0
 
 
@@ -167,7 +173,7 @@ def _cmd_explog(args) -> int:
         poly, basis = z_of_u(args.n, args.max_degree), "U"
     else:
         poly, basis = u_of_z(args.n, args.max_degree), "Z"
-    _emit(args, render_poly(poly, basis), poly_to_data(poly, basis))
+    _emit_poly(args, poly, basis)
     return 0
 
 
@@ -179,7 +185,7 @@ def _cmd_verify(args) -> int:
             f"exceeds the suite's ceiling {ceiling}"
         )
     report = run_suite(args.suite, args.max_degree)
-    _emit(args, report.render(), report.to_data())
+    _emit(args, report.render, report.to_data)
     return 0 if report.passed else 1
 
 
@@ -252,7 +258,7 @@ def _cmd_hs(args) -> int:
             raise CliError(f"{args.input}: $: expected an object with 'maps' or 'derivations'")
         verdict = "valid" if ok else "INVALID"
         text = f"{kind} {verdict}" + (f" witness={witness}" if witness else "")
-        _emit(args, text, {"kind": kind, "valid": ok, "witness": witness})
+        _emit(args, lambda: text, lambda: {"kind": kind, "valid": ok, "witness": witness})
         return 0 if ok else 1
 
     if args.output is None:
@@ -264,7 +270,7 @@ def _cmd_hs(args) -> int:
         family = _validated_family(args.input, args.max_degree)
         extract = delta_from_d if action == "extract-delta" else partial_from_d
         maps = extract(family)
-        _emit(args, None, derivations_to_data(family.algebra, maps), args.output)
+        _emit(args, None, lambda: derivations_to_data(family.algebra, maps), args.output)
         return 0
 
     # build-from-delta / build-from-partial
@@ -276,7 +282,7 @@ def _cmd_hs(args) -> int:
         family = build(maps, algebra)
     except NotADerivationError as exc:
         raise CliError(f"{args.input}: {exc}", code=1) from None
-    _emit(args, None, family_to_data(family.algebra, family.maps), args.output)
+    _emit(args, None, lambda: family_to_data(family.algebra, family.maps), args.output)
     return 0
 
 
@@ -307,7 +313,7 @@ def _cmd_qsymm(args) -> int:
         a, b = (_parse_composition(v) for v in values)
         _check_weight(sum(a) + sum(b), args, "total weight")
         product = quasi_shuffle(QSPoly.monomial(a), QSPoly.monomial(b), args.max_degree)
-        _emit(args, render_poly(product, "M"), poly_to_data(product, "M"))
+        _emit_poly(args, product, "M")
         return 0
     if action == "deconcat":
         if len(values) != 1:
@@ -315,7 +321,7 @@ def _cmd_qsymm(args) -> int:
         a = _parse_composition(values[0])
         _check_weight(sum(a), args)
         tensor = deconcat(QSPoly.monomial(a))
-        _emit(args, render_tensor(tensor, "M"), tensor_to_data(tensor, "M"))
+        _emit(args, lambda: render_tensor(tensor, "M"), lambda: tensor_to_data(tensor, "M"))
         return 0
     if action == "dn":
         if len(values) != 2:
@@ -329,7 +335,7 @@ def _cmd_qsymm(args) -> int:
         a = _parse_composition(values[1])
         _check_weight(sum(a), args)
         result = d_qsymm(n, QSPoly.monomial(a))
-        _emit(args, render_poly(result, "M"), poly_to_data(result, "M"))
+        _emit_poly(args, result, "M")
         return 0
     # pairing
     if len(values) != 2:
@@ -339,7 +345,7 @@ def _cmd_qsymm(args) -> int:
     _check_weight(sum(a), args, "monomial weight")
     _check_weight(sum(w), args, "word weight")
     value = pairing(QSPoly.monomial(a), NCPoly.word(w))
-    _emit(args, str(value), {"value": _coeff_data(value)})
+    _emit(args, lambda: str(value), lambda: {"value": _coeff_data(value)})
     return 0
 
 

@@ -93,9 +93,10 @@ def verify_iso(max_degree: int) -> Report:
 def _coalgebra_defect(n: int, max_degree: int) -> Tensor2:
     """Primitive-generator coproduct of z_of_u(n) minus the image of the binomial one."""
     lhs = coproduct(z_of_u(n, max_degree), HopfFamily.LIEHOPF, max_degree)
-    rhs = Tensor2.zero()
+    # the outer products have disjoint keys, since their left weights i differ
+    rhs: dict = {}
     for i in range(n + 1):
         left = z_of_u(i, max_degree) if i else NCPoly.one()
         right = z_of_u(n - i, max_degree) if n - i else NCPoly.one()
-        rhs = rhs + Tensor2.outer(left, right)
-    return lhs - rhs
+        rhs.update(Tensor2.outer(left, right)._terms)
+    return lhs - Tensor2._raw(rhs)

@@ -4,9 +4,13 @@ NSYMM sends the degree-n generator to sum_{i+j=n} Z_i (x) Z_j (index 0
 meaning the unit); LIEHOPF makes every generator primitive.  Both
 extend to words multiplicatively and to polynomials linearly.
 :func:`coproduct` evaluates that morphism on the trie of the support
-(``poly._evaluate``), so words that share a prefix share its work; the
-word-by-word coproduct ``_word_coproduct`` serves the coassociativity
-check and the quasi-shuffle duality.
+(``poly._evaluate``), so words that share a prefix share its work and
+each distinct quotient below a prefix is evaluated once.  For the left
+Newton primitive the quotient below the prefix (a) is -P_{n-a}, so the
+shared evaluation runs the Newton recursion P_n = n Z_n - sum Z_{n-k} P_k
+on its own: 133 products at degree 12 where the trie has 4,095 edges.
+The word-by-word coproduct ``_word_coproduct`` serves the
+coassociativity check and the quasi-shuffle duality.
 """
 
 from __future__ import annotations

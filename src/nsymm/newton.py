@@ -98,6 +98,11 @@ def z_in_pprime_via_c(n: int, max_degree=None) -> PBasisPoly:
     check_index(n, max_degree)
     terms = {}
     for word in compositions_of(n):
-        c = c_coeff(word)
-        terms[word] = (c.numerator, c.denominator)
+        # c_coeff(word) is 1 over the product of the suffix sums: an integer
+        # pair already in lowest terms, so no division is needed
+        denominator, suffix = 1, n
+        for part in word:
+            denominator *= suffix
+            suffix -= part
+        terms[word] = (1, denominator)
     return NCPoly._raw(terms)

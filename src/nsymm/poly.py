@@ -212,7 +212,8 @@ class NCPoly(_TermMap):
 
         ``images`` is a callable or mapping from letter to NCPoly; the
         image of a word is the product of its letters' images.  Words
-        that share a prefix share its work (see :func:`_evaluate`).
+        that share a prefix share its work, and equal quotients below
+        different prefixes are evaluated once (see :func:`_evaluate`).
         """
         lookup = images.__getitem__ if isinstance(images, Mapping) else images
         return NCPoly._raw(
@@ -239,41 +240,81 @@ def _evaluate(terms: dict, image, product_into, unit: dict) -> dict:
 
         image(Q_w) = c_w * unit + sum_a image(a) * image(Q_{wa})
 
-    over the trie of the support: one product per trie edge instead of one
-    per letter of every word, with cancellation at every node.  The trie
-    is walked in lexicographic order of the words, so that the subtree of
-    each node is contiguous; ``path`` holds the letters from the root to
-    the current node and ``accs[d]`` the image of the quotient below
-    ``path[:d]`` accumulated so far.  Closing a node multiplies its
-    letter's image straight into its parent's accumulator, so no product
-    is built as a dict of its own.  Only accumulators made here are
-    written to; the letter images and ``unit`` (often cached) are only
-    read.  The walk keeps its own stack, so a word may be longer than the
+    over the trie of the support, with cancellation at every node.  Equal
+    quotients have equal images, so each distinct quotient is evaluated
+    once, in two passes:
+
+    1. The words are walked in lexicographic order, so that the subtree
+       of each node is contiguous; ``path`` holds the letters from the
+       root to the current node and ``frames[d]`` the node below
+       ``path[:d]`` built so far, as ``[c_w or None, (letter, child id),
+       ...]``.  Each closed node is interned by that key, children
+       first, so two nodes get one id exactly when their quotients are
+       equal; ``uses`` counts the distinct parents that read each id.
+    2. The distinct nodes are evaluated in id order, so children come
+       first, by the Horner rule: one product per edge of the shared
+       graph instead of one per trie edge.  A child's image is dropped
+       after its last use, so only images still to be read stay alive.
+
+    The Newton primitives and the exp/log expansions give each word a
+    coefficient that depends on a few statistics of the word, so their
+    4,096 words of degree 12 have only 44 to 134 distinct quotients.  Only
+    accumulators made here are written to; the letter images, ``unit``
+    (often cached) and the images of shared quotients are only read.  The
+    walk keeps its own stack, so a word may be longer than the
     interpreter's recursion limit.
     """
+    ids: dict = {}
+    nodes: list = []
+    uses: list = []
     path: list = []
-    accs: list = [{}]
+    frames: list = [[None]]
 
-    def fold(depth):
-        # close the nodes below depth, adding image(a) * image(Q_{wa}) to each parent
+    def intern(frame):
+        key = tuple(frame)
+        node = ids.get(key)
+        if node is None:
+            node = ids[key] = len(nodes)
+            nodes.append(key)
+            uses.append(0)
+            for _, child in key[1:]:
+                uses[child] += 1
+        return node
+
+    def close(depth):
+        # intern the nodes below depth and hand each id to its parent
         while len(path) > depth:
-            letter_image = image(path.pop())
-            acc = accs.pop()
-            if acc and letter_image:
-                product_into(accs[-1], letter_image, acc)
+            node = intern(frames.pop())
+            frames[-1].append((path.pop(), node))
 
     for word in sorted(terms):
         depth = 0
         shared = min(len(path), len(word))
         while depth < shared and path[depth] == word[depth]:
             depth += 1
-        fold(depth)
+        close(depth)
         for letter in word[depth:]:
             path.append(letter)
-            accs.append({})
-        _k.add_scaled_into(accs[-1], unit, terms[word])
-    fold(0)
-    return accs[0]
+            frames.append([None])
+        frames[-1][0] = terms[word]
+    close(0)
+    root = intern(frames[0])
+
+    images: list = []
+    for coefficient, *edges in nodes:
+        acc: dict = {}
+        if coefficient is not None:
+            _k.add_scaled_into(acc, unit, coefficient)
+        for letter, child in edges:
+            child_image = images[child]
+            uses[child] -= 1
+            if not uses[child]:
+                images[child] = None
+            letter_image = image(letter)
+            if child_image and letter_image:
+                product_into(acc, letter_image, child_image)
+        images.append(acc)
+    return images[root]
 
 
 class Tensor2(_TermMap):

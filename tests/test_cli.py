@@ -78,6 +78,38 @@ def test_json_output_bytes(tmp_path, capsys, argv, data):
     assert target.read_text(encoding="utf-8") == expected
 
 
+# each request with the owner and names of its text and JSON builders; str()
+# builds the text of a pairing, so only its JSON builder can be watched
+OUTPUT_BUILDERS = {
+    "newton": (["newton", "4", "--variant", "z-in-p"], cli, "render_poly", "poly_to_data"),
+    "explog": (["explog", "3"], cli, "render_poly", "poly_to_data"),
+    "verify": (["verify", "iso", "--max-degree", "3"], Report, "render", "to_data"),
+    "qsymm shuffle": (["qsymm", "shuffle", "1,2", "2"], cli, "render_poly", "poly_to_data"),
+    "qsymm deconcat": (["qsymm", "deconcat", "1,2"], cli, "render_tensor", "tensor_to_data"),
+    "qsymm dn": (["qsymm", "dn", "2", "1,2"], cli, "render_poly", "poly_to_data"),
+    "qsymm pairing": (["qsymm", "pairing", "2,1", "2,1"], cli, None, "_coeff_data"),
+}
+
+
+@pytest.mark.parametrize("output_format", ["text", "json"])
+@pytest.mark.parametrize("request_name", sorted(OUTPUT_BUILDERS))
+def test_only_the_requested_form_is_built(monkeypatch, capsys, request_name, output_format):
+    argv, owner, text_builder, data_builder = OUTPUT_BUILDERS[request_name]
+    calls = []
+    for name in filter(None, (text_builder, data_builder)):
+        real = getattr(owner, name)
+
+        def spy(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(owner, name, spy)
+    code, out, _ = run_cli(capsys, *argv, "--format", output_format)
+    assert code == 0 and out
+    built = text_builder if output_format == "text" else data_builder
+    assert calls == ([built] if built else [])
+
+
 def test_newton_rejects_out_of_range(capsys):
     code, _, err = run_cli(capsys, "newton", "12")
     assert code == 2

@@ -24,6 +24,7 @@ from nsymm import (
     z_in_pprime,
     z_of_u,
 )
+from nsymm import _core_py as _k
 from nsymm.hopf import _word_coproduct
 
 NS, LH = HopfFamily.NSYMM, HopfFamily.LIEHOPF
@@ -197,3 +198,46 @@ def test_coproduct_word_longer_than_recursion_limit(family):
     finally:
         sys.setrecursionlimit(old)
     assert got == expected
+
+
+# --- the hash-consed evaluator -----------------------------------------------
+
+
+@pytest.mark.parametrize("family", [NS, LH])
+def test_coproduct_matches_oracle_on_near_twin_quotients(family, near_twin_polys):
+    for p in near_twin_polys:
+        assert coproduct(p, family) == _coproduct_oracle(p, family)
+
+
+# products per coproduct at degree 12, one per edge between distinct quotients
+# (the trie of the 4,096 compositions has 4,095 edges); below the prefix (a)
+# the left primitive has the quotient -P_{12-a}, up to the parity of the length
+PRODUCT_COUNTS = {
+    "newton_p_left": (newton_p_left, NS, 133),
+    "newton_p_right": (newton_p_right, NS, 463),
+    "z_of_u": (z_of_u, LH, 298),
+}
+
+
+def _binomial_coproduct(n):
+    """Sum over i of z_of_u(i) (x) z_of_u(n - i), with z_of_u(0) = 1."""
+    z = [NCPoly.one()] + [z_of_u(i, max_degree=n) for i in range(1, n + 1)]
+    acc = Tensor2.zero()
+    for i in range(n + 1):
+        acc = acc + Tensor2.outer(z[i], z[n - i])
+    return acc
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_COUNTS))
+def test_coproduct_products_count_distinct_quotients(monkeypatch, name):
+    make, family, products = PRODUCT_COUNTS[name]
+    p = make(12, max_degree=12)
+    calls = []
+    real = _k.mul_tensor_into
+    monkeypatch.setattr(_k, "mul_tensor_into", lambda *args: (calls.append(1), real(*args))[1])
+    got = coproduct(p, family, max_degree=12)
+    assert len(calls) == products
+    if family is LH:
+        assert got == _binomial_coproduct(12)
+    else:
+        assert got == Tensor2.outer(p, NCPoly.one()) + Tensor2.outer(NCPoly.one(), p)

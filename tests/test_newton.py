@@ -77,6 +77,16 @@ def test_two_expansion_paths_agree(n):
     assert z_in_pprime_via_c(n) == z_in_pprime(n)
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_closed_form_matches_c_coeff(n):
+    # the integer pairs (1, product of suffix sums) against the Fraction divisions
+    terms = z_in_pprime_via_c(n, max_degree=10)._terms
+    assert set(terms) == set(compositions_of(n))
+    for word, pair in terms.items():
+        c = c_coeff(word)
+        assert pair == (c.numerator, c.denominator)
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_round_trip_recovers_generator(n):
     assert z_in_pprime(n).substitute(newton_p_right) == Z(n)

@@ -19,6 +19,8 @@ from nsymm import (
     z_in_pprime,
     z_of_u,
 )
+from nsymm import _core_py as _k
+from nsymm.poly import _evaluate
 
 Z1 = NCPoly.generator(1)
 Z2 = NCPoly.generator(2)
@@ -261,3 +263,47 @@ def test_substitute_missing_letter_still_raises():
 def test_substitute_word_longer_than_recursion_limit():
     word = NCPoly.word((1,) * 3000)
     assert word.substitute(NCPoly.generator) == word
+
+
+# --- the hash-consed evaluator -----------------------------------------------
+
+
+@pytest.mark.parametrize("family", sorted(IMAGE_FAMILIES))
+def test_substitute_matches_oracle_on_near_twin_quotients(family, near_twin_polys):
+    images = IMAGE_FAMILIES[family]
+    for p in near_twin_polys:
+        assert p.substitute(images) == _substitute_oracle(p, images)
+
+
+def test_shared_quotient_is_evaluated_once_and_only_read():
+    # the quotient Z2 below (1, 1) and (2, 1) has the parents (1,) and (2,),
+    # whose quotients differ
+    p = NCPoly({(1, 1, 2): 1, (1, 3): 1, (2, 1, 2): 1, (2, 2): 1})
+    images = {1: Z1 + Z2, 2: NCPoly.one() - Z1, 3: Z2 * Z1}
+    reads = []
+
+    def product_into(acc, letter_image, child_image):
+        reads.append((acc, child_image, dict(child_image)))
+        _k.mul_word_into(acc, letter_image, child_image)
+
+    got = _evaluate(p._terms, lambda k: images[k]._terms, product_into, {(): (1, 1)})
+    assert NCPoly._raw(got) == _substitute_oracle(p, images)
+    # every child image comes out as it went in
+    assert all(child == before for _, child, before in reads)
+    shared = [
+        (acc, child) for acc, child, _ in reads if child == (NCPoly.one() - Z1)._terms
+    ]
+    assert len(shared) == 2
+    (first_acc, first), (second_acc, second) = shared
+    assert first is second and first_acc is not second_acc
+
+
+def test_substitute_products_count_distinct_quotients(monkeypatch):
+    calls = []
+    real = _k.mul_word_into
+    monkeypatch.setattr(_k, "mul_word_into", lambda *args: (calls.append(1), real(*args))[1])
+    # the quotients below (1,), (2,) and (3,) are all Z1*Z1, evaluated once:
+    # two products down that chain and three at the root, against nine trie edges
+    p = NCPoly({(1, 1, 1): 1, (2, 1, 1): 1, (3, 1, 1): 1})
+    assert p.substitute(NCPoly.generator) == p
+    assert len(calls) == 5
