@@ -9,6 +9,12 @@ each distinct quotient below a prefix is evaluated once.  For the left
 Newton primitive the quotient below the prefix (a) is -P_{n-a}, so the
 shared evaluation runs the Newton recursion P_n = n Z_n - sum Z_{n-k} P_k
 on its own: 133 products at degree 12 where the trie has 4,095 edges.
+The suites take the coproducts of a whole family at once
+(``_coproducts``), so the quotients are shared across degrees too: the
+left primitives of every n <= 12 take 144 products in all, against 584
+one degree at a time, and the right ones, walked from the suffix, 144
+against 1,574.  A primitivity defect looks each term of p (x) 1 + 1 (x) p
+up in the coproduct instead of building those tensors and subtracting.
 The word-by-word coproduct ``_word_coproduct`` serves the
 coassociativity check and the quasi-shuffle duality.
 """
@@ -62,17 +68,33 @@ def _check_degree(p: NCPoly, max_degree):
         )
 
 
-def coproduct(p: NCPoly, family: HopfFamily, max_degree=None) -> Tensor2:
-    """Comultiplication, as an algebra morphism into the tensor square."""
-    _check_degree(p, max_degree)
-    return Tensor2._raw(
+def _coproducts(polys, family: HopfFamily, max_degree=None):
+    """The coproducts of the polynomials, in order, from one shared evaluation.
+
+    A quotient that several of the polynomials share is evaluated once;
+    each coproduct is yielded as soon as it is formed.
+    """
+
+    def checked():
+        for p in polys:
+            _check_degree(p, max_degree)
+            yield p._terms
+
+    return map(
+        Tensor2._raw,
         _evaluate(
-            p._terms,
+            checked(),
             lambda letter: _generator_coproduct(letter, family),
             _k.mul_tensor_into,
             _TENSOR_ONE_TERMS,
-        )
+        ),
     )
+
+
+def coproduct(p: NCPoly, family: HopfFamily, max_degree=None) -> Tensor2:
+    """Comultiplication, as an algebra morphism into the tensor square."""
+    (result,) = _coproducts([p], family, max_degree)
+    return result
 
 
 def counit(p: NCPoly) -> Fraction:
@@ -80,11 +102,49 @@ def counit(p: NCPoly) -> Fraction:
     return p.constant_term()
 
 
+def _tensor_residue(terms: dict, expected) -> Tensor2:
+    """``terms`` minus the term map that ``expected()`` yields.
+
+    ``expected()`` yields (key, pair) terms, each key once.  Each one is
+    looked up in ``terms`` instead of building the expected tensor and a
+    copy of ``terms`` to subtract it from.  When every key of ``terms`` is
+    matched, the residue holds only the mismatched coefficients; otherwise
+    the unmatched keys are found in a second walk of ``expected()``.
+    """
+    residue: dict = {}
+    matched = 0
+    for key, pair in expected():
+        have = terms.get(key)
+        if have is None:
+            residue[key] = (-pair[0], pair[1])
+        else:
+            matched += 1
+            if have != pair:
+                # both pairs are normalized, so they differ by a nonzero
+                residue[key] = _k.rat_add(have, (-pair[0], pair[1]))
+    if matched < len(terms):
+        keys = {key for key, _ in expected()}
+        residue.update((key, pair) for key, pair in terms.items() if key not in keys)
+    return Tensor2._raw(residue)
+
+
+def _primitive_residue(p: NCPoly, delta: Tensor2) -> Tensor2:
+    """delta - p (x) 1 - 1 (x) p, for delta the coproduct of p."""
+
+    def expected():
+        for word, pair in p._terms.items():
+            if word:
+                yield (word, ()), pair
+                yield ((), word), pair
+            else:
+                yield ((), ()), _k.rat_add(pair, pair)
+
+    return _tensor_residue(delta._terms, expected)
+
+
 def primitivity_defect(p: NCPoly, family: HopfFamily, max_degree=None) -> Tensor2:
     """coproduct(p) - p (x) 1 - 1 (x) p; zero exactly when p is primitive."""
-    defect = coproduct(p, family, max_degree)
-    unit = NCPoly.one()
-    return defect - Tensor2.outer(p, unit) - Tensor2.outer(unit, p)
+    return _primitive_residue(p, coproduct(p, family, max_degree))
 
 
 def is_primitive(p: NCPoly, family: HopfFamily, max_degree=None) -> bool:

@@ -215,55 +215,127 @@ class NCPoly(_TermMap):
         that share a prefix share its work, and equal quotients below
         different prefixes are evaluated once (see :func:`_evaluate`).
         """
-        lookup = images.__getitem__ if isinstance(images, Mapping) else images
-        return NCPoly._raw(
-            _evaluate(
-                self._terms,
-                lambda letter: lookup(letter)._terms,
-                _k.mul_word_into,
-                _ONE_TERMS,
-            )
-        )
+        (result,) = _substitutions([self], images)
+        return result
 
 
 _ONE_TERMS = {(): (1, 1)}
 
 
-def _evaluate(terms: dict, image, product_into, unit: dict) -> dict:
-    """Image of a word-keyed term map under an algebra morphism.
+def _substitutions(polys, images):
+    """The images of the polynomials under one substitution, in order.
 
-    ``image(letter)`` gives the terms of a letter's image,
-    ``product_into(acc, x, y)`` adds the product x * y of two image term
-    maps to ``acc`` in place, and ``unit`` is the image of the empty word.
-    Writing Q_w for the quotient of the polynomial below the prefix
-    w (the terms c_{wv} v), the image is computed by the Horner rule
+    All of them come from one :func:`_evaluate` call, so a quotient that
+    several of them share is evaluated once; each image is yielded as
+    soon as it is formed.
+    """
+    lookup = images.__getitem__ if isinstance(images, Mapping) else images
+    return map(
+        NCPoly._raw,
+        _evaluate(
+            (p._terms for p in polys),
+            lambda letter: lookup(letter)._terms,
+            _k.mul_word_into,
+            _ONE_TERMS,
+        ),
+    )
+
+
+def _walks_from_suffix(roots) -> bool:
+    """Whether the roots have fewer distinct one-letter suffix than prefix quotients."""
+    below_first: set = set()
+    below_last: set = set()
+    for terms in roots:
+        firsts: dict = {}
+        lasts: dict = {}
+        for word, pair in terms.items():
+            if word:
+                firsts.setdefault(word[0], []).append((word[1:], pair))
+                lasts.setdefault(word[-1], []).append((word[:-1], pair))
+        below_first.update(map(frozenset, firsts.values()))
+        below_last.update(map(frozenset, lasts.values()))
+    return len(below_last) < len(below_first)
+
+
+def _evaluate(roots, image, product_into, unit: dict):
+    """Images of word-keyed term maps under one algebra morphism, in order.
+
+    ``roots`` is a sequence of term maps, ``image(letter)`` gives the terms
+    of a letter's image, ``product_into(acc, x, y)`` adds the product x * y
+    of two image term maps to ``acc`` in place, and ``unit`` is the image
+    of the empty word.  This is a generator: it yields the image of each
+    root in order, as soon as that image is formed.
+
+    Writing Q_w for the quotient of a root below the prefix w (the terms
+    c_{wv} v), the image is computed by the Horner rule
 
         image(Q_w) = c_w * unit + sum_a image(a) * image(Q_{wa})
 
     over the trie of the support, with cancellation at every node.  Equal
     quotients have equal images, so each distinct quotient is evaluated
-    once, in two passes:
+    once, across all the roots, in two passes:
 
-    1. The words are walked in lexicographic order, so that the subtree
-       of each node is contiguous; ``path`` holds the letters from the
-       root to the current node and ``frames[d]`` the node below
+    1. The words of each root are walked in lexicographic order, so that
+       the subtree of each node is contiguous; ``path`` holds the letters
+       from the root to the current node and ``frames[d]`` the node below
        ``path[:d]`` built so far, as ``[c_w or None, (letter, child id),
-       ...]``.  Each closed node is interned by that key, children
-       first, so two nodes get one id exactly when their quotients are
-       equal; ``uses`` counts the distinct parents that read each id.
+       ...]``.  Each closed node is interned by that key, children first,
+       in one table for all the roots, so two nodes get one id exactly
+       when their quotients are equal; ``uses`` counts the distinct
+       parents that read each id, and each time a root is yielded.
     2. The distinct nodes are evaluated in id order, so children come
        first, by the Horner rule: one product per edge of the shared
-       graph instead of one per trie edge.  A child's image is dropped
-       after its last use, so only images still to be read stay alive.
+       graph instead of one per trie edge.  The nodes that root k added
+       to the table come after those of the roots before it, so root k is
+       yielded once they are evaluated, before any node that only a later
+       root needs.  An image is dropped after its last use, so only images
+       still to be read stay alive.
+
+    The same rule works from the other end: writing R_w for the quotient
+    above the suffix w (the terms c_{vw} v),
+
+        image(R_w) = c_w * unit + sum_a image(R_{aw}) * image(a).
+
+    The walk takes the suffix end only when the roots' one-letter suffix
+    quotients (the R_a) take fewer distinct values than their one-letter
+    prefix quotients (the Q_a), and the prefix end on a tie.  It then
+    walks the reversed words and multiplies as ``product_into(acc, child,
+    letter)``.  A lone homogeneous root of weight n whose words start and
+    end with every letter up to n ties (n quotients at each end), so a
+    single ``coproduct`` or ``substitute`` of the Newton primitives or
+    the exp/log expansions walks from the prefix.  The distinct one-letter
+    quotients of the families the suites evaluate, over n <= 12, and the
+    end that measured faster:
+
+        family            prefix  suffix  end walked  faster end
+        newton_p_left         23      78  prefix      prefix
+        newton_p_right        78      23  suffix      suffix
+        z_of_u, u_of_z        12      12  prefix      prefix
+        z_in_pprime           78      78  prefix      prefix
+
+    Counting all the distinct quotients at each end instead would pick
+    the suffix for ``z_in_pprime`` under the right primitives (1,874
+    quotients against 2,695, the roots included), which is the slower end
+    there: the quotient of z_in_pprime(n) below its first letter i is
+    z_in_pprime(n - i) / n, whose image is the single word Z_{n-i} / n.
+    It would also take a second interning pass.
 
     The Newton primitives and the exp/log expansions give each word a
     coefficient that depends on a few statistics of the word, so their
-    4,096 words of degree 12 have only 44 to 134 distinct quotients.  Only
-    accumulators made here are written to; the letter images, ``unit``
-    (often cached) and the images of shared quotients are only read.  The
-    walk keeps its own stack, so a word may be longer than the
-    interpreter's recursion limit.
+    4,096 words of degree 12 have only 44 to 134 distinct quotients.
+    Across n <= 12 the coproducts of the left primitives take 144
+    products in all, since the quotient of P_n below its first letter a
+    is -P_{n-a}: the table runs the Newton recursion.  Only accumulators
+    made here are written to; the letter images, ``unit`` (often cached)
+    and the images of shared quotients are only read, and a yielded image
+    is never written again.  The walk keeps its own stack, so a word may
+    be longer than the interpreter's recursion limit.
     """
+    roots = list(roots)
+    from_suffix = _walks_from_suffix(roots)
+    if from_suffix:
+        roots = [{word[::-1]: pair for word, pair in terms.items()} for terms in roots]
+
     ids: dict = {}
     nodes: list = []
     uses: list = []
@@ -287,34 +359,59 @@ def _evaluate(terms: dict, image, product_into, unit: dict) -> dict:
             node = intern(frames.pop())
             frames[-1].append((path.pop(), node))
 
-    for word in sorted(terms):
-        depth = 0
-        shared = min(len(path), len(word))
-        while depth < shared and path[depth] == word[depth]:
-            depth += 1
-        close(depth)
-        for letter in word[depth:]:
-            path.append(letter)
-            frames.append([None])
-        frames[-1][0] = terms[word]
-    close(0)
-    root = intern(frames[0])
+    def intern_root(terms):
+        for word in sorted(terms):
+            depth = 0
+            shared = min(len(path), len(word))
+            while depth < shared and path[depth] == word[depth]:
+                depth += 1
+            close(depth)
+            for letter in word[depth:]:
+                path.append(letter)
+                frames.append([None])
+            frames[-1][0] = terms[word]
+        close(0)
+        root = intern(frames.pop())
+        frames.append([None])
+        uses[root] += 1
+        return root
 
+    # (root id, number of nodes once the root is interned)
+    ends = [(root, len(nodes)) for root in map(intern_root, roots)]
+    del roots
+    ids.clear()
+    nodes.reverse()
     images: list = []
-    for coefficient, *edges in nodes:
+
+    def read(node):
+        # an image, dropped here after its last use
+        node_image = images[node]
+        uses[node] -= 1
+        if not uses[node]:
+            images[node] = None
+        return node_image
+
+    def evaluate(coefficient, *edges):
         acc: dict = {}
         if coefficient is not None:
             _k.add_scaled_into(acc, unit, coefficient)
         for letter, child in edges:
-            child_image = images[child]
-            uses[child] -= 1
-            if not uses[child]:
-                images[child] = None
+            child_image = read(child)
             letter_image = image(letter)
             if child_image and letter_image:
-                product_into(acc, letter_image, child_image)
-        images.append(acc)
-    return images[root]
+                if from_suffix:
+                    product_into(acc, child_image, letter_image)
+                else:
+                    product_into(acc, letter_image, child_image)
+        return acc
+
+    # No image is held in a local of this frame and each node key is dropped
+    # once read, so while paused between roots the generator keeps only the
+    # images that later roots still read.
+    for root, end in ends:
+        while len(images) < end:
+            images.append(evaluate(*nodes.pop()))
+        yield read(root)
 
 
 class Tensor2(_TermMap):

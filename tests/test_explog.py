@@ -14,6 +14,9 @@ from nsymm import (
     verify_iso,
     z_of_u,
 )
+from nsymm import Tensor2, coproduct
+from nsymm.explog import _coalgebra_defect
+from nsymm.words import compositions_of
 
 
 def test_z_of_u_small():
@@ -90,3 +93,40 @@ def test_degree_bounds():
     with pytest.raises(DegreeOverflowError):
         u_of_z(9)
     assert u_of_z(9, max_degree=9).coeff((9,)) == Fraction(1)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_expansions_equal_the_validated_build(n):
+    words = compositions_of(n)
+    assert z_of_u(n, max_degree=10) == NCPoly({w: Fraction(1, factorial(len(w))) for w in words})
+    assert u_of_z(n, max_degree=10) == NCPoly(
+        {w: Fraction(1 if len(w) % 2 else -1, len(w)) for w in words}
+    )
+
+
+def _old_coalgebra_defect(n, lhs):
+    """lhs minus the binomial image, as the tensor subtraction it replaced."""
+    z = [NCPoly.one()] + [z_of_u(i) for i in range(1, n + 1)]
+    rhs = Tensor2.zero()
+    for i in range(n + 1):
+        rhs = rhs + Tensor2.outer(z[i], z[n - i])
+    return lhs - rhs
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_coalgebra_residue_matches_the_tensor_subtraction(n):
+    lhs = coproduct(z_of_u(n), HopfFamily.LIEHOPF)
+    terms = lhs._terms
+    first = next(iter(terms))
+    changed = dict(terms)
+    changed[first] = (-terms[first][0], terms[first][1])
+    missing = dict(terms)
+    del missing[first]
+    extra = dict(terms)
+    extra[((n,), (1,))] = (5, 1)
+    both = dict(missing)
+    both[((), (n + 1,))] = (-1, 3)
+    for variant in (terms, changed, missing, extra, both):
+        delta = Tensor2._raw(variant)
+        assert _coalgebra_defect(n, delta, n) == _old_coalgebra_defect(n, delta)
+    assert not _coalgebra_defect(n, lhs, n)

@@ -25,7 +25,8 @@ from nsymm import (
     z_of_u,
 )
 from nsymm import _core_py as _k
-from nsymm.hopf import _word_coproduct
+from nsymm.hopf import _coproducts, _primitive_residue, _word_coproduct
+from nsymm.poly import _walks_from_suffix
 
 NS, LH = HopfFamily.NSYMM, HopfFamily.LIEHOPF
 
@@ -241,3 +242,81 @@ def test_coproduct_products_count_distinct_quotients(monkeypatch, name):
         assert got == _binomial_coproduct(12)
     else:
         assert got == Tensor2.outer(p, NCPoly.one()) + Tensor2.outer(NCPoly.one(), p)
+
+
+# --- many roots in one evaluation --------------------------------------------
+
+
+@pytest.mark.parametrize("family", [NS, LH])
+def test_shared_coproducts_match_oracle_on_near_twin_quotients(family, near_twin_polys):
+    twins = near_twin_polys
+    for roots in (twins, twins[::-1], twins[:3] + twins[1:2] + twins[3:]):
+        got = list(_coproducts(roots, family))
+        assert got == [_coproduct_oracle(p, family) for p in roots]
+
+
+@pytest.mark.parametrize("family", [NS, LH])
+def test_shared_coproducts_walked_from_the_suffix(family, near_twin_polys):
+    roots = [newton_p_right(n) for n in range(1, 9)]
+    roots += [p.reverse_words() for p in near_twin_polys]
+    assert _walks_from_suffix([p._terms for p in roots])
+    assert list(_coproducts(roots, family)) == [_coproduct_oracle(p, family) for p in roots]
+
+
+# products for the coproducts of every n <= 12 in one evaluation, and the end
+# walked: the right primitives repeat their one-letter suffix quotients
+SHARED_PRODUCT_COUNTS = {
+    "newton_p_left": (newton_p_left, NS, 144, False),
+    "newton_p_right": (newton_p_right, NS, 144, True),
+    "z_of_u": (z_of_u, LH, 364, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_PRODUCT_COUNTS))
+def test_shared_coproducts_products_count(monkeypatch, name):
+    make, family, products, from_suffix = SHARED_PRODUCT_COUNTS[name]
+    roots = [make(n, max_degree=12) for n in range(1, 13)]
+    assert _walks_from_suffix([p._terms for p in roots]) is from_suffix
+    calls = []
+    real = _k.mul_tensor_into
+    monkeypatch.setattr(_k, "mul_tensor_into", lambda *args: (calls.append(1), real(*args))[1])
+    got = list(_coproducts(roots, family, max_degree=12))
+    assert len(calls) == products
+    assert got == [coproduct(p, family, max_degree=12) for p in roots]
+
+
+def test_shared_coproducts_check_every_degree():
+    roots = [NCPoly.generator(2), NCPoly.generator(9)]
+    stream = _coproducts(roots, NS)
+    with pytest.raises(DegreeOverflowError):
+        next(stream)
+
+
+def _old_primitivity_defect(p, delta):
+    """The defect as the tensor subtraction it replaced."""
+    one = NCPoly.one()
+    return delta - Tensor2.outer(p, one) - Tensor2.outer(one, p)
+
+
+def _perturbed(delta):
+    """delta with one term changed, one missing, one extra, and each alone."""
+    terms = delta._terms
+    first = next(iter(terms))
+    changed = dict(terms)
+    changed[first] = _k.rat_add(terms[first], (1, 1009))
+    missing = dict(terms)
+    del missing[first]
+    extra = dict(terms)
+    extra[((1,), (1,))] = (3, 7)
+    both = dict(missing)
+    both[((2,), (2, 1))] = (-1, 2)
+    return [Tensor2._raw(t) for t in (terms, changed, missing, extra, both)]
+
+
+@pytest.mark.parametrize("family", [NS, LH])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_primitive_residue_matches_the_tensor_subtraction(family, n):
+    for p in (newton_p_left(n), u_of_z(n), newton_p_right(n) + NCPoly.scalar(3), NCPoly.scalar("-1/2")):
+        for delta in _perturbed(coproduct(p, family)):
+            assert _primitive_residue(p, delta) == _old_primitivity_defect(p, delta)
+        assert primitivity_defect(p, family) == _old_primitivity_defect(p, coproduct(p, family))

@@ -20,7 +20,7 @@ from nsymm import (
     z_of_u,
 )
 from nsymm import _core_py as _k
-from nsymm.poly import _evaluate
+from nsymm.poly import _evaluate, _substitutions, _walks_from_suffix
 
 Z1 = NCPoly.generator(1)
 Z2 = NCPoly.generator(2)
@@ -286,7 +286,7 @@ def test_shared_quotient_is_evaluated_once_and_only_read():
         reads.append((acc, child_image, dict(child_image)))
         _k.mul_word_into(acc, letter_image, child_image)
 
-    got = _evaluate(p._terms, lambda k: images[k]._terms, product_into, {(): (1, 1)})
+    (got,) = _evaluate([p._terms], lambda k: images[k]._terms, product_into, {(): (1, 1)})
     assert NCPoly._raw(got) == _substitute_oracle(p, images)
     # every child image comes out as it went in
     assert all(child == before for _, child, before in reads)
@@ -307,3 +307,90 @@ def test_substitute_products_count_distinct_quotients(monkeypatch):
     p = NCPoly({(1, 1, 1): 1, (2, 1, 1): 1, (3, 1, 1): 1})
     assert p.substitute(NCPoly.generator) == p
     assert len(calls) == 5
+
+
+# --- many roots in one evaluation --------------------------------------------
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(_k, name)
+    monkeypatch.setattr(_k, name, lambda *args: (calls.append(1), real(*args))[1])
+    return calls
+
+
+@pytest.mark.parametrize("family", sorted(IMAGE_FAMILIES))
+def test_shared_substitution_matches_oracle_on_near_twin_quotients(family, near_twin_polys):
+    images = IMAGE_FAMILIES[family]
+    twins = near_twin_polys
+    for roots in (twins, twins[::-1], twins[:3] + twins[1:2] + twins[3:]):
+        got = list(_substitutions(roots, images))
+        assert got == [_substitute_oracle(p, images) for p in roots]
+
+
+@pytest.mark.parametrize("family", ["affine", "z_of_u", "u_of_z"])
+def test_suffix_walk_equals_prefix_walk(family, near_twin_polys):
+    images = IMAGE_FAMILIES[family]
+    # the right primitives share suffixes; each alone ties, so its own
+    # substitution walks from the prefix
+    primitives = [newton_p_right(n) for n in range(1, 9)]
+    assert _walks_from_suffix([p._terms for p in primitives])
+    assert not any(_walks_from_suffix([p._terms]) for p in primitives)
+    assert list(_substitutions(primitives, images)) == [p.substitute(images) for p in primitives]
+    # near-twin quotients below suffixes, walked from the suffix
+    roots = primitives + [p.reverse_words() for p in near_twin_polys]
+    assert _walks_from_suffix([p._terms for p in roots])
+    assert list(_substitutions(roots, images)) == [_substitute_oracle(p, images) for p in roots]
+
+
+def test_shared_substitution_products_count(monkeypatch):
+    # Z_n in the P' alphabet, with the right primitives put back, over n <= 12
+    roots = [z_in_pprime(n, max_degree=12) for n in range(1, 13)]
+    images = {k: newton_p_right(k, max_degree=12) for k in range(1, 13)}
+    assert not _walks_from_suffix([p._terms for p in roots])
+    calls = _count_calls(monkeypatch, "mul_word_into")
+    got = list(_substitutions(roots, images))
+    assert len(calls) == 5266
+    assert got == [NCPoly.generator(n) for n in range(1, 13)]
+
+
+def test_yielded_image_is_not_written_later():
+    # the image of q is yielded first, then read as a child of the second root
+    # and yielded again
+    q = NCPoly({(): 2, (1,): 1, (2, 1): -1})
+    roots = [q, Z1 * q + Z2 * q - NCPoly.generator(3) * q, q]
+    images = IMAGE_FAMILIES["affine"]
+    seen = []
+    for image in _substitutions(roots, images):
+        seen.append((image, dict(image._terms)))
+    assert [image for image, _ in seen] == [_substitute_oracle(p, images) for p in roots]
+    assert all(image._terms == before for image, before in seen)
+
+
+def test_paused_evaluation_keeps_no_yielded_image():
+    # z_of_u(n) has no constant term and every quotient below a nonempty
+    # prefix has one, so no root reads another; once a root's image is
+    # yielded, only the caller holds it
+    roots = [z_of_u(n)._terms for n in range(1, 8)]
+    images = IMAGE_FAMILIES["affine"]
+    stream = _evaluate(roots, lambda k: images(k)._terms, _k.mul_word_into, {(): (1, 1)})
+    for image in stream:
+        held = stream.gi_frame.f_locals
+        assert not any(value is image for value in [*held.values(), *held["images"]])
+
+
+@pytest.mark.parametrize("make", [newton_p_left, z_in_pprime, z_of_u])
+def test_each_root_is_yielded_before_later_work(monkeypatch, make):
+    roots = [make(n, max_degree=10) for n in range(1, 11)]
+    images = {k: u_of_z(k, max_degree=10) for k in range(1, 11)}
+    calls = _count_calls(monkeypatch, "mul_word_into")
+    alone = []
+    for k in range(1, len(roots) + 1):
+        assert not _walks_from_suffix([p._terms for p in roots[:k]])
+        before = len(calls)
+        list(_substitutions(roots[:k], images))
+        alone.append(len(calls) - before)
+    calls.clear()
+    # when the k-th root is yielded, exactly the products the first k roots need are done
+    for k, _ in enumerate(_substitutions(roots, images), 1):
+        assert len(calls) == alone[k - 1]
