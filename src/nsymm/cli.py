@@ -35,9 +35,9 @@ from .newton import (
 )
 from .qsymm import QSPoly, d_qsymm, deconcat, pairing, quasi_shuffle
 from .poly import NCPoly
+from .reports import _coeff_data
 from .serialize import (
     FormatError,
-    _coeff_data,
     derivations_from_data,
     derivations_to_data,
     family_from_data,

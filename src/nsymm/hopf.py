@@ -47,9 +47,6 @@ def _generator_coproduct(n: int, family: HopfFamily) -> dict:
     return {((n,), ()): (1, 1), ((), (n,)): (1, 1)}
 
 
-_TENSOR_ONE_TERMS = {((), ()): (1, 1)}
-
-
 @lru_cache(maxsize=65536)
 def _word_coproduct(word, family: HopfFamily) -> dict:
     if not word:
@@ -86,7 +83,7 @@ def _coproducts(polys, family: HopfFamily, max_degree=None):
             checked(),
             lambda letter: _generator_coproduct(letter, family),
             _k.mul_tensor_into,
-            _TENSOR_ONE_TERMS,
+            lambda c: {((), ()): c} if c else {},
         ),
     )
 

@@ -219,9 +219,6 @@ class NCPoly(_TermMap):
         return result
 
 
-_ONE_TERMS = {(): (1, 1)}
-
-
 def _substitutions(polys, images):
     """The images of the polynomials under one substitution, in order.
 
@@ -236,7 +233,7 @@ def _substitutions(polys, images):
             (p._terms for p in polys),
             lambda letter: lookup(letter)._terms,
             _k.mul_word_into,
-            _ONE_TERMS,
+            lambda c: {(): c} if c else {},
         ),
     )
 
@@ -257,19 +254,21 @@ def _walks_from_suffix(roots) -> bool:
     return len(below_last) < len(below_first)
 
 
-def _evaluate(roots, image, product_into, unit: dict):
+def _evaluate(roots, image, product_into, unit):
     """Images of word-keyed term maps under one algebra morphism, in order.
 
-    ``roots`` is a sequence of term maps, ``image(letter)`` gives the terms
-    of a letter's image, ``product_into(acc, x, y)`` adds the product x * y
-    of two image term maps to ``acc`` in place, and ``unit`` is the image
-    of the empty word.  This is a generator: it yields the image of each
-    root in order, as soon as that image is formed.
+    ``roots`` is a sequence of term maps and ``image(letter)`` gives a
+    letter's image.  ``unit(c)`` returns a fresh accumulator holding c
+    times the image of the empty word (an empty one for ``c`` None), and
+    ``product_into(acc, x, y)`` adds x * y to an accumulator in place.
+    Images need not be term maps (``hsops`` uses lists of map columns).
+    This is a generator: it yields the image of each root in order, as
+    soon as that image is formed.
 
     Writing Q_w for the quotient of a root below the prefix w (the terms
     c_{wv} v), the image is computed by the Horner rule
 
-        image(Q_w) = c_w * unit + sum_a image(a) * image(Q_{wa})
+        image(Q_w) = unit(c_w) + sum_a image(a) * image(Q_{wa})
 
     over the trie of the support, with cancellation at every node.  Equal
     quotients have equal images, so each distinct quotient is evaluated
@@ -294,7 +293,7 @@ def _evaluate(roots, image, product_into, unit: dict):
     The same rule works from the other end: writing R_w for the quotient
     above the suffix w (the terms c_{vw} v),
 
-        image(R_w) = c_w * unit + sum_a image(R_{aw}) * image(a).
+        image(R_w) = unit(c_w) + sum_a image(R_{aw}) * image(a).
 
     The walk takes the suffix end only when the roots' one-letter suffix
     quotients (the R_a) take fewer distinct values than their one-letter
@@ -325,11 +324,11 @@ def _evaluate(roots, image, product_into, unit: dict):
     4,096 words of degree 12 have only 44 to 134 distinct quotients.
     Across n <= 12 the coproducts of the left primitives take 144
     products in all, since the quotient of P_n below its first letter a
-    is -P_{n-a}: the table runs the Newton recursion.  Only accumulators
-    made here are written to; the letter images, ``unit`` (often cached)
-    and the images of shared quotients are only read, and a yielded image
-    is never written again.  The walk keeps its own stack, so a word may
-    be longer than the interpreter's recursion limit.
+    is -P_{n-a}: the table runs the Newton recursion.  Only the fresh
+    accumulators from ``unit`` are written to; the letter images (often
+    cached) and the images of shared quotients are only read, and a yielded
+    image is never written again.  The walk keeps its own stack, so a word
+    may be longer than the interpreter's recursion limit.
     """
     roots = list(roots)
     from_suffix = _walks_from_suffix(roots)
@@ -392,9 +391,7 @@ def _evaluate(roots, image, product_into, unit: dict):
         return node_image
 
     def evaluate(coefficient, *edges):
-        acc: dict = {}
-        if coefficient is not None:
-            _k.add_scaled_into(acc, unit, coefficient)
+        acc = unit(coefficient)
         for letter, child in edges:
             child_image = read(child)
             letter_image = image(letter)

@@ -8,27 +8,35 @@ check, times it, and files the result with the witness that
 from __future__ import annotations
 
 import time
+from fractions import Fraction
 
 from .poly import Tensor2
+
+# The fields that name the words of a term's key: a polynomial is keyed
+# by one word, a tensor by a (left, right) pair of words.
+_POLY_FIELDS = ("word",)
+_TENSOR_FIELDS = ("left_word", "right_word")
+
+
+def _coeff_data(coefficient: Fraction) -> dict:
+    return {"num": str(coefficient.numerator), "den": str(coefficient.denominator)}
+
+
+def _term_record(fields, key, coefficient: Fraction) -> dict:
+    """One term as {word | left_word, right_word, coeff: {num, den}}."""
+    record = dict(zip(fields, map(list, (key,) if len(fields) == 1 else key)))
+    record["coeff"] = _coeff_data(coefficient)
+    return record
 
 
 def poly_witness(defect) -> dict:
     """First nonzero term of a nonzero polynomial defect, as a record."""
-    word, coefficient = defect.items()[0]
-    return {
-        "word": list(word),
-        "coeff": {"num": str(coefficient.numerator), "den": str(coefficient.denominator)},
-    }
+    return _term_record(_POLY_FIELDS, *defect.items()[0])
 
 
 def tensor_witness(defect) -> dict:
     """First nonzero term of a nonzero tensor defect, as a record."""
-    (left, right), coefficient = defect.items()[0]
-    return {
-        "left_word": list(left),
-        "right_word": list(right),
-        "coeff": {"num": str(coefficient.numerator), "den": str(coefficient.denominator)},
-    }
+    return _term_record(_TENSOR_FIELDS, *defect.items()[0])
 
 
 def witness(defect) -> dict | None:

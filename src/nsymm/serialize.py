@@ -4,7 +4,8 @@ Polynomials serialize as {"basis": tag, "terms": [{"word": [...],
 "coeff": {"num": "...", "den": "..."}}]} with terms in the term order
 (weight, length, lex); numerators and denominators travel as decimal
 strings so round-trips are bit-exact.  Tensors carry left_word and
-right_word instead; one codec serves both, over the fields of the key.
+right_word instead; one codec serves both, over the fields of the key,
+and nsymm.reports defines the term record that it and the witnesses write.
 Test algebras and map families use exact rational strings ("-3/2")
 throughout.
 """
@@ -17,6 +18,7 @@ from functools import lru_cache
 from .hsops import LinMap, TestAlgebra
 from .poly import NCPoly, Tensor2
 from .qsymm import QSPoly
+from .reports import _POLY_FIELDS, _TENSOR_FIELDS, _term_record
 
 BASIS_PREFIX = {"Z": "Z", "U": "U", "Pprime": "P'"}
 KNOWN_BASES = ("Z", "U", "Pprime", "M")
@@ -94,10 +96,6 @@ def render_tensor(t: Tensor2, basis: str = "Z") -> str:
 # polynomials and tensors as data
 
 
-def _coeff_data(coefficient: Fraction) -> dict:
-    return {"num": str(coefficient.numerator), "den": str(coefficient.denominator)}
-
-
 def _coeff_from_data(data, path: str) -> Fraction:
     if not isinstance(data, dict) or set(data) != {"num", "den"}:
         raise FormatError(f"{path}: expected a {{num, den}} object")
@@ -117,21 +115,9 @@ def _word_from_data(data, path: str) -> tuple:
     return tuple(data)
 
 
-# The fields that name the words of a term's key: a polynomial is keyed
-# by one word, a tensor by a (left, right) pair of words.
-_POLY_FIELDS = ("word",)
-_TENSOR_FIELDS = ("left_word", "right_word")
-
-
 def _terms_to_data(t, basis: str, fields) -> dict:
     _check_basis(basis)
-    one = len(fields) == 1
-    terms = []
-    for key, coefficient in t.items():
-        record = dict(zip(fields, map(list, (key,) if one else key)))
-        record["coeff"] = _coeff_data(coefficient)
-        terms.append(record)
-    return {"basis": basis, "terms": terms}
+    return {"basis": basis, "terms": [_term_record(fields, *term) for term in t.items()]}
 
 
 def _terms_from_data(data, fields):
@@ -161,12 +147,10 @@ def poly_to_data(p, basis: str) -> dict:
     return _terms_to_data(p, basis, _POLY_FIELDS)
 
 
-def poly_from_data(data, cls=NCPoly):
-    """Rebuild a polynomial; returns (poly, basis_tag)."""
+def poly_from_data(data):
+    """Rebuild a polynomial, a QSPoly for the "M" basis; returns (poly, basis_tag)."""
     terms, basis = _terms_from_data(data, _POLY_FIELDS)
-    if basis == "M" and cls is NCPoly:
-        cls = QSPoly
-    return cls(terms), basis
+    return (QSPoly if basis == "M" else NCPoly)(terms), basis
 
 
 def tensor_to_data(t: Tensor2, basis: str) -> dict:

@@ -24,6 +24,7 @@ from nsymm import (
     is_hs,
     operator_from_word_poly,
     partial_from_d,
+    newton_p_right,
     taylor_hs,
     truncated_polynomial_algebra,
     upper_triangular_algebra,
@@ -32,6 +33,7 @@ from nsymm import (
 )
 from nsymm.hsops import ddx_matrix
 from nsymm.newton import c_coeff
+from nsymm.poly import _walks_from_suffix
 from nsymm.words import compositions_of
 
 F = Fraction
@@ -694,6 +696,37 @@ def test_log_series_acts_like_partial_extraction(bridge_family):
     dim = bridge_family.algebra.dim
     for n in range(1, 5):
         assert operator_from_word_poly(u_of_z(n), bridge_family.maps, dim) == partials[n - 1]
+
+
+def test_right_primitives_act_like_delta_extraction(bridge_family):
+    deltas = delta_from_d(bridge_family)
+    dim = bridge_family.algebra.dim
+    for n in range(1, 5):
+        assert operator_from_word_poly(newton_p_right(n), bridge_family.maps, dim) == deltas[n - 1]
+
+
+def test_operator_walked_from_the_suffix_composes_in_order():
+    # one distinct one-letter suffix quotient against two prefix ones, on
+    # maps that do not commute
+    A, seq = inner_sequence(3)
+    p = NCPoly({(): 2, (1, 3): 1, (2, 2, 3): "-1/2"})
+    assert _walks_from_suffix([p._terms])
+    got = operator_from_word_poly(p, seq, A.dim)
+    assert got != oracle_operator_from_word_poly(p.reverse_words(), seq, A.dim)
+    assert got == oracle_operator_from_word_poly(p, seq, A.dim)
+
+
+def test_operator_rejects_a_letter_without_a_map():
+    A, seq = inner_sequence(3)
+    with pytest.raises(ValueError, match=r"letter 6 .* 5 maps"):
+        operator_from_word_poly(NCPoly({(1,): 1, (2, 6): 1}), seq, A.dim)
+
+
+@pytest.mark.parametrize("dim", [5, 7])
+def test_operator_rejects_maps_of_another_dimension(dim):
+    _, seq = inner_sequence(3)
+    with pytest.raises(ValueError, match=f"map dimension 6 differs from dim {dim}"):
+        operator_from_word_poly(u_of_z(2), seq, dim)
 
 
 def test_family_accessors(inner_family):

@@ -275,6 +275,10 @@ def test_substitute_matches_oracle_on_near_twin_quotients(family, near_twin_poly
         assert p.substitute(images) == _substitute_oracle(p, images)
 
 
+def _word_unit(c):
+    return {(): c} if c else {}
+
+
 def test_shared_quotient_is_evaluated_once_and_only_read():
     # the quotient Z2 below (1, 1) and (2, 1) has the parents (1,) and (2,),
     # whose quotients differ
@@ -286,7 +290,7 @@ def test_shared_quotient_is_evaluated_once_and_only_read():
         reads.append((acc, child_image, dict(child_image)))
         _k.mul_word_into(acc, letter_image, child_image)
 
-    (got,) = _evaluate([p._terms], lambda k: images[k]._terms, product_into, {(): (1, 1)})
+    (got,) = _evaluate([p._terms], lambda k: images[k]._terms, product_into, _word_unit)
     assert NCPoly._raw(got) == _substitute_oracle(p, images)
     # every child image comes out as it went in
     assert all(child == before for _, child, before in reads)
@@ -373,7 +377,7 @@ def test_paused_evaluation_keeps_no_yielded_image():
     # yielded, only the caller holds it
     roots = [z_of_u(n)._terms for n in range(1, 8)]
     images = IMAGE_FAMILIES["affine"]
-    stream = _evaluate(roots, lambda k: images(k)._terms, _k.mul_word_into, {(): (1, 1)})
+    stream = _evaluate(roots, lambda k: images(k)._terms, _k.mul_word_into, _word_unit)
     for image in stream:
         held = stream.gi_frame.f_locals
         assert not any(value is image for value in [*held.values(), *held["images"]])
