@@ -7,10 +7,10 @@ generators (explog), the Hasse-Schmidt derivation calculus on concrete
 test algebras (hsops), the quasi-shuffle dual (qsymm), serialization
 (serialize), verification suites (suites), and a CLI (cli).
 
-Every layer, the Hasse-Schmidt calculus included, stores exact
-rationals one way: normalized (num, den) int pairs in term maps, merged
-by one pure-Python kernel module (nsymm._core_py); fractions.Fraction
-appears only at the public face.
+Every layer, the Hasse-Schmidt calculus and the JSON codecs included,
+stores exact rationals one way: normalized (num, den) int pairs in term
+maps, merged by one pure-Python kernel module (nsymm._core_py);
+fractions.Fraction appears only at the public face.
 """
 
 from ._backend import BACKEND, backend_name

@@ -134,18 +134,18 @@ NEWTON_VARIANTS = {
 # 16; qsymm shuffle of the all-ones compositions that split the bound,
 # 1.1 s and 77 MB at 21, 2.0 s and 117 MB at 22.  For hs the degree bounds
 # the family order: every action on the Taylor family of that order on the
-# dim-112 truncated polynomial algebra (the cap below), median of 3, at
-# most 4.4 s and 90 MB at order 11 and 5.2 s and 90 MB at 12.
+# dim-128 truncated polynomial algebra (the cap below), median of 3, at
+# most 4.0 s and 53 MB at order 11 and 4.1 s and 53 MB at 12.
 COMMAND_CEILINGS = {"newton": 15, "explog": 15, "qsymm": 21, "hs": 11}
 
 # The largest algebra dimension that hs accepts, measured the same way on
 # its costliest actions (validate, extract-partial, build-from-partial and
 # the delta pair) with families of order 8.  The truncated polynomial
-# algebras, the densest tables of the catalog, cost the most: at most 3.7 s
-# and 86 MB at dim 112, 5.5 s and 104 MB at 120.  Upper-triangular algebras
-# took 2.5 s and 86 MB at 171 (108 MB at 190); free word algebras 2.5 s and
-# 51 MB at 127 (13.3 s, 225 MB at 255).
-HS_MAX_DIM = 112
+# algebras, the densest tables of the catalog, cost the most: at most 3.5 s
+# and 52 MB at dim 128, 4.7 s and 66 MB at 144, 6.8 s and 83 MB at 160.
+# Upper-triangular algebras took 0.2 s and 33 MB at 120 (0.3 s at 136); free
+# word algebras 1.2 s and 33 MB at 127 (4.8 s and 66 MB at 255).
+HS_MAX_DIM = 128
 
 
 def _check_ceiling(args):
@@ -345,7 +345,7 @@ def _cmd_qsymm(args) -> int:
     _check_weight(sum(a), args, "monomial weight")
     _check_weight(sum(w), args, "word weight")
     value = pairing(QSPoly.monomial(a), NCPoly.word(w))
-    _emit(args, lambda: str(value), lambda: {"value": _coeff_data(value)})
+    _emit(args, lambda: str(value), lambda: {"value": _coeff_data(value.as_integer_ratio())})
     return 0
 
 

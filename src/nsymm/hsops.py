@@ -39,10 +39,11 @@ structure constant e_i e_j and each LinMap column is a sparse
 {basis index: (num, den)} map of normalized pairs with no zero entries,
 merged by the backend's add_scaled_into, so "is zero" is "is empty".
 Stored term maps are never mutated, so maps and algebras may share them.
-The public face (TestAlgebra.unit/.table/mul/element/basis/zero,
-LinMap.columns/apply) is dense Fraction tuples, converted at the
-boundary as NCPoly.items() does; inputs are coerced by coeff_pair, which
-refuses floats and bools.
+The catalog builds them directly and nsymm.serialize reads and writes
+them.  Fraction appears only in the dense tuples of the public face
+(TestAlgebra(labels, unit, table), from_products, .unit, .table, mul,
+element, basis, zero; LinMap(columns), .columns, apply), whose inputs
+coeff_pair coerces, refusing floats and bools.
 """
 
 from __future__ import annotations
@@ -83,6 +84,21 @@ def _dense(terms: Terms, dim: int) -> Vector:
     for k, (num, den) in terms.items():
         out[k] = Fraction(num, den)
     return tuple(out)
+
+
+def _coordinates(dim: int, unit, products: Mapping) -> tuple[Terms, dict]:
+    """A dense unit and {(i, j): vector} products as term maps, shapes checked."""
+    if len(unit) != dim:
+        raise ValueError("structure data does not match the basis size")
+    terms = {}
+    for key, vec in products.items():
+        pair = isinstance(key, tuple) and len(key) == 2
+        if not (pair and all(type(i) is int and 0 <= i < dim for i in key)):
+            raise ValueError(f"product index pair {key!r} is outside the basis of size {dim}")
+        if len(vec) != dim:
+            raise ValueError(f"product vector for {key} has wrong length")
+        terms[key] = _terms(vec)
+    return _terms(unit), terms
 
 
 def _mul_into(acc: Terms, table, u: Terms, v: Terms, sign: int = 1) -> Terms:
@@ -126,31 +142,26 @@ class TestAlgebra:
         if len(table) != dim or any(len(row) != dim for row in table):
             raise ValueError("structure data does not match the basis size")
         products = {(i, j): vec for i, row in enumerate(table) for j, vec in enumerate(row)}
-        self._build(labels, unit, products)
+        self._build(labels, *_coordinates(dim, unit, products))
 
     @classmethod
     def from_products(cls, labels, unit, products: Mapping) -> "TestAlgebra":
         """Build from a sparse {(i, j): vector} table; missing products are zero."""
+        return cls._raw(labels, *_coordinates(len(labels), unit, products))
+
+    @classmethod
+    def _raw(cls, labels, unit: Terms, products: Mapping) -> "TestAlgebra":
         self = cls.__new__(cls)
         self._build(labels, unit, products)
         return self
 
-    def _build(self, labels, unit, products: Mapping) -> None:
+    def _build(self, labels, unit: Terms, products: Mapping) -> None:
         self.labels = tuple(labels)
         dim = len(self.labels)
-        if len(unit) != dim:
-            raise ValueError("structure data does not match the basis size")
-        table = [[{} for _ in range(dim)] for _ in range(dim)]
-        for (i, j), vec in products.items():
-            if len(vec) != dim:
-                raise ValueError(f"product vector for ({i}, {j}) has wrong length")
-            table[i][j] = _terms(vec)
-        self._unit = _terms(unit)
-        self._table = tuple(map(tuple, table))
+        self._unit = unit
+        self._table = tuple(tuple(products.get((i, j), {}) for j in range(dim)) for i in range(dim))
         # the nonzero structure constants (a, b, e_a e_b), in a-b order
-        self._products = tuple(
-            (a, b, prod) for a, row in enumerate(self._table) for b, prod in enumerate(row) if prod
-        )
+        self._products = tuple((a, b, prod) for (a, b), prod in sorted(products.items()) if prod)
         self.__post_init__()
 
     def __post_init__(self):
@@ -442,13 +453,8 @@ def truncated_polynomial_algebra(trunc: int) -> TestAlgebra:
     if trunc < 1:
         raise ValueError("truncation order must be >= 1")
     labels = tuple("1" if k == 0 else ("x" if k == 1 else f"x^{k}") for k in range(trunc + 1))
-    products = {}
-    for i in range(trunc + 1):
-        for j in range(trunc + 1):
-            if i + j <= trunc:
-                products[(i, j)] = tuple(int(k == i + j) for k in range(trunc + 1))
-    unit = tuple(int(k == 0) for k in range(trunc + 1))
-    return TestAlgebra.from_products(labels, unit, products)
+    products = {(i, j): {i + j: _ONE} for i in range(trunc + 1) for j in range(trunc + 1 - i)}
+    return TestAlgebra._raw(labels, {0: _ONE}, products)
 
 
 @lru_cache(maxsize=None)
@@ -459,14 +465,14 @@ def upper_triangular_algebra(size: int) -> TestAlgebra:
     pairs = [(i, j) for i in range(1, size + 1) for j in range(i, size + 1)]
     index = {p: t for t, p in enumerate(pairs)}
     labels = tuple(f"E{i}{j}" for i, j in pairs)
-    dim = len(pairs)
-    products = {}
-    for a, (i, j) in enumerate(pairs):
-        for b, (k, l) in enumerate(pairs):
-            if j == k:
-                products[(a, b)] = tuple(int(t == index[(i, l)]) for t in range(dim))
-    unit = tuple(int(i == j) for i, j in pairs)
-    return TestAlgebra.from_products(labels, unit, products)
+    products = {
+        (a, b): {index[(i, l)]: _ONE}
+        for a, (i, j) in enumerate(pairs)
+        for b, (k, l) in enumerate(pairs)
+        if j == k
+    }
+    unit = {t: _ONE for t, (i, j) in enumerate(pairs) if i == j}
+    return TestAlgebra._raw(labels, unit, products)
 
 
 @lru_cache(maxsize=None)
@@ -487,15 +493,14 @@ def free_word_algebra(depth: int, letters: tuple[str, ...] = ("x", "y")) -> Test
         frontier = [w + l for w in frontier for l in letters]
         words.extend(frontier)
     index = {w: i for i, w in enumerate(words)}
-    dim = len(words)
-    products = {}
-    for i, u in enumerate(words):
-        for j, v in enumerate(words):
-            if len(u) + len(v) <= depth:
-                products[(i, j)] = tuple(int(t == index[u + v]) for t in range(dim))
+    products = {
+        (i, j): {index[u + v]: _ONE}
+        for i, u in enumerate(words)
+        for j, v in enumerate(words)
+        if len(u) + len(v) <= depth
+    }
     labels = tuple("1" if w == "" else w for w in words)
-    unit = tuple(int(i == 0) for i in range(dim))
-    return TestAlgebra.from_products(labels, unit, products)
+    return TestAlgebra._raw(labels, {0: _ONE}, products)
 
 
 def inner_derivation(algebra: TestAlgebra, element) -> LinMap:

@@ -8,7 +8,6 @@ check, times it, and files the result with the witness that
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 
 from .poly import Tensor2
 
@@ -18,25 +17,27 @@ _POLY_FIELDS = ("word",)
 _TENSOR_FIELDS = ("left_word", "right_word")
 
 
-def _coeff_data(coefficient: Fraction) -> dict:
-    return {"num": str(coefficient.numerator), "den": str(coefficient.denominator)}
+def _coeff_data(pair: tuple[int, int]) -> dict:
+    return {"num": str(pair[0]), "den": str(pair[1])}
 
 
-def _term_record(fields, key, coefficient: Fraction) -> dict:
+def _term_record(fields, key, pair: tuple[int, int]) -> dict:
     """One term as {word | left_word, right_word, coeff: {num, den}}."""
     record = dict(zip(fields, map(list, (key,) if len(fields) == 1 else key)))
-    record["coeff"] = _coeff_data(coefficient)
+    record["coeff"] = _coeff_data(pair)
     return record
 
 
 def poly_witness(defect) -> dict:
     """First nonzero term of a nonzero polynomial defect, as a record."""
-    return _term_record(_POLY_FIELDS, *defect.items()[0])
+    key = defect.support()[0]
+    return _term_record(_POLY_FIELDS, key, defect._terms[key])
 
 
 def tensor_witness(defect) -> dict:
     """First nonzero term of a nonzero tensor defect, as a record."""
-    return _term_record(_TENSOR_FIELDS, *defect.items()[0])
+    key = defect.support()[0]
+    return _term_record(_TENSOR_FIELDS, key, defect._terms[key])
 
 
 def witness(defect) -> dict | None:

@@ -6,8 +6,9 @@ Polynomials serialize as {"basis": tag, "terms": [{"word": [...],
 strings so round-trips are bit-exact.  Tensors carry left_word and
 right_word instead; one codec serves both, over the fields of the key,
 and nsymm.reports defines the term record that it and the witnesses write.
-Test algebras and map families use exact rational strings ("-3/2")
-throughout.
+Test algebras and map families write each coordinate as an exact rational
+string ("-3/2", "0"); both codecs read and write (num, den) term maps, and
+Fraction appears only in text rendering.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def render_tensor(t: Tensor2, basis: str = "Z") -> str:
 # polynomials and tensors as data
 
 
-def _coeff_from_data(data, path: str) -> Fraction:
+def _coeff_from_data(data, path: str) -> tuple[int, int]:
     if not isinstance(data, dict) or set(data) != {"num", "den"}:
         raise FormatError(f"{path}: expected a {{num, den}} object")
     try:
@@ -106,22 +107,22 @@ def _coeff_from_data(data, path: str) -> Fraction:
         raise FormatError(f"{path}: not a decimal integer: {exc}") from None
     if den < 1:
         raise FormatError(f"{path}: denominator must be >= 1, got {den}")
-    return Fraction(num, den)
+    return num, den
 
 
 def _word_from_data(data, path: str) -> tuple:
-    if not isinstance(data, list) or not all(isinstance(p, int) and p >= 1 for p in data):
+    if not isinstance(data, list) or not all(type(p) is int and p >= 1 for p in data):
         raise FormatError(f"{path}: expected a list of integers >= 1")
     return tuple(data)
 
 
 def _terms_to_data(t, basis: str, fields) -> dict:
     _check_basis(basis)
-    return {"basis": basis, "terms": [_term_record(fields, *term) for term in t.items()]}
+    return {"basis": basis, "terms": [_term_record(fields, k, t._terms[k]) for k in t.support()]}
 
 
 def _terms_from_data(data, fields):
-    """Parse {basis, terms} into a dict from key to Fraction; returns (dict, basis)."""
+    """Parse {basis, terms} into {key: (num, den)}, not yet normalized; returns (dict, basis)."""
     if not isinstance(data, dict) or "basis" not in data or "terms" not in data:
         raise FormatError("$: expected an object with 'basis' and 'terms'")
     basis = _check_basis(data["basis"])
@@ -166,46 +167,42 @@ def tensor_from_data(data):
 # test algebras and map families as data
 
 
-def _rational_str(value: Fraction) -> str:
-    return str(value)
-
-
 @lru_cache(maxsize=4096)
-def _parse_rational(text: str) -> Fraction:
+def _parse_rational(text: str) -> tuple[int, int]:
     # a family file repeats a few strings ("0", "1") thousands of times;
     # a failed parse raises and is not cached
-    return Fraction(text)
+    return Fraction(text).as_integer_ratio()
 
 
-def _rational_from_str(data, path: str) -> Fraction:
-    if not isinstance(data, str):
-        raise FormatError(f"{path}: scalars must be exact rational strings like '-3/2'")
-    try:
-        return _parse_rational(data)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"{path}: {exc}") from None
+def _vector_data(terms, dim: int) -> list[str]:
+    out = ["0"] * dim
+    for k, (num, den) in terms.items():
+        out[k] = str(num) if den == 1 else f"{num}/{den}"  # the bytes of str(Fraction)
+    return out
 
 
-def _vector_data(vec) -> list[str]:
-    return [_rational_str(c) for c in vec]
-
-
-def _vector_from_data(data, dim: int, path: str) -> tuple:
+def _vector_from_data(data, dim: int, path: str) -> dict:
     if not isinstance(data, list) or len(data) != dim:
         raise FormatError(f"{path}: expected a list of {dim} rational strings")
-    return tuple(_rational_from_str(c, f"{path}[{k}]") for k, c in enumerate(data))
+    terms = {}
+    for k, text in enumerate(data):
+        if not isinstance(text, str):
+            raise FormatError(f"{path}[{k}]: scalars must be exact rational strings like '-3/2'")
+        try:
+            pair = _parse_rational(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FormatError(f"{path}[{k}]: {exc}") from None
+        if pair[0]:
+            terms[k] = pair
+    return terms
 
 
 def algebra_to_data(algebra: TestAlgebra) -> dict:
-    constants = [
-        [i, j, _vector_data(vec)]
-        for i, row in enumerate(algebra.table)
-        for j, vec in enumerate(row)
-        if any(vec)
-    ]
+    dim = algebra.dim
+    constants = [[a, b, _vector_data(prod, dim)] for a, b, prod in algebra._products]
     return {
         "labels": list(algebra.labels),
-        "unit": _vector_data(algebra.unit),
+        "unit": _vector_data(algebra._unit, dim),
         "structure_constants": constants,
     }
 
@@ -226,19 +223,19 @@ def algebra_from_data(data) -> TestAlgebra:
         if not (isinstance(entry, list) and len(entry) == 3):
             raise FormatError(f"{path}: expected [i, j, vector]")
         i, j, vec = entry
-        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < dim and 0 <= j < dim):
+        if not (type(i) is int and type(j) is int and 0 <= i < dim and 0 <= j < dim):
             raise FormatError(f"{path}: basis indices out of range")
         if (i, j) in products:
             raise FormatError(f"{path}: duplicate product entry ({i}, {j})")
         products[(i, j)] = _vector_from_data(vec, dim, f"{path}[2]")
     try:
-        return TestAlgebra.from_products(tuple(labels), unit, products)
+        return TestAlgebra._raw(labels, unit, products)
     except ValueError as exc:
         raise FormatError(f"$.algebra: {exc}") from None
 
 
 def _matrix_data(linmap: LinMap) -> dict:
-    return {"columns": [_vector_data(col) for col in linmap.columns]}
+    return {"columns": [_vector_data(col, linmap.dim) for col in linmap._columns]}
 
 
 def _matrix_from_data(data, dim: int, path: str) -> LinMap:
@@ -247,8 +244,8 @@ def _matrix_from_data(data, dim: int, path: str) -> LinMap:
     cols = data["columns"]
     if not isinstance(cols, list) or len(cols) != dim:
         raise FormatError(f"{path}.columns: expected {dim} columns")
-    return LinMap(
-        tuple(_vector_from_data(col, dim, f"{path}.columns[{k}]") for k, col in enumerate(cols))
+    return LinMap._raw(
+        _vector_from_data(col, dim, f"{path}.columns[{k}]") for k, col in enumerate(cols)
     )
 
 

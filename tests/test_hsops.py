@@ -294,6 +294,17 @@ def test_unit_failure_is_caught():
         TestAlgebra.from_products(("1", "a"), (0, 1), products)
 
 
+@pytest.mark.parametrize(
+    "bad", [(-1, 0), (0, -1), (2, 0), (0, 2), (True, 0), (0.0, 0), (0,), (0, 0, 0), 0], ids=repr
+)
+def test_from_products_rejects_pairs_outside_the_basis(bad):
+    # a negative index must not wrap around to the end of the basis; the bad key
+    # comes first, so a key equal to it, such as (1, 0) to (True, 0), keeps it
+    products = {bad: (0, 0), (0, 0): (1, 0), (0, 1): (0, 1), (1, 0): (0, 1)}
+    with pytest.raises(ValueError, match=re.escape(f"product index pair {bad!r} is outside")):
+        TestAlgebra.from_products(("1", "a"), (1, 0), products)
+
+
 def test_element_coercion():
     A = truncated_polynomial_algebra(2)
     assert A.element(["1/2", 0, 3]) == (F(1, 2), F(0), F(3))

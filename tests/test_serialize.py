@@ -5,16 +5,23 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nsymm import (
+    LinMap,
     NCPoly,
     QSPoly,
+    Tensor2,
+    TestAlgebra,
     coproduct,
+    free_hs_extend,
+    free_word_algebra,
     HopfFamily,
     inner_derivation,
     newton_p_left,
     taylor_hs,
+    truncated_polynomial_algebra,
     upper_triangular_algebra,
     z_in_pprime,
 )
+from nsymm.reports import _POLY_FIELDS, _TENSOR_FIELDS
 from nsymm.serialize import (
     FormatError,
     algebra_from_data,
@@ -279,3 +286,143 @@ def test_bad_coordinate_string_names_its_path(bad):
         with pytest.raises(FormatError) as info:
             family_from_data(data)
         assert str(info.value).startswith(f"$.maps[{t}].columns[{k}][{s}]: ")
+
+
+@pytest.mark.parametrize(
+    "parse, field", [(poly_from_data, "word"), (tensor_from_data, "left_word")]
+)
+@pytest.mark.parametrize("word", [[True], [1, True], [False]])
+def test_bool_in_word_names_its_path(parse, field, word):
+    # a JSON true is an int to Python, but it is not a letter
+    record = {"word": word, "left_word": word, "right_word": [], "coeff": ONE}
+    with pytest.raises(FormatError, match=rf"^\$\.terms\[0\]\.{field}: "):
+        parse({"basis": "Z", "terms": [record]})
+
+
+# --- oracle: the same data through the public dense face --------------------
+#
+# The codec reads and writes term maps; these reference codecs go through
+# .unit, .table, .columns, .items(), str(Fraction) and the public
+# constructors instead, so both must give the same data and the same values.
+
+
+def _ref_vector(vec):
+    return [str(c) for c in vec]
+
+
+def _ref_algebra_to_data(algebra):
+    return {
+        "labels": list(algebra.labels),
+        "unit": _ref_vector(algebra.unit),
+        "structure_constants": [
+            [i, j, _ref_vector(vec)]
+            for i, row in enumerate(algebra.table)
+            for j, vec in enumerate(row)
+            if any(vec)
+        ],
+    }
+
+
+def _ref_maps_to_data(algebra, maps, key):
+    return {
+        "algebra": _ref_algebra_to_data(algebra),
+        key: [{"columns": [_ref_vector(col) for col in m.columns]} for m in maps],
+    }
+
+
+def _ref_maps_from_data(data, key):
+    raw = data["algebra"]
+    algebra = TestAlgebra.from_products(
+        raw["labels"],
+        [Fraction(s) for s in raw["unit"]],
+        {(i, j): [Fraction(s) for s in vec] for i, j, vec in raw["structure_constants"]},
+    )
+    maps = tuple(LinMap([[Fraction(s) for s in col] for col in m["columns"]]) for m in data[key])
+    return algebra, maps
+
+
+def _ref_terms_to_data(t, basis, fields):
+    return {
+        "basis": basis,
+        "terms": [
+            {
+                **dict(zip(fields, map(list, (key,) if len(fields) == 1 else key))),
+                "coeff": {"num": str(c.numerator), "den": str(c.denominator)},
+            }
+            for key, c in t.items()
+        ],
+    }
+
+
+def _ref_terms_from_data(data, fields, kind):
+    terms = {}
+    for record in data["terms"]:
+        words = tuple(tuple(record[field]) for field in fields)
+        coeff = record["coeff"]
+        terms[words[0] if len(fields) == 1 else words] = Fraction(
+            int(coeff["num"]), int(coeff["den"])
+        )
+    return kind(terms)
+
+
+def _oracle_families():
+    fam = taylor_hs(6)
+    scaled = tuple(m.scale(Fraction(-3, 2)) for m in fam.maps)
+    free = free_word_algebra(4)  # dim 31
+    images = {("x", 1): {"y": 1}, ("x", 2): {"x": -2}, ("y", 1): {"xy": "3/4"}, ("y", 3): {"yy": 2}}
+    yield "taylor-6", fam.algebra, fam.maps, "maps"
+    yield "taylor-6-scaled", fam.algebra, scaled, "maps"
+    yield "free-31", free, free_hs_extend(images, free, nmaps=6).maps, "maps"
+    for algebra in (
+        truncated_polynomial_algebra(4),
+        upper_triangular_algebra(3),
+        free_word_algebra(2),
+    ):
+        elements = [
+            {label: Fraction(p, q) for label, p, q in zip(algebra.labels[1:], (-3, 5, 2), (2, 1, 7))},
+            {algebra.labels[-1]: Fraction(-1, 3)},
+        ]
+        inner = tuple(inner_derivation(algebra, m) for m in elements)
+        yield f"inner-dim{algebra.dim}", algebra, inner, "derivations"
+
+
+ORACLE_FAMILIES = {name: rest for name, *rest in _oracle_families()}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
+def test_family_codec_matches_the_dense_reference(name):
+    algebra, maps, key = ORACLE_FAMILIES[name]
+    write, read = (
+        (family_to_data, family_from_data)
+        if key == "maps"
+        else (derivations_to_data, derivations_from_data)
+    )
+    data = write(algebra, maps)
+    assert json.dumps(data) == json.dumps(_ref_maps_to_data(algebra, maps, key))
+    text = json.loads(json.dumps(data))
+    assert read(text) == _ref_maps_from_data(text, key) == (algebra, maps)
+
+
+ORACLE_TERMS = [
+    (NCPoly({(): "-1/2", (2, 1): 3, (1, 1, 1): "-7/3", (4,): "22/15"}), "Z", _POLY_FIELDS, NCPoly),
+    (z_in_pprime(5), "Pprime", _POLY_FIELDS, NCPoly),
+    (newton_p_left(4), "U", _POLY_FIELDS, NCPoly),
+    (QSPoly({(1, 2): "-5/6", (3,): 4, (): "1/9"}), "M", _POLY_FIELDS, QSPoly),
+    (coproduct(newton_p_left(3), HopfFamily.NSYMM), "Z", _TENSOR_FIELDS, Tensor2),
+    (Tensor2({((1,), (2, 1)): "-3/2", ((), ()): "1/4", ((3,), ()): -6}), "Z", _TENSOR_FIELDS, Tensor2),
+]
+
+
+@pytest.mark.parametrize("t, basis, fields, kind", ORACLE_TERMS)
+def test_term_codec_matches_the_dense_reference(t, basis, fields, kind):
+    write, read = (
+        (poly_to_data, poly_from_data)
+        if fields == _POLY_FIELDS
+        else (tensor_to_data, tensor_from_data)
+    )
+    data = write(t, basis)
+    assert json.dumps(data) == json.dumps(_ref_terms_to_data(t, basis, fields))
+    text = json.loads(json.dumps(data))
+    back, back_basis = read(text)
+    assert back_basis == basis and type(back) is kind
+    assert back == _ref_terms_from_data(text, fields, kind) == t
