@@ -133,19 +133,23 @@ NEWTON_VARIANTS = {
 # with n at the bound, at most 1.3 s and 61 MB at 15, 2.3 s and 109 MB at
 # 16; qsymm shuffle of the all-ones compositions that split the bound,
 # 1.1 s and 77 MB at 21, 2.0 s and 117 MB at 22.  For hs the degree bounds
-# the family order: every action on the Taylor family of that order on the
-# dim-128 truncated polynomial algebra (the cap below), median of 3, at
-# most 4.0 s and 53 MB at order 11 and 4.1 s and 53 MB at 12.
+# the family order: every action on a family of that order on each algebra
+# kind at the dimension cap below, median of 3: at most 3.6 s and 43 MB
+# at order 11 (the Taylor family at dim 144 3.6 s, the free word algebra
+# of dim 127 3.2 s), and 5.7 s and 48 MB at 12, where extract-partial on
+# the free word algebra fails the rule.
 COMMAND_CEILINGS = {"newton": 15, "explog": 15, "qsymm": 21, "hs": 11}
 
 # The largest algebra dimension that hs accepts, measured the same way on
 # its costliest actions (validate, extract-partial, build-from-partial and
 # the delta pair) with families of order 8.  The truncated polynomial
-# algebras, the densest tables of the catalog, cost the most: at most 3.5 s
-# and 52 MB at dim 128, 4.7 s and 66 MB at 144, 6.8 s and 83 MB at 160.
-# Upper-triangular algebras took 0.2 s and 33 MB at 120 (0.3 s at 136); free
-# word algebras 1.2 s and 33 MB at 127 (4.8 s and 66 MB at 255).
-HS_MAX_DIM = 128
+# algebras, the densest tables of the catalog, cost the most: at most 2.2 s
+# and 38 MB at dim 144, 3.2 s and 47 MB at 160, 4.5 s and 58 MB at 176.
+# 160 stays out because the two caps must hold together: the order-11
+# Taylor family there took 4.1 s.  Upper-triangular algebras took 0.3 s
+# and 21 MB at 153; free word algebras 1.0 s and 30 MB at 127 (4.4 s and
+# 70 MB at 255).
+HS_MAX_DIM = 144
 
 
 def _check_ceiling(args):

@@ -38,6 +38,17 @@ Storage is the kernel term-map format of nsymm.poly: the unit, each
 structure constant e_i e_j and each LinMap column is a sparse
 {basis index: (num, den)} map of normalized pairs with no zero entries,
 merged by the backend's add_scaled_into, so "is zero" is "is empty".
+The two law walks (_law_defect and the associativity check in
+TestAlgebra.__post_init__) are the exception: each sums into one flat
+dict keyed (pair, coordinate) with the rational multiply-add written
+inline, add_scaled_into's integer fast paths included.  A catalog
+structure constant is one basis term, so a kernel call there merges a
+one-term map, and the two calls per term (rat_mul, add_scaled_into) cost
+more than the arithmetic.  Inlined, with a unit one-term product copying
+its stored column as the seed d_n(e_a e_b), the law walk on the dim-128
+order-8 Taylor family took 0.24 s against 0.56-0.82 s, and associativity
+of that algebra 0.28-0.36 s against 0.52 s (in process, Python 3.11.7,
+2 vCPUs).
 Stored term maps are never mutated, so maps and algebras may share them.
 The catalog builds them directly and nsymm.serialize reads and writes
 them.  Fraction appears only in the dense tuples of the public face
@@ -48,10 +59,9 @@ coeff_pair coerces, refusing floats and bools.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, gcd
 from typing import Iterable, Mapping, Sequence
 
 from ._backend import kernels as _k
@@ -158,6 +168,9 @@ class TestAlgebra:
     def _build(self, labels, unit: Terms, products: Mapping) -> None:
         self.labels = tuple(labels)
         dim = len(self.labels)
+        if len(set(self.labels)) < dim:
+            repeated = next(l for k, l in enumerate(self.labels) if l in self.labels[:k])
+            raise ValueError(f"repeated basis label {repeated!r}")
         self._unit = unit
         self._table = tuple(tuple(products.get((i, j), {}) for j in range(dim)) for i in range(dim))
         # the nonzero structure constants (a, b, e_a e_b), in a-b order
@@ -172,26 +185,74 @@ class TestAlgebra:
             if _mul_into({}, table, self._unit, e) != e or _mul_into({}, table, e, self._unit) != e:
                 raise ValueError(f"unit law fails on basis element {self.labels[i]!r}")
         # For each i, (e_i e_j) e_k - e_i (e_j e_k) is summed over the nonzero
-        # products only, into one accumulator per pair (j, k) that they reach;
-        # a pair that none reaches has both sides zero.
+        # products only, into one flat accumulator whose key (j dim + k) dim + m
+        # holds the e_m coordinate on the pair (j, k); a pair that no product
+        # reaches has both sides zero.
         by_left = [[] for _ in range(dim)]  # by_left[a]: (b, e_a e_b), nonzero
-        by_support = [[] for _ in range(dim)]  # by_support[l]: (j dim + k, -[e_l](e_j e_k))
+        by_support = [[] for _ in range(dim)]  # by_support[l]: ((j dim + k) dim, -[e_l](e_j e_k))
         for a, b, prod in self._products:
             by_left[a].append((b, prod))
             for l, (num, den) in prod.items():
-                by_support[l].append((a * dim + b, (-num, den)))
+                by_support[l].append(((a * dim + b) * dim, -num, den))
         for i in range(dim):
-            acc: defaultdict[int, Terms] = defaultdict(dict)
+            acc = {}
             for j, prod in by_left[i]:  # (e_i e_j) e_k
-                for l, c in prod.items():
+                for l, (cn, cd) in prod.items():
                     for k, right in by_left[l]:
-                        _k.add_scaled_into(acc[j * dim + k], right, c)
+                        base = (j * dim + k) * dim
+                        for m, (pn, pd) in right.items():
+                            if cd == 1 and pd == 1:
+                                wn, wd = cn * pn, 1
+                            else:
+                                g1, g2 = gcd(cn, pd), gcd(pn, cd)
+                                wn, wd = (cn // g1) * (pn // g2), (cd // g2) * (pd // g1)
+                            key = base + m
+                            p = acc.get(key)
+                            if p is None:
+                                acc[key] = (wn, wd)
+                            elif wd == 1 and p[1] == 1:
+                                s = p[0] + wn
+                                if s:
+                                    acc[key] = (s, 1)
+                                else:
+                                    del acc[key]
+                            else:
+                                s = p[0] * wd + wn * p[1]
+                                if s:
+                                    d = p[1] * wd
+                                    g = gcd(s, d)
+                                    acc[key] = (s // g, d // g)
+                                else:
+                                    del acc[key]
             for l, left in by_left[i]:  # - e_i (e_j e_k)
-                for key, c in by_support[l]:
-                    _k.add_scaled_into(acc[key], left, c)
-            failures = [key for key, terms in acc.items() if terms]
-            if failures:
-                j, k = divmod(min(failures), dim)
+                items = left.items()
+                for base, cn, cd in by_support[l]:
+                    for m, (pn, pd) in items:
+                        if cd == 1 and pd == 1:
+                            wn, wd = cn * pn, 1
+                        else:
+                            g1, g2 = gcd(cn, pd), gcd(pn, cd)
+                            wn, wd = (cn // g1) * (pn // g2), (cd // g2) * (pd // g1)
+                        key = base + m
+                        p = acc.get(key)
+                        if p is None:
+                            acc[key] = (wn, wd)
+                        elif wd == 1 and p[1] == 1:
+                            s = p[0] + wn
+                            if s:
+                                acc[key] = (s, 1)
+                            else:
+                                del acc[key]
+                        else:
+                            s = p[0] * wd + wn * p[1]
+                            if s:
+                                d = p[1] * wd
+                                g = gcd(s, d)
+                                acc[key] = (s // g, d // g)
+                            else:
+                                del acc[key]
+            if acc:
+                j, k = divmod(min(acc) // dim, dim)
                 raise ValueError(
                     "associativity fails on basis triple "
                     f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})"
@@ -341,30 +402,70 @@ def _law_defect(algebra: TestAlgebra, maps: Sequence[LinMap]) -> tuple[int, int,
     if any(d.dim != dim for d in maps):
         raise ValueError("map and algebra dimensions differ")
     cols = [LinMap.identity(dim)._columns] + [d._columns for d in maps]
-    rows = []  # rows[k][a] = {i: coefficient of e_a in d_k(e_i)}
+    rows = []  # rows[k][a] = [(i, num, den)]: e_a has num/den in d_k(e_i)
     for columns in cols:
-        row = [{} for _ in range(dim)]
+        row = [[] for _ in range(dim)]
         for i, col in enumerate(columns):
-            for a, c in col.items():
-                row[a][i] = c
+            for a, (num, den) in col.items():
+                row[a].append((i, num, den))
         rows.append(row)
     for n in range(1, len(cols)):
-        acc = defaultdict(
-            dict, ((a * dim + b, _apply_into({}, cols[n], prod)) for a, b, prod in products)
-        )
+        # one flat accumulator: (i dim + j) dim + l holds the e_l coordinate
+        # of the defect on the pair (i, j)
+        acc = {}
+        for a, b, prod in products:
+            base = (a * dim + b) * dim
+            if len(prod) == 1 and _ONE in prod.values():  # e_a e_b = e_m: d_n(e_m) as stored
+                (m,) = prod
+                image = cols[n][m]
+            else:
+                image = _apply_into({}, cols[n], prod)
+            for l, c in image.items():
+                acc[base + l] = c
         for k in range(n + 1):
             left, right = rows[k], rows[n - k]
             for a, b, prod in products:
                 row_a, row_b = left[a], right[b]
                 if not (row_a and row_b):
                     continue
-                for i, (num, den) in row_a.items():
-                    c_i, base = (-num, den), i * dim
-                    for j, c_j in row_b.items():
-                        _k.add_scaled_into(acc[base + j], prod, _k.rat_mul(c_i, c_j))
-        failures = [key for key, terms in acc.items() if terms]
-        if failures:
-            return (n, *divmod(min(failures), dim))
+                terms = prod.items()
+                for i, an, ad in row_a:
+                    base_i = i * dim
+                    for j, bn, bd in row_b:
+                        # acc -= c_i c_j e_a e_b, merged as add_scaled_into
+                        # does; integer factors need no gcd
+                        if ad == 1 and bd == 1:
+                            cn, cd = -an * bn, 1
+                        else:
+                            g1, g2 = gcd(an, bd), gcd(bn, ad)
+                            cn, cd = -(an // g1) * (bn // g2), (ad // g2) * (bd // g1)
+                        base = (base_i + j) * dim
+                        for l, (pn, pd) in terms:
+                            if cd == 1 and pd == 1:
+                                wn, wd = cn * pn, 1
+                            else:
+                                g1, g2 = gcd(cn, pd), gcd(pn, cd)
+                                wn, wd = (cn // g1) * (pn // g2), (cd // g2) * (pd // g1)
+                            key = base + l
+                            p = acc.get(key)
+                            if p is None:
+                                acc[key] = (wn, wd)
+                            elif wd == 1 and p[1] == 1:
+                                s = p[0] + wn
+                                if s:
+                                    acc[key] = (s, 1)
+                                else:
+                                    del acc[key]
+                            else:
+                                s = p[0] * wd + wn * p[1]
+                                if s:
+                                    d = p[1] * wd
+                                    g = gcd(s, d)
+                                    acc[key] = (s // g, d // g)
+                                else:
+                                    del acc[key]
+        if acc:
+            return (n, *divmod(min(acc) // dim, dim))
     return None
 
 

@@ -213,6 +213,11 @@ def algebra_from_data(data) -> TestAlgebra:
     labels = data["labels"]
     if not isinstance(labels, list) or not labels or not all(isinstance(l, str) for l in labels):
         raise FormatError("$.algebra.labels: expected a nonempty list of strings")
+    first = {}
+    for k, label in enumerate(labels):
+        if label in first:
+            raise FormatError(f"$.algebra.labels[{k}]: label {label!r} repeats labels[{first[label]}]")
+        first[label] = k
     dim = len(labels)
     unit = _vector_from_data(data["unit"], dim, "$.algebra.unit")
     products = {}

@@ -277,6 +277,39 @@ def test_association_failure_with_zero_left_product_names_first_triple():
         TestAlgebra(A.labels, A.unit, table)
 
 
+def test_rational_basis_association_failure_names_first_triple():
+    # the structure constants and the unit have several rational terms; the
+    # change (f_1 f_2, f_1 f_3, f_2 f_2, f_2 f_3) += f_4 (u_2, -u_1) (u_3, -u_2)
+    # is orthogonal to the unit u on both sides, so the unit law still holds
+    A, _ = rational_basis_family()
+    assert oracle_associativity_failures(A.table) == []
+    u, v = A.unit, A.basis(4)
+    table = [list(row) for row in A.table]
+    for i, a in ((1, u[2]), (2, -u[1])):
+        for j, b in ((2, u[3]), (3, -u[2])):
+            table[i][j] = tuple(s + a * b * t for s, t in zip(table[i][j], v))
+    failures = oracle_associativity_failures(table)
+    assert len(failures) >= 2
+    first = "({}, {}, {})".format(*(A.labels[t] for t in failures[0]))
+    with pytest.raises(ValueError, match=re.escape(f"associativity fails on basis triple {first}")):
+        TestAlgebra(A.labels, A.unit, table)
+
+
+@pytest.mark.parametrize("build", ["init", "from_products"])
+def test_repeated_basis_label_is_rejected(build):
+    # 1, a, b with every product of a and b zero, labelled 1, a, a:
+    # element({"a": 1}) would pick one of the two, and a witness naming 'a'
+    # could mean either
+    zero = (0, 0, 0)
+    table = [[(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 0), zero, zero], [(0, 0, 1), zero, zero]]
+    with pytest.raises(ValueError, match=re.escape("repeated basis label 'a'")):
+        if build == "init":
+            TestAlgebra(("1", "a", "a"), (1, 0, 0), table)
+        else:
+            products = {(i, j): vec for i, row in enumerate(table) for j, vec in enumerate(row)}
+            TestAlgebra.from_products(("1", "a", "a"), (1, 0, 0), products)
+
+
 @pytest.mark.parametrize(
     "algebra",
     [truncated_polynomial_algebra(t) for t in (1, 3, 5)]
@@ -446,17 +479,38 @@ def _perturbed(maps, changes):
     return [LinMap(tuple(map(tuple, c))) for c in cols]
 
 
-LAW_FAMILIES = ("free-3", "truncated-6", "upper-3", "upper-4")
+LAW_FAMILIES = ("free-3", "truncated-6", "upper-3", "upper-4", "rational-6")
+
+
+@lru_cache(maxsize=None)
+def rational_basis_family(trunc=6):
+    """The Taylor family on Q[x]/(x^(trunc+1)) in the basis f_k = x^k + x^(k+1)/2.
+
+    Every catalog structure constant is one basis term with coefficient 1;
+    here most products have several rational terms and the unit is
+    sum_k (-1/2)^k f_k, so the law and associativity walks take their
+    rational and multi-term branches.
+    """
+    A, dim = truncated_polynomial_algebra(trunc), trunc + 1
+    to_x = LinMap([[F(int(r == k)) + F(int(r == k + 1), 2) for r in range(dim)] for k in range(dim)])
+    from_x = LinMap([[F(-1, 2) ** (r - k) if r >= k else F(0) for r in range(dim)] for k in range(dim)])
+    assert from_x @ to_x == LinMap.identity(dim)
+    f = to_x.columns
+    table = [[from_x.apply(A.mul(f[i], f[j])) for j in range(dim)] for i in range(dim)]
+    algebra = TestAlgebra(tuple(f"f{k}" for k in range(dim)), from_x.apply(A.unit), table)
+    return algebra, tuple(from_x @ d @ to_x for d in taylor_hs(trunc).maps)
 
 
 @lru_cache(maxsize=None)
 def law_family(name):
-    """(algebra, maps) of a valid family on one of the catalog algebras."""
+    """(algebra, maps) of a valid family on a catalog algebra or on the rational basis."""
     if name == "free-3":
         family = free_word_family()
         return family.algebra, family.maps
     if name == "truncated-6":
         return taylor_hs(6).algebra, taylor_hs(6).maps
+    if name == "rational-6":
+        return rational_basis_family()
     size, length = {"upper-3": (3, 4), "upper-4": (4, 3)}[name]
     A, seq = inner_sequence(size)
     return A, d_from_partial(seq[:length], A).maps
@@ -529,7 +583,7 @@ def test_law_walk_catches_a_defect_of_the_middle_terms_only(name, extra):
     assert hs_defect(algebra, bad) == failures[0]
 
 
-@pytest.mark.parametrize("name", ["truncated-6", "upper-3", "free-3"])
+@pytest.mark.parametrize("name", ["truncated-6", "upper-3", "free-3", "rational-6"])
 def test_law_walk_reports_the_first_of_failures_at_several_n(name):
     algebra, maps = law_family(name)
     rng = random.Random(f"several-{name}")

@@ -240,6 +240,13 @@ def test_algebra_bad_data_rejected(mutate):
         algebra_from_data(data)
 
 
+def test_repeated_label_names_its_path():
+    data = algebra_to_data(upper_triangular_algebra(3))
+    data["labels"][4] = "E12"
+    with pytest.raises(FormatError, match=r"^\$\.algebra\.labels\[4\]: label 'E12' repeats labels\[1\]$"):
+        algebra_from_data(data)
+
+
 def test_nonassociative_data_rejected():
     data = {
         "labels": ["1", "a", "b"],
