@@ -31,6 +31,7 @@ from nsymm import (
     u_of_z,
     z_in_pprime,
 )
+from nsymm import hsops
 from nsymm.hsops import ddx_matrix
 from nsymm.newton import c_coeff
 from nsymm.poly import _walks_from_suffix
@@ -603,6 +604,116 @@ def test_law_walk_reports_the_first_of_failures_at_several_n(name):
     assert hs_defect(algebra, fixed) == later[0]
 
 
+# --- the law walk on a generating set -----------------------------------------
+#
+# _law_defect walks only the pairs whose left index is a generator of the
+# algebra, and reruns the walk over every left index when that finds a
+# defect.  The tests below pin the generating sets, check independently
+# that they generate, and hold the restricted proof to the full walk.
+
+
+@pytest.mark.parametrize(
+    "make, generators",
+    [
+        (lambda: free_word_algebra(2), ["1", "x", "y"]),
+        (lambda: free_word_algebra(3), ["1", "x", "y"]),
+        (lambda: free_word_algebra(4), ["1", "x", "y"]),
+        (lambda: truncated_polynomial_algebra(2), ["1", "x"]),
+        (lambda: truncated_polynomial_algebra(3), ["1", "x"]),
+        (lambda: truncated_polynomial_algebra(4), ["1", "x"]),
+        (lambda: upper_triangular_algebra(2), ["E11", "E12", "E22"]),
+        (lambda: upper_triangular_algebra(3), ["E11", "E12", "E22", "E23", "E33"]),
+        (lambda: upper_triangular_algebra(4), ["E11", "E12", "E22", "E23", "E33", "E34", "E44"]),
+    ],
+)
+def test_catalog_generating_sets(make, generators):
+    A = make()
+    assert [A.labels[g] for g in A._generators] == generators
+
+
+def _covering_order(algebra):
+    """{u: (a, b)} covering each non-generator by e_a e_b = c e_u, a and b covered earlier.
+
+    Rescans the dense table until nothing changes, independently of the
+    worklist in hsops._generating_set.
+    """
+    table, dim = algebra.table, algebra.dim
+    covered = {g: None for g in algebra._generators}
+    changed = True
+    while changed:
+        changed = False
+        for a in list(covered):
+            for b in list(covered):
+                support = [u for u, c in enumerate(table[a][b]) if c]
+                if len(support) == 1 and support[0] not in covered and support[0] not in (a, b):
+                    covered[support[0]] = (a, b)
+                    changed = True
+    return covered
+
+
+@pytest.mark.parametrize("name", LAW_FAMILIES + ("free-4",))
+def test_every_non_generator_is_a_product_of_indices_covered_earlier(name):
+    algebra = free_word_algebra(4) if name == "free-4" else law_family(name)[0]
+    order = _covering_order(algebra)
+    assert sorted(order) == list(range(algebra.dim))
+    seen = set(algebra._generators)
+    for u, factors in order.items():
+        if factors is not None:
+            a, b = factors
+            assert a in seen and b in seen and u not in seen
+            seen.add(u)
+    assert len(algebra._generators) < algebra.dim  # the covering is exercised
+
+
+def _leibniz(defect):
+    """The pair of an order-1 law defect, as derivation_defect names it."""
+    return None if defect is None else defect[1:]
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("name", LAW_FAMILIES)
+def test_generator_proof_agrees_with_the_full_walk(name, seed):
+    algebra, maps = law_family(name)
+    rng = random.Random(f"generators-{name}-{seed}")
+    bad = _perturbed(maps, _seeded_changes(rng, len(maps), algebra.dim, 1 + seed % 3))
+    full = range(algebra.dim)
+    assert hs_defect(algebra, bad) == hsops._law_walk(algebra, bad, full)
+    assert derivation_defect(bad[0], algebra) == _leibniz(hsops._law_walk(algebra, bad[:1], full))
+    assert hs_defect(algebra, maps) is None and hsops._law_walk(algebra, maps, full) is None
+
+
+def test_law_walk_catches_a_defect_in_a_non_generator_column():
+    # d_2(xy) += y: xy = x y is not a generator, so no walked pair reads that
+    # column on the left; the law still fails, at (x, y), as with every left
+    # index walked
+    algebra, maps = law_family("free-3")
+    x, y, xy = (algebra.labels.index(label) for label in ("x", "y", "xy"))
+    assert xy not in algebra._generators
+    bad = _perturbed(maps, [(2, xy, y, F(1))])
+    assert hs_defect(algebra, bad) == (2, x, y) == oracle_hs_failures(algebra, bad)[0]
+
+
+def test_failing_generator_walk_reruns_over_every_left_index():
+    # d_1(E33) += E33 first fails on (E13, E33); E13 = E12 E23 is not a
+    # generator, and the generator walk alone names the later pair (E23, E33)
+    algebra, maps = law_family("upper-4")
+    E13, E23, E33 = (algebra.labels.index(label) for label in ("E13", "E23", "E33"))
+    bad = _perturbed(maps, [(1, E33, E33, F(1))])
+    assert hsops._law_walk(algebra, bad, algebra._generators) == (1, E23, E33)
+    assert hs_defect(algebra, bad) == (1, E13, E33) == oracle_hs_failures(algebra, bad)[0]
+    assert derivation_defect(bad[0], algebra) == (E13, E33)
+
+
+@pytest.mark.parametrize("name", ["free-3", "truncated-6"])
+def test_a_unit_column_is_walked_when_a_map_loads_it(name):
+    # the unit is skipped only while every map kills it
+    algebra, maps = law_family(name)
+    bad = _perturbed(maps, [(1, 0, 1, F(1))])
+    failures = oracle_hs_failures(algebra, bad)
+    assert failures[0][1] == 0
+    assert hs_defect(algebra, bad) == failures[0]
+
+
 def x2ddx(trunc):
     # the derivation x^2 d/dx: x^k -> k x^(k+1)
     return LinMap(
@@ -798,6 +909,13 @@ def test_family_accessors(inner_family):
     assert inner_family.order == 4
     assert inner_family.d(0) == LinMap.identity(inner_family.algebra.dim)
     assert inner_family.d(2) == inner_family.maps[1]
+
+
+@pytest.mark.parametrize("n", [-1, -4, 5])
+def test_family_accessor_rejects_levels_outside_the_family(n):
+    fam = taylor_hs(4)
+    with pytest.raises(ValueError, match=r"n must be in 0\.\.4"):
+        fam.d(n)
 
 
 # --- recursions against the composition sums ---------------------------------
