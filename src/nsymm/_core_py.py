@@ -12,10 +12,11 @@ place and leave their operands untouched.  ``add_scaled_into`` is the
 one loop that merges a term map into another: the sum, difference,
 negation and scaling kernels are each one call of it on a fresh dict.
 Only the two products and the quasi-shuffle keep merge loops of their
-own, inlined for speed.  Outside this module, the law walk and the
-associativity check of nsymm.hsops inline the same multiply-add over
-one-term structure constants, where a call per term cost more than its
-arithmetic.  Everything here is exact integer arithmetic — no floats.
+own, inlined for speed.  Outside this module, the law walk of
+nsymm.hsops, which also checks associativity, and its map product
+inline the same multiply-add over one-term structure constants, where
+a call per term cost more than its arithmetic.  Everything here is
+exact integer arithmetic — no floats.
 """
 
 from math import gcd

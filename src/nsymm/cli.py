@@ -134,7 +134,7 @@ NEWTON_VARIANTS = {
 # 16; qsymm shuffle of the all-ones compositions that split the bound,
 # 1.1 s and 77 MB at 21, 2.0 s and 117 MB at 22.  For hs the degree bounds
 # the family order: every action on a family of that order on each algebra
-# kind at the dimension cap below, median of 3: at most 3.1 s and 84 MB at
+# kind at the dimension cap below, median of 3: at most 2.2 s and 85 MB at
 # order 11 (the Taylor family at dim 160; the free word algebra of dim 127
 # 1.5 s and 41 MB).  At 12 those families took 2.8 s and 2.5 s, but a free
 # extension with two- and three-term images at every level took 33 s and
@@ -145,8 +145,8 @@ COMMAND_CEILINGS = {"newton": 15, "explog": 15, "qsymm": 21, "hs": 11}
 # its costliest actions (validate, extract-partial, build-from-partial and
 # the delta pair) with families of order 8 and 11.  The truncated
 # polynomial algebras, the densest tables of the catalog, cost the most:
-# at most 2.2 s and 81 MB at dim 160 (3.1 s and 84 MB at order 11), and
-# 2.4 s but 102 MB at 176, where the builds fail the memory bound.
+# at most 2.1 s and 83 MB at dim 160 (2.2 s and 85 MB at order 11), and
+# 2.8 s but 104 MB at 176, where the builds fail the memory bound.
 # Upper-triangular algebras took 0.3 s and 25 MB at 153 (0.5 s and 27 MB
 # at 171); free word algebras 0.7 s and 28 MB at 127 (2.2 s and 59 MB at
 # 255).

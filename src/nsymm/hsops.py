@@ -5,26 +5,20 @@ is checked associative and unital on construction.  A family
 (d_1, ..., d_L) of linear maps (d_0 = identity, implicit) is
 Hasse-Schmidt when d_n(ab) = sum_{k=0..n} d_k(a) d_{n-k}(b); that law
 and the plain Leibniz law are proved on ALL basis pairs, which by
-bilinearity is a complete proof at the given dimension.  The checks walk
-only the nonzero structure constants e_a e_b: both laws share one walk
-(_law_walk; Leibniz is the law of order 1), and associativity makes
-its own.  A pair or triple that no nonzero product reaches has both
+bilinearity is a complete proof at the given dimension.  One walk over
+the nonzero structure constants e_a e_b (_law_walk) proves all three
+laws: Leibniz is the law of order 1, and associativity is the law
+L_i(xy) = L_i(x) y of the left multiplications L_i(x) = e_i x, the sum
+cut to its k = n term.  A pair that no nonzero product reaches has both
 sides zero, so skipping it leaves the proof complete.
 
-A family is the algebra morphism D_t = sum_n d_n t^n from A to
-A[t]/(t^(L+1)), so like any morphism it is fixed by its values on
-generators (Reutenauer, ch. 1).  Each algebra computes once a generating
-set through its single-term products e_a e_b = c e_u, and _law_defect
-walks only the pairs whose left index is a generator; associativity
-carries the law to every other pair (the proof is in _law_defect).
-That is 3 of 63 left indices of free_word_algebra(5) (1, x and y, and
-the unit is not walked when every map kills it), 2 of
-truncated_polynomial_algebra(n) and 7 of 10 of upper_triangular_algebra(4);
-a multi-term basis just gets more generators.  Only a failing input
-pays for a second walk, over every left index, so the witness is the
-smallest failing pair at the first failing n, as before.  On the dim-63
-order-5 free extension hs_defect does 2,066 multiply-adds instead of
-10,763.
+Each algebra computes once a generating set through its single-term
+products e_a e_b = c e_u, and each law is walked from the generators
+only: associativity for their left multiplications L_g (the proof is in
+TestAlgebra.__post_init__), and a family, an algebra morphism from A to
+A[t]/(t^(L+1)), on the pairs whose left index is a generator (the proof
+is in _law_defect).  Only a failing input pays for a second walk, so
+each witness is the one that a walk over every index would name first.
 
 The conversions both ways between families and sequences of ordinary
 derivations mirror the symbolic layer, by recursions that share work
@@ -50,22 +44,14 @@ matching the module convention (Z_i Z_j) . a = Z_i (Z_j . a); the exact
 round-trips on noncommutative algebras pin that convention down.
 
 Storage is the kernel term-map format of nsymm.poly: the unit, each
-structure constant e_i e_j and each LinMap column is a sparse
+structure constant e_a e_b and each LinMap column is a sparse
 {basis index: (num, den)} map of normalized pairs with no zero entries,
 merged by the backend's add_scaled_into, so "is zero" is "is empty".
-The two law walks (_law_walk and the associativity check in
-TestAlgebra.__post_init__) are the exception: each sums into one flat
-dict keyed (pair, coordinate) with the rational multiply-add written
-inline, add_scaled_into's integer fast paths included, and so does the
-map product _compose_into, into which the Newton and length-graded
-recursions add each product in place.  A catalog
-structure constant is one basis term, so a kernel call there merges a
-one-term map, and the two calls per term (rat_mul, add_scaled_into) cost
-more than the arithmetic.  Inlined, with a unit one-term product copying
-its stored column as the seed d_n(e_a e_b), the law walk on the dim-128
-order-8 Taylor family took 0.24 s against 0.56-0.82 s, and associativity
-of that algebra 0.28-0.36 s against 0.52 s (in process, Python 3.11.7,
-2 vCPUs).
+The law walk and the map product _compose_into are the exception: each
+writes the rational multiply-add inline, add_scaled_into's integer fast
+paths included.  A catalog structure constant is one basis term, so a
+kernel call there merges a one-term map, and the two calls per term
+(rat_mul, add_scaled_into) cost more than the arithmetic.
 Stored term maps are never mutated, so maps and algebras may share them.
 The catalog builds them directly and nsymm.serialize reads and writes
 them.  Fraction appears only in the dense tuples of the public face
@@ -135,7 +121,7 @@ def _mul_into(acc: Terms, table, u: Terms, v: Terms, sign: int = 1) -> Terms:
     for i, (num, den) in u.items():
         row, a = table[i], (sign * num, den)
         for j, b in right:
-            prod = row[j]
+            prod = row.get(j)
             if prod:
                 _k.add_scaled_into(acc, prod, _k.rat_mul(a, b))
     return acc
@@ -149,11 +135,7 @@ def _apply_into(acc: Terms, columns, v: Terms) -> Terms:
 
 
 def _compose_into(acc: list, x, y, c=_ONE) -> list:
-    """Adds c times x after y, given as columns, to the columns acc; returns acc.
-
-    The multiply-add is written inline, as in _law_walk: a call of
-    add_scaled_into per entry of y cost more than its arithmetic.
-    """
+    """Adds c times x after y, given as columns, to the columns acc; returns acc."""
     cn, cd = c
     for acc_col, col in zip(acc, y):
         for j, (yn, yd) in col.items():
@@ -196,7 +178,7 @@ class TestAlgebra:
     """
 
     __test__ = False  # keep pytest from collecting this as a test class
-    __slots__ = ("labels", "_unit", "_table", "_products", "_generators")
+    __slots__ = ("labels", "_unit", "_table", "_generators")
 
     def __init__(self, labels, unit, table):
         dim = len(labels)
@@ -223,93 +205,54 @@ class TestAlgebra:
             repeated = next(l for k, l in enumerate(self.labels) if l in self.labels[:k])
             raise ValueError(f"repeated basis label {repeated!r}")
         self._unit = unit
-        self._table = tuple(tuple(products.get((i, j), {}) for j in range(dim)) for i in range(dim))
-        # the nonzero structure constants (a, b, e_a e_b), in a-b order
-        self._products = tuple((a, b, prod) for (a, b), prod in sorted(products.items()) if prod)
+        # _table[a]: {b: e_a e_b} for the nonzero products in b order, the nonzero columns of L_a
+        rows = [{} for _ in range(dim)]
+        for (a, b), prod in sorted(products.items()):
+            if prod:
+                rows[a][b] = prod
+        self._table = tuple(rows)
+        # the left factors on which associativity and the laws are walked
+        self._generators = _generating_set(self._table)
         self.__post_init__()
-        # the left indices on which _law_defect walks the laws
-        self._generators = _generating_set(dim, self._products)
 
     def __post_init__(self):
-        """Check the unit law and associativity on every basis triple."""
+        """Check the unit law on every basis element and associativity on every basis triple.
+
+        Associativity is the law L_i(e_j e_k) = L_i(e_j) e_k of the left
+        multiplications L_i(x) = e_i x, whose columns are the table rows,
+        walked by _law_walk on every pair (j, k) for the generators i only.
+        That proves it on every triple.  Write A(x, y, z) = (xy)z - x(yz),
+        and let e_u = c^-1 e_a e_b with A(a, ., .) = A(b, ., .) = 0.  Then
+
+            ((ab)y)z = (a(by))z    by A(a, b, y)
+                     = a((by)z)    by A(a, by, z)
+                     = a(b(yz))    by A(b, y, z)
+                     = (ab)(yz)    by A(a, b, yz),
+
+        so A(u, ., .) = 0, and by induction along the covering order of
+        _generating_set, A = 0.  The step uses only which single-term
+        products cover which index, not associativity.  If the walk fails
+        at the generator g0, it is run again for L_0, ..., L_g0; g0 fails,
+        so the first failing L_i names the first failing triple in i-j-k
+        order.
+        """
         dim, table = self.dim, self._table
         for i in range(dim):
             e = {i: _ONE}
             if _mul_into({}, table, self._unit, e) != e or _mul_into({}, table, e, self._unit) != e:
                 raise ValueError(f"unit law fails on basis element {self.labels[i]!r}")
-        # For each i, (e_i e_j) e_k - e_i (e_j e_k) is summed over the nonzero
-        # products only, into one flat accumulator whose key (j dim + k) dim + m
-        # holds the e_m coordinate on the pair (j, k); a pair that no product
-        # reaches has both sides zero.
-        by_left = [[] for _ in range(dim)]  # by_left[a]: (b, e_a e_b), nonzero
-        by_support = [[] for _ in range(dim)]  # by_support[l]: ((j dim + k) dim, -[e_l](e_j e_k))
-        for a, b, prod in self._products:
-            by_left[a].append((b, prod))
-            for l, (num, den) in prod.items():
-                by_support[l].append(((a * dim + b) * dim, -num, den))
-        for i in range(dim):
-            acc = {}
-            for j, prod in by_left[i]:  # (e_i e_j) e_k
-                for l, (cn, cd) in prod.items():
-                    for k, right in by_left[l]:
-                        base = (j * dim + k) * dim
-                        for m, (pn, pd) in right.items():
-                            if cd == 1 and pd == 1:
-                                wn, wd = cn * pn, 1
-                            else:
-                                g1, g2 = gcd(cn, pd), gcd(pn, cd)
-                                wn, wd = (cn // g1) * (pn // g2), (cd // g2) * (pd // g1)
-                            key = base + m
-                            p = acc.get(key)
-                            if p is None:
-                                acc[key] = (wn, wd)
-                            elif wd == 1 and p[1] == 1:
-                                s = p[0] + wn
-                                if s:
-                                    acc[key] = (s, 1)
-                                else:
-                                    del acc[key]
-                            else:
-                                s = p[0] * wd + wn * p[1]
-                                if s:
-                                    d = p[1] * wd
-                                    g = gcd(s, d)
-                                    acc[key] = (s // g, d // g)
-                                else:
-                                    del acc[key]
-            for l, left in by_left[i]:  # - e_i (e_j e_k)
-                items = left.items()
-                for base, cn, cd in by_support[l]:
-                    for m, (pn, pd) in items:
-                        if cd == 1 and pd == 1:
-                            wn, wd = cn * pn, 1
-                        else:
-                            g1, g2 = gcd(cn, pd), gcd(pn, cd)
-                            wn, wd = (cn // g1) * (pn // g2), (cd // g2) * (pd // g1)
-                        key = base + m
-                        p = acc.get(key)
-                        if p is None:
-                            acc[key] = (wn, wd)
-                        elif wd == 1 and p[1] == 1:
-                            s = p[0] + wn
-                            if s:
-                                acc[key] = (s, 1)
-                            else:
-                                del acc[key]
-                        else:
-                            s = p[0] * wd + wn * p[1]
-                            if s:
-                                d = p[1] * wd
-                                g = gcd(s, d)
-                                acc[key] = (s // g, d // g)
-                            else:
-                                del acc[key]
-            if acc:
-                j, k = divmod(min(acc) // dim, dim)
-                raise ValueError(
-                    "associativity fails on basis triple "
-                    f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})"
-                )
+
+        def walk(left_factors):
+            maps = [LinMap._raw(table[i].get(j, {}) for j in range(dim)) for i in left_factors]
+            return _law_walk(self, maps, range(dim), one_sided=True)
+
+        defect = walk(self._generators)
+        if defect is not None:
+            n, j, k = walk(range(self._generators[defect[0] - 1] + 1))
+            raise ValueError(
+                "associativity fails on basis triple "
+                f"({self.labels[n - 1]}, {self.labels[j]}, {self.labels[k]})"
+            )
 
     @property
     def dim(self) -> int:
@@ -321,7 +264,8 @@ class TestAlgebra:
 
     @property
     def table(self) -> tuple[tuple[Vector, ...], ...]:
-        return tuple(tuple(_dense(vec, self.dim) for vec in row) for row in self._table)
+        dim = self.dim
+        return tuple(tuple(_dense(row.get(j, {}), dim) for j in range(dim)) for row in self._table)
 
     def __eq__(self, other):
         if type(other) is not TestAlgebra:
@@ -440,7 +384,7 @@ def _combine(terms: Iterable[tuple], dim: int) -> list:
     return columns
 
 
-def _generating_set(dim: int, products) -> tuple[int, ...]:
+def _generating_set(table) -> tuple[int, ...]:
     """Basis indices from which single-term products reach every other one.
 
     A single-term product e_a e_b = c e_u (c != 0, a != u != b) covers u
@@ -449,17 +393,19 @@ def _generating_set(dim: int, products) -> tuple[int, ...]:
     so each product is looked at once per factor, and when that stalls
     the smallest uncovered index becomes a generator too.
     """
+    dim = len(table)
     target, pending = [], []  # per single-term product: e_u, and its uncovered factors
     uses = [[] for _ in range(dim)]  # uses[x]: the single-term products with factor e_x
-    for a, b, prod in products:
-        if len(prod) == 1:
-            (u,) = prod
-            if a != u != b:
-                factors = {a, b}
-                for x in factors:
-                    uses[x].append(len(target))
-                target.append(u)
-                pending.append(len(factors))
+    for a, row in enumerate(table):
+        for b, prod in row.items():
+            if len(prod) == 1:
+                (u,) = prod
+                if a != u != b:
+                    factors = {a, b}
+                    for x in factors:
+                        uses[x].append(len(target))
+                    target.append(u)
+                    pending.append(len(factors))
     reached = set(target)
     generators = [u for u in range(dim) if u not in reached]
     covered = [u not in reached for u in range(dim)]
@@ -494,32 +440,39 @@ def _law_rows(columns, indices) -> dict:
     return rows
 
 
-def _law_walk(algebra: TestAlgebra, maps: Sequence[LinMap], left) -> tuple[int, int, int] | None:
+def _law_walk(
+    algebra: TestAlgebra, maps: Sequence[LinMap], left, one_sided: bool = False
+) -> tuple[int, int, int] | None:
     """First (n, i, j) with i in left and d_n(e_i e_j) != sum_k d_k(e_i) d_{n-k}(e_j), or None.
 
-    d_n is maps[n-1], and d_0 the identity.  Each n is one walk over the
-    nonzero products e_a e_b, grouped by their left factor: it adds
-    d_n(e_a e_b) into the accumulator of the pair (a, b) for a in left,
-    then subtracts c_i c_j e_a e_b from that of (i, j) whenever e_a has
-    coefficient c_i in d_k(e_i), i in left, and e_b has c_j in
-    d_{n-k}(e_j).  A pair that no product reaches has both sides zero, so
-    by bilinearity this is a complete proof over the pairs (i, j) with i
-    in left; the witness is the smallest failing pair at the first
-    failing n.
+    d_n is maps[n-1], and d_0 the identity.  With one_sided the sum is cut
+    to its k = n term, d_n(e_i e_j) = d_n(e_i) e_j: associativity when the
+    d_n are left multiplications (see TestAlgebra.__post_init__).  Each n
+    is one walk over the nonzero products e_a e_b, grouped by their left
+    factor: it adds d_n(e_a e_b) into the accumulator of the pair (a, b)
+    for a in left, then subtracts c_i c_j e_a e_b from that of (i, j)
+    whenever e_a has coefficient c_i in d_k(e_i), i in left, and e_b has
+    c_j in d_{n-k}(e_j).  A pair that no product reaches has both sides
+    zero, so by bilinearity this is a complete proof over the pairs
+    (i, j) with i in left; the witness is the smallest failing pair at
+    the first failing n.
     """
-    dim, left = algebra.dim, tuple(left)
-    by_left = [[] for _ in range(dim)]  # by_left[a]: (b, e_a e_b), nonzero
-    for a, b, prod in algebra._products:
-        by_left[a].append((b, prod))
+    dim, left, table = algebra.dim, tuple(left), algebra._table
     cols = [LinMap.identity(dim)._columns] + [d._columns for d in maps]
-    rights = [_law_rows(columns, range(dim)) for columns in cols]
-    lefts = rights if len(left) == dim else [_law_rows(columns, left) for columns in cols]
+    # only the rows of the maps the law reads: with one_sided, d_n on the
+    # left and the identity on the right
+    if one_sided:
+        lefts = [None] + [_law_rows(columns, left) for columns in cols[1:]]
+        rights = [_law_rows(cols[0], range(dim))]
+    else:
+        rights = [_law_rows(columns, range(dim)) for columns in cols]
+        lefts = rights if len(left) == dim else [_law_rows(columns, left) for columns in cols]
     for n in range(1, len(cols)):
         # one flat accumulator: (i dim + j) dim + l holds the e_l coordinate
         # of the defect on the pair (i, j)
         acc = {}
         for a in left:
-            for b, prod in by_left[a]:
+            for b, prod in table[a].items():
                 base = (a * dim + b) * dim
                 if len(prod) == 1 and _ONE in prod.values():  # e_a e_b = e_m: d_n(e_m) as stored
                     (m,) = prod
@@ -528,10 +481,10 @@ def _law_walk(algebra: TestAlgebra, maps: Sequence[LinMap], left) -> tuple[int, 
                     image = _apply_into({}, cols[n], prod)
                 for l, c in image.items():
                     acc[base + l] = c
-        for k in range(n + 1):
+        for k in (n,) if one_sided else range(n + 1):
             right = rights[n - k]
             for a, row_a in lefts[k].items():
-                for b, prod in by_left[a]:
+                for b, prod in table[a].items():
                     row_b = right.get(b)
                     if row_b is None:
                         continue
@@ -583,7 +536,8 @@ def _law_defect(algebra: TestAlgebra, maps: Sequence[LinMap]) -> tuple[int, int,
     algebra's generators only.  That is a complete proof over every basis
     pair.  Write L(u, w) for the law on (u, w) at every n; it is linear in
     each argument.  Let e_u = c^-1 e_a e_b with L(a, .) and L(b, .) known.
-    By associativity, L(a, e_b e_w) and L(b, w),
+    By associativity, which TestAlgebra.__post_init__ proved on
+    construction without this law, L(a, e_b e_w) and L(b, w),
 
         d_n(e_a e_b e_w) = sum_k d_k(e_a) d_{n-k}(e_b e_w)
                          = sum_p (sum_{k+m=p} d_k(e_a) d_m(e_b)) d_{n-p}(e_w)
@@ -616,9 +570,7 @@ def derivation_defect(d: LinMap, algebra: TestAlgebra):
     """First basis pair (i, j) violating the Leibniz law, or None.
 
     The Leibniz law is the convolution law of order 1, so this is the
-    same complete proof over every basis pair as hs_defect: a derivation
-    is fixed by its values on generators, and the law is walked only on
-    the pairs whose left index is a generator of the algebra.
+    same complete proof over every basis pair as hs_defect.
     """
     defect = _law_defect(algebra, (d,))
     return None if defect is None else defect[1:]
@@ -632,11 +584,9 @@ def hs_defect(algebra: TestAlgebra, maps: Sequence[LinMap]):
     """First violated (n, i, j) of the convolution Leibniz law, or None.
 
     Complete check over every degree n <= len(maps) and every basis
-    pair, in exact arithmetic.  The family is an algebra morphism into
-    A[t]/(t^(L+1)), so it is walked on the pairs whose left index is a
-    generator of the algebra, and associativity proves the rest (see
-    _law_defect); the witness is the smallest failing pair at the first
-    failing n.
+    pair, in exact arithmetic, walked from the generators of the algebra
+    (see _law_defect); the witness is the smallest failing pair at the
+    first failing n.
     """
     return _law_defect(algebra, maps)
 

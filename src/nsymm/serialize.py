@@ -199,7 +199,9 @@ def _vector_from_data(data, dim: int, path: str) -> dict:
 
 def algebra_to_data(algebra: TestAlgebra) -> dict:
     dim = algebra.dim
-    constants = [[a, b, _vector_data(prod, dim)] for a, b, prod in algebra._products]
+    constants = [
+        [a, b, _vector_data(prod, dim)] for a, row in enumerate(algebra._table) for b, prod in row.items()
+    ]
     return {
         "labels": list(algebra.labels),
         "unit": _vector_data(algebra._unit, dim),

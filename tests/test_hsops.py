@@ -56,7 +56,8 @@ def _dense_mul(table, u, v):
             continue
         for j, b in right:
             for k, s in enumerate(table[i][j]):
-                acc[k] += a * b * s
+                if s:
+                    acc[k] += a * b * s
     return tuple(acc)
 
 
@@ -293,6 +294,60 @@ def test_rational_basis_association_failure_names_first_triple():
     assert len(failures) >= 2
     first = "({}, {}, {})".format(*(A.labels[t] for t in failures[0]))
     with pytest.raises(ValueError, match=re.escape(f"associativity fails on basis triple {first}")):
+        TestAlgebra(A.labels, A.unit, table)
+
+
+def _single_entry_perturbations(algebra):
+    """Every table with e_a e_b += e_t that keeps the unit law.
+
+    The change adds u_a e_t to u e_b and u_b e_t to e_a u, where u_a is the
+    coefficient of e_a in the unit u, so the unit law survives exactly
+    when u_a = u_b = 0.
+    """
+    base = algebra.table
+    outside = [i for i, c in enumerate(algebra.unit) if not c]
+    for a in outside:
+        for b in outside:
+            for t in range(algebra.dim):
+                table = [list(row) for row in base]
+                table[a][b] = tuple(c + int(s == t) for s, c in enumerate(table[a][b]))
+                yield tuple(tuple(row) for row in table)
+
+
+@pytest.mark.parametrize(
+    "algebra",
+    [upper_triangular_algebra(3), upper_triangular_algebra(4), free_word_algebra(2), truncated_polynomial_algebra(3)],
+    ids=lambda A: f"dim{A.dim}-{A.labels[1]}",
+)
+def test_single_entry_perturbations_name_the_oracle_triple(algebra):
+    # associativity is walked for the left multiplications of the generators
+    # only; a failing walk reruns for every left factor up to the failing
+    # generator, so the error names the oracle's first triple in i-j-k order
+    broken = 0
+    for table in _single_entry_perturbations(algebra):
+        failures = oracle_associativity_failures(table)
+        if not failures:
+            assert TestAlgebra(algebra.labels, algebra.unit, table).table == table
+            continue
+        broken += 1
+        first = "({}, {}, {})".format(*(algebra.labels[s] for s in failures[0]))
+        with pytest.raises(ValueError, match=re.escape(f"associativity fails on basis triple {first}")):
+            TestAlgebra(algebra.labels, algebra.unit, table)
+    assert broken
+
+
+def test_failing_generator_multiplication_reruns_over_every_left_factor():
+    # E23 E12 += E33 first fails on (E13, E23, E12); E13 = E12 E23 is not a
+    # generator, and the walk over the generators alone fails first at
+    # (E22, E23, E12)
+    A = upper_triangular_algebra(3)
+    e13, e22, e23, e12, e33 = (A.labels.index(label) for label in ("E13", "E22", "E23", "E12", "E33"))
+    assert e13 not in A._generators and e22 in A._generators
+    table = [list(row) for row in A.table]
+    table[e23][e12] = A.basis(e33)
+    failures = oracle_associativity_failures(table)
+    assert failures[0] == (e13, e23, e12) and (e22, e23, e12) in failures
+    with pytest.raises(ValueError, match=re.escape("associativity fails on basis triple (E13, E23, E12)")):
         TestAlgebra(A.labels, A.unit, table)
 
 
