@@ -21,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from ._backend import kernels as _k
 from .config import check_index
 from .poly import NCPoly
 from .words import check_composition, compositions_of
@@ -28,30 +29,32 @@ from .words import check_composition, compositions_of
 # Words of these polynomials are read in the P' alphabet.
 PBasisPoly = NCPoly
 
+_MINUS_ONE = (-1, 1)
+
 
 @lru_cache(maxsize=None)
 def _p_left(n: int) -> NCPoly:
-    p = NCPoly.generator(n).scale(n)
+    acc = {(n,): (n, 1)}
     for k in range(1, n):
-        p = p - NCPoly.generator(n - k) * _p_left(k)
-    return p
+        _k.mul_word_into(acc, {(n - k,): _MINUS_ONE}, _p_left(k)._terms)
+    return NCPoly._raw(acc)
 
 
 @lru_cache(maxsize=None)
 def _p_right(n: int) -> NCPoly:
-    p = NCPoly.generator(n).scale(n)
+    acc = {(n,): (n, 1)}
     for k in range(1, n):
-        p = p - _p_right(k) * NCPoly.generator(n - k)
-    return p
+        _k.mul_word_into(acc, _p_right(k)._terms, {(n - k,): _MINUS_ONE})
+    return NCPoly._raw(acc)
 
 
 @lru_cache(maxsize=None)
 def _z_in_pprime(n: int) -> PBasisPoly:
     # solve the right recursion for Z_n:  Z_n = (P'_n + sum P'_i Z_{n-i}) / n
-    acc = NCPoly.generator(n)
+    acc = {(n,): (1, 1)}
     for i in range(1, n):
-        acc = acc + NCPoly.generator(i) * _z_in_pprime(n - i)
-    return acc / n
+        _k.mul_word_into(acc, {(i,): (1, 1)}, _z_in_pprime(n - i)._terms)
+    return NCPoly._raw(acc) / n
 
 
 def newton_p_left(n: int, max_degree=None) -> NCPoly:

@@ -181,14 +181,15 @@ SUITES = {
 # (Python 3.11.7, pure-Python kernels, 2 vCPUs).  Measured there:
 # primitivity 0.9 s and 67 MB at 15, 2.0 s and 123 MB at 16; iso 3.1 s and
 # 96 MB at 15, 7.6 s and 187 MB at 16; newton-consistency 4.5 s at 16,
-# 9.4 s and 142 MB at 17; qsymm-hs 2.6 s at 11, 11.2 s and 170 MB at 12;
-# hopf-laws, which samples, 0.9 s and 85 MB at 20, where the compositions
-# it samples from double per degree.
+# 9.4 s and 142 MB at 17; qsymm-hs, which walks only the Lyndon left
+# factors, 1.5-1.9 s and 34 MB at 13, 4.6-5.1 s and 60 MB at 14 (three
+# fresh processes each, own peak VmHWM); hopf-laws, which samples, 0.9 s
+# and 85 MB at 20, where the compositions it samples from double per degree.
 CEILINGS = {
     "primitivity": 15,
     "newton-consistency": 16,
     "iso": 15,
-    "qsymm-hs": 11,
+    "qsymm-hs": 13,
     "hopf-laws": 20,
 }
 

@@ -26,6 +26,15 @@ def weight(word: Composition) -> int:
     return sum(word)
 
 
+def is_lyndon(word: Composition) -> bool:
+    """Whether a composition is a Lyndon word over the ordered positive integers.
+
+    That is: nonempty and lexicographically smaller than each of its proper
+    suffixes, where a proper prefix counts as smaller than the word.
+    """
+    return bool(word) and all(word < word[i:] for i in range(1, len(word)))
+
+
 def term_order_key(word: Composition):
     """The term order: by weight, then word length, then lexicographic.
 

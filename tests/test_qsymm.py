@@ -1,4 +1,6 @@
+import random
 from itertools import product
+from math import factorial, prod
 
 import pytest
 
@@ -21,6 +23,7 @@ from nsymm import (
 )
 from nsymm import qsymm
 from nsymm._backend import kernels
+from nsymm.words import is_lyndon
 
 M = QSPoly.monomial
 BASIS6 = compositions_up_to(6)
@@ -45,11 +48,11 @@ def test_quasi_shuffle_operator_is_the_product():
     assert 2 * M((1,)) == M((1,)).scale(2)
 
 
-@pytest.mark.parametrize("a", [c for c in BASIS6 if weight(c) <= 3])
+# Every pair of total weight <= 8: verify_hs_qsymm's proof rests on the
+# kernel's product being this associative, commutative one.
+@pytest.mark.parametrize("a", compositions_up_to(8))
 def test_duality_oracle_agrees(a):
-    for b in BASIS6:
-        if weight(a) + weight(b) > 6:
-            continue
+    for b in compositions_up_to(8 - weight(a)):
         assert quasi_shuffle(M(a), M(b)) == quasi_shuffle_by_duality(M(a), M(b))
 
 
@@ -186,10 +189,12 @@ def test_verify_hs_qsymm():
     assert len(report.checks) == 4
 
 
-# Oracle for verify_hs_qsymm: one walk over the basis pairs per n, with
+# Oracle for verify_hs_qsymm: one walk over every basis pair per n, with
 # the full convolution sum over k = 0..n for every pair.  It looks up
-# d_qsymm and quasi_shuffle on the module at call time, so a patched one
-# reaches both the oracle and the suite.
+# d_qsymm and quasi_shuffle on the module at call time.  The suite reads
+# every d_n through qsymm._last_parts, which d_qsymm also calls, and forms
+# every product with the kernel's quasi_shuffle_words, which quasi_shuffle
+# also calls: a perturbation patched into either reaches both.
 
 
 def leibniz_holds(n, mu, mv, max_degree):
@@ -224,22 +229,104 @@ def verify_hs_qsymm_per_n(max_degree):
 
 
 def untimed(report):
+    """The report's data without timings or pairs_checked, which the suite counts its own way."""
     data = report.to_data()
     for record in data["checks"]:
         del record["elapsed_us"]
+    del data["meta"]["pairs_checked"]
     return data
 
 
 def assert_matches_oracle(max_degree):
+    """Check that the suite's records equal the oracle's; return them and the suite's pairs_checked."""
     expected = untimed(verify_hs_qsymm_per_n(max_degree))
-    assert untimed(verify_hs_qsymm(max_degree)) == expected
-    return expected
+    report = verify_hs_qsymm(max_degree)
+    assert untimed(report) == expected
+    return expected, report.meta["pairs_checked"]
+
+
+def is_lyndon_by_rotations(w):
+    """Lyndon: nonempty and strictly smaller than each proper rotation."""
+    return bool(w) and all(w < w[i:] + w[:i] for i in range(1, len(w)))
+
+
+def generator_pairs(max_degree):
+    """The pairs (u, v) whose u is empty or Lyndon, of total weight <= max_degree."""
+    return sum(
+        len(compositions_up_to(max_degree - weight(u)))
+        for u in compositions_up_to(max_degree)
+        if not u or is_lyndon_by_rotations(u)
+    )
 
 
 @pytest.mark.parametrize("max_degree", range(1, 8))
 def test_verify_hs_qsymm_matches_per_n_oracle(max_degree):
-    expected = assert_matches_oracle(max_degree)
+    expected, pairs_checked = assert_matches_oracle(max_degree)
     assert expected["passed"]
+    # a passing run walks only the generator pairs, once for every n
+    assert pairs_checked == max_degree * generator_pairs(max_degree)
+
+
+def test_generator_pairs_pinned():
+    assert is_lyndon((1, 2)) and not is_lyndon((2, 1)) and not is_lyndon((1, 1))
+    assert [generator_pairs(d) for d in (8, 12)] == [710, 12911]
+    assert verify_hs_qsymm(8).meta["pairs_checked"] == 8 * 710
+
+
+def lyndon_factorization(w):
+    """The factors of w, each the longest Lyndon prefix of what is left."""
+    factors = []
+    while w:
+        k = max(i for i in range(1, len(w) + 1) if is_lyndon_by_rotations(w[:i]))
+        factors.append(w[:k])
+        w = w[k:]
+    return factors
+
+
+def test_lyndon_monomials_generate():
+    """The Lyndon M's generate: each M_w leads the product over its Lyndon factors.
+
+    The order: longer words lead, then lexicographically larger ones.  With
+    factors l_1 >= ... >= l_k the product is prod(m!) M_w plus earlier words,
+    where m runs over the multiplicities of the factors; by induction on
+    this order every M_w of weight <= 8 is a polynomial in the Lyndon M's.
+    """
+    for w in compositions_up_to(8):
+        assert is_lyndon(w) == is_lyndon_by_rotations(w)
+        if not w:
+            continue
+        factors = lyndon_factorization(w)
+        assert all(a >= b for a, b in zip(factors, factors[1:]))
+        generated = QSPoly.one()
+        for factor in factors:
+            generated = quasi_shuffle(generated, M(factor))
+        leading = max(generated.support(), key=lambda word: (len(word), word))
+        multiplicity = prod(factorial(factors.count(f)) for f in set(factors))
+        assert leading == w
+        assert generated.coeff(w) == multiplicity
+
+
+def perturb_d(monkeypatch, extra):
+    """Patch d_n to d_n + extra(n, terms), for the suite and the oracle alike.
+
+    extra(n, terms) gives a term map added to the image of the term map
+    ``terms`` under d_n.
+    """
+    real = qsymm._last_parts
+
+    def last_parts(terms, top):
+        images = real(terms, top)
+        for n in range(1, top + 1):
+            added = extra(n, terms)
+            if added:
+                image = kernels.add_terms(images.get(n, {}), added)
+                if image:
+                    images[n] = image
+                else:
+                    images.pop(n, None)
+        return images
+
+    monkeypatch.setattr(qsymm, "_last_parts", last_parts)
 
 
 def witnesses(data):
@@ -251,65 +338,103 @@ def witnesses(data):
 
 
 def test_oracle_agrees_when_n_fail_at_different_pairs(monkeypatch):
-    real = qsymm.d_qsymm
-
-    def d_qsymm(n, q):
-        # d_n also drops a leading part equal to n from length-2 keys
-        out = real(n, q)
-        extra = {w[1:]: c for w, c in q.items() if len(w) == 2 and w[0] == n}
-        return out + QSPoly(extra) if extra else out
-
-    monkeypatch.setattr(qsymm, "d_qsymm", d_qsymm)
-    data = assert_matches_oracle(6)
-    # n = 6 holds, so the walk runs to the end (256 pairs at degree 6)
+    # d_n also drops a leading part equal to n from length-2 keys
+    perturb_d(monkeypatch, lambda n, terms: {w[1:]: c for w, c in terms.items() if len(w) == 2 and w[0] == n})
+    data, pairs_checked = assert_matches_oracle(6)
+    # n = 6 holds, so the full walk runs to the end (256 pairs at degree 6)
     # while n = 1..5 stop early
     assert witnesses(data) == {n: ((1,), (n,)) for n in range(1, 6)}
-    assert data["meta"]["pairs_checked"] < 6 * 256
+    # the generator walk checks n = 6 on all its 161 pairs and n = 1..5 up to
+    # their witnesses (543 checks); n = 1 fails there, so the full walk runs
+    # again for every n (638 checks, as many as the oracle's)
+    assert pairs_checked == 543 + 638
 
 
 def test_oracle_agrees_when_every_n_fails_and_the_walk_ends_early(monkeypatch):
-    real = qsymm.d_qsymm
-
-    def d_qsymm(n, q):
-        # d_n(1) = 1 breaks the law for every n on the first pair (1, 1)
-        return real(n, q) + QSPoly.one().scale(q.coeff(()))
-
-    monkeypatch.setattr(qsymm, "d_qsymm", d_qsymm)
+    # d_n(1) = 1 breaks the law for every n on the first pair (1, 1)
+    perturb_d(monkeypatch, lambda n, terms: {(): terms[()]} if () in terms else {})
     for max_degree in (1, 3, 5):
-        data = assert_matches_oracle(max_degree)
+        data, pairs_checked = assert_matches_oracle(max_degree)
         assert witnesses(data) == {n: ((), ()) for n in range(1, max_degree + 1)}
-        assert data["meta"]["pairs_checked"] == max_degree
+        # one pair in each walk, checked for every n
+        assert pairs_checked == 2 * max_degree
 
-    real_product = qsymm.quasi_shuffle
+    real_product = kernels.quasi_shuffle_words
     factors = []
 
-    def quasi_shuffle(a, b, max_degree=None):
-        factors.append((a.degree, b.degree))
-        return real_product(a, b, max_degree)
+    def quasi_shuffle_words(u, v):
+        factors.append((u, v))
+        return real_product(u, v)
 
-    monkeypatch.setattr(qsymm, "quasi_shuffle", quasi_shuffle)
+    monkeypatch.setattr(kernels, "quasi_shuffle_words", quasi_shuffle_words)
     verify_hs_qsymm(5)
-    # the walk ends after the first pair, so it multiplies only units
-    assert factors and set(factors) == {(0, 0)}
+    # the walks end after the first pair, so they multiply only units
+    assert factors and set(factors) == {((), ())}
 
 
 def test_oracle_agrees_under_a_broken_quasi_shuffle(monkeypatch):
-    real = qsymm.quasi_shuffle
+    real = kernels.quasi_shuffle_words
 
-    def quasi_shuffle(a, b, max_degree=None):
+    def quasi_shuffle_words(u, v):
         # a bilinear perturbation: M_(1) * M_(1) gains an extra M_(1,1)
-        out = real(a, b, max_degree)
-        c = a.coeff((1,)) * b.coeff((1,))
-        return out + M((1, 1), c) if c else out
+        out = real(u, v)
+        return kernels.add_terms(out, {(1, 1): (1, 1)}) if u == v == (1,) else out
 
-    monkeypatch.setattr(qsymm, "quasi_shuffle", quasi_shuffle)
-    data = assert_matches_oracle(5)
+    monkeypatch.setattr(kernels, "quasi_shuffle_words", quasi_shuffle_words)
+    data, _ = assert_matches_oracle(5)
     assert witnesses(data)[1] == ((1,), (1,))
     assert not data["passed"]
 
 
+def random_perturbation(rng, max_degree):
+    """A few entries d_n(M_w) += c M_x, every w of length >= 2 and not Lyndon."""
+    non_lyndon = [w for w in compositions_up_to(max_degree) if len(w) >= 2 and not is_lyndon(w)]
+    table = {}
+    for _ in range(rng.randint(1, 3)):
+        w = rng.choice(non_lyndon)
+        n = rng.randint(1, max_degree)
+        x = rng.choice(compositions_up_to(max(weight(w) - n, 0)))
+        table.setdefault((n, w), {})[x] = (rng.choice([-2, -1, 1, 3]), 1)
+    return table
+
+
+def test_lyndon_walk_and_full_walk_agree_on_perturbed_d(monkeypatch):
+    """Perturb d_n on non-Lyndon M_w only: both walks give the same records for every n.
+
+    The generator walk alone must also fail first at the same n as the
+    oracle's full walk, as the argument in verify_hs_qsymm's docstring says.
+    """
+    rng = random.Random(20001)
+    cases = [{(2, (1, 1)): {(): (1, 1)}}]  # d_2(M_(1,1)) += 1: n = 1 still holds
+    cases += [random_perturbation(rng, 6) for _ in range(12)]
+    generators = [u for u in compositions_up_to(6) if not u or is_lyndon(u)]
+    first_failures = []
+    non_generator_witnesses = 0
+    for table in cases:
+
+        def extra(n, terms, table=table):
+            added = {}
+            for (m, w), image in table.items():
+                if m == n and w in terms:
+                    kernels.add_scaled_into(added, image, terms[w])
+            return added
+
+        with monkeypatch.context() as patch:
+            perturb_d(patch, extra)
+            data, _ = assert_matches_oracle(6)
+            found, _ = qsymm._law_walk(6, generators, range(1, 7))
+        failed = [r["degree"] for r in data["checks"] if not r["pass"]]
+        assert min(found, default=None) == min(failed, default=None)
+        first_failures.append(min(failed, default=None))
+        non_generator_witnesses += sum(1 for u, _ in witnesses(data).values() if u not in generators)
+    assert first_failures[0] == 2
+    assert None not in first_failures
+    # some witnesses exist only in the full walk, so the rerun is exercised
+    assert non_generator_witnesses > 0
+
+
 def test_memoized_product_keeps_the_degree_check():
-    qsymm._product_words((5,), (4,))  # cached at weight 9
+    qsymm._ProductMemo()[(5,), (4,)]  # memoized at weight 9
     assert quasi_shuffle(M((5,)), M((4,)), max_degree=9).coeff((9,)) == 1
     with pytest.raises(DegreeOverflowError):
         quasi_shuffle(M((5,)), M((4,)))
@@ -319,7 +444,8 @@ def test_memoized_product_keeps_the_degree_check():
 
 @pytest.mark.parametrize("u, v", [((2, 1), (1, 2)), ((1,), (1,)), ((), (3, 1)), ((1, 1, 1), (2,))])
 def test_arithmetic_leaves_the_memoized_product_unchanged(u, v):
-    cached = qsymm._product_words(u, v)
+    memo = qsymm._ProductMemo()
+    cached = memo[u, v]
     fresh = kernels.quasi_shuffle_words(u, v)
     assert cached == fresh
     product = M(u) * M(v)
@@ -337,17 +463,18 @@ def test_arithmetic_leaves_the_memoized_product_unchanged(u, v):
         -product,
     ]
     assert all(isinstance(r, QSPoly) for r in results)
-    assert qsymm._product_words(u, v) is cached
+    assert memo[u, v] is cached
     assert cached == fresh == kernels.quasi_shuffle_words(u, v)
     assert M(u) * M(v) == QSPoly(cached)
 
 
 def test_memoized_products_agree_with_duality():
+    memo = qsymm._ProductMemo()
     for a, b in product(BASIS6, repeat=2):
         if weight(a) + weight(b) > 6:
             continue
         for _ in range(2):  # a miss, then a hit
-            assert quasi_shuffle(M(a), M(b)) == quasi_shuffle_by_duality(M(a), M(b))
+            assert QSPoly(memo[a, b]) == quasi_shuffle_by_duality(M(a), M(b))
 
 
 def test_degree_overflow():
