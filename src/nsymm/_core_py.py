@@ -8,10 +8,12 @@ pair ``(num, den)``: arbitrary-precision ints, ``den >= 1``,
 This is the package's one kernel module (``nsymm._backend.kernels``);
 tests/test_rational_kernels.py holds it to a ``fractions.Fraction``
 model.  The ``*_into`` kernels add their result to an accumulator in
-place and leave their operands untouched.  ``add_scaled_into`` is the
-one loop that merges a term map into another: the sum, difference,
-negation and scaling kernels are each one call of it on a fresh dict.
-Only the two products and the quasi-shuffle keep merge loops of their
+place and leave their operands untouched; the two products add c times
+the product, with c folded into the coefficient of each term of the
+left factor.  ``add_scaled_into`` is the one loop that merges a term
+map into another: the sum, difference, negation and scaling kernels
+are each one call of it on a fresh dict, but scaling by one copies the
+map.  Only the two products and the quasi-shuffle keep merge loops of their
 own, inlined for speed.  Outside this module, the law walk of
 nsymm.hsops, which also checks associativity, and its map product
 inline the same multiply-add over one-term structure constants, where
@@ -82,7 +84,8 @@ def neg_terms(a):
 
 
 def scale_terms(a, c):
-    return _merged({}, a, c)
+    # a normalized map times one is a copy of it
+    return dict(a) if c == _ONE else _merged({}, a, c)
 
 
 def add_scaled_into(acc, terms, c):
@@ -128,9 +131,22 @@ def mul_tensor_terms(a, b):
     return out
 
 
-def mul_word_into(acc, a, b):
-    """acc += a * b under concatenation, in place; acc stays canonical."""
+def mul_word_into(acc, a, b, c=_ONE):
+    """acc += c * a * b under concatenation, in place; acc stays canonical.
+
+    c is folded into the coefficient of each term of a, once per term.
+    """
+    cn, cd = c
+    if cn == 0:
+        return
+    scaled = cn != 1 or cd != 1
     for ka, (an, ad) in a.items():
+        if scaled:
+            if ad == 1 and cd == 1:
+                an *= cn
+            else:
+                g1, g2 = gcd(an, cd), gcd(cn, ad)
+                an, ad = (an // g1) * (cn // g2), (ad // g2) * (cd // g1)
         unit = an == 1 and ad == 1
         for kb, vb in b.items():
             # exact fast paths: a unit factor copies the pair; integers need no gcd
@@ -163,9 +179,22 @@ def mul_word_into(acc, a, b):
                     acc[k] = (n // g, d // g)
 
 
-def mul_tensor_into(acc, a, b):
-    """acc += a * b componentwise on pair keys, in place; acc stays canonical."""
+def mul_tensor_into(acc, a, b, c=_ONE):
+    """acc += c * a * b componentwise on pair keys, in place; acc stays canonical.
+
+    c is folded into the coefficient of each term of a, once per term.
+    """
+    cn, cd = c
+    if cn == 0:
+        return
+    scaled = cn != 1 or cd != 1
     for (la, ra), (an, ad) in a.items():
+        if scaled:
+            if ad == 1 and cd == 1:
+                an *= cn
+            else:
+                g1, g2 = gcd(an, cd), gcd(cn, ad)
+                an, ad = (an // g1) * (cn // g2), (ad // g2) * (cd // g1)
         unit = an == 1 and ad == 1
         for (lb, rb), vb in b.items():
             # exact fast paths: a unit factor copies the pair; integers need no gcd

@@ -11,8 +11,8 @@ primitive coproduct into the binomial one; :func:`verify_iso` checks
 both facts mechanically at bounded degree.  A coefficient depends only
 on the length m of its word, so the quotients of z_of_u(n) below one
 first letter take 12 distinct values over n <= 12, and one shared
-evaluation of the family takes 364 products where one evaluation per
-degree takes 1,079.  Both expansions are built straight from their
+evaluation of the family takes 353 products where one evaluation per
+degree takes 1,024.  Both expansions are built straight from their
 coefficient pairs, which are in lowest terms.
 """
 

@@ -5,16 +5,17 @@ meaning the unit); LIEHOPF makes every generator primitive.  Both
 extend to words multiplicatively and to polynomials linearly.
 :func:`coproduct` evaluates that morphism on the trie of the support
 (``poly._evaluate``), so words that share a prefix share its work and
-each distinct quotient below a prefix is evaluated once.  For the left
-Newton primitive the quotient below the prefix (a) is -P_{n-a}, so the
-shared evaluation runs the Newton recursion P_n = n Z_n - sum Z_{n-k} P_k
-on its own: 133 products at degree 12 where the trie has 4,095 edges.
-The suites take the coproducts of a whole family at once
-(``_coproducts``), so the quotients are shared across degrees too: the
-left primitives of every n <= 12 take 144 products in all, against 584
-one degree at a time, and the right ones, walked from the suffix, 144
-against 1,574.  A primitivity defect looks each term of p (x) 1 + 1 (x) p
-up in the coproduct instead of building those tensors and subtracting.
+the quotients below prefixes that are equal up to a scalar are evaluated
+once.  For the left Newton primitive the quotient below the prefix (a)
+is -P_{n-a}, so the evaluation runs the Newton recursion
+P_n = n Z_n - sum Z_{n-k} P_k on its own: 78 products at degree 12, k
+for each P_k with k <= 12, where the trie has 4,095 edges.  The suites
+take the coproducts of a whole family at once (``_coproducts``), so the
+quotients are shared across degrees too: the left primitives of every
+n <= 12 take those 78 products in all, against 364 one degree at a
+time, and so do the right ones, walked from the suffix.  A primitivity
+defect looks each term of p (x) 1 + 1 (x) p up in the coproduct instead
+of building those tensors and subtracting.
 The word-by-word coproduct ``_word_coproduct`` serves the
 coassociativity check and the quasi-shuffle duality.
 """
@@ -68,8 +69,8 @@ def _check_degree(p: NCPoly, max_degree):
 def _coproducts(polys, family: HopfFamily, max_degree=None):
     """The coproducts of the polynomials, in order, from one shared evaluation.
 
-    A quotient that several of the polynomials share is evaluated once;
-    each coproduct is yielded as soon as it is formed.
+    A quotient that several of the polynomials share, up to a scalar, is
+    evaluated once; each coproduct is yielded as soon as it is formed.
     """
 
     def checked():

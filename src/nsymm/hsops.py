@@ -33,7 +33,11 @@ instead of sums over the 2^(n-1) compositions of n:
   d_n = sum_m E_m(n)/m! over partial.
 * A word polynomial acts by the algebra morphism of the free algebra
   fixed by Z_k -> d_k (Reutenauer, ch. 1), so operator_from_word_poly is
-  one poly._evaluate call on lists of map columns.  partial_from_d and
+  one poly._evaluate call on lists of map columns.  That call shares
+  quotients that are equal up to a scalar, and the quotient of
+  z_in_pprime(n) below its first letter i is z_in_pprime(n - i) / n, so
+  on z_in_pprime(n) it runs the Newton inversion in n(n + 1)/2 map
+  products, where the trie has 2^n - 1 edges.  partial_from_d and
   d_from_partial are the morphisms of u_of_z(n) and z_of_u(n), but those
   intern all 2^(n-1) words of each degree; on the Taylor family that
   doubled time and memory with each order (0.34 s and 47 MB against
@@ -783,17 +787,22 @@ def d_from_delta(deltas: Sequence[LinMap], algebra: TestAlgebra) -> HSFamily:
     """Rebuild the family by the Newton inversion.
 
     n*d_n = delta_1 d_{n-1} + ... + delta_{n-1} d_1 + delta_n, which equals
-    the sum over compositions r of n of c_coeff(r) * delta_r.
+    the sum over compositions r of n of c_coeff(r) * delta_r.  The sum is
+    taken with unit weights and then scaled by 1/n once.
     """
     deltas = tuple(deltas)
     _require_derivations(deltas, algebra, "delta")
     delta = [m._columns for m in deltas]
     maps: list[list] = []
     for n in range(1, len(delta) + 1):
-        w = (1, n)
-        acc = _combine(((w, delta[n - 1]),), algebra.dim)
+        acc = _combine(((_ONE, delta[n - 1]),), algebra.dim)
         for k in range(1, n):
-            _compose_into(acc, delta[k - 1], maps[n - k - 1], w)
+            _compose_into(acc, delta[k - 1], maps[n - k - 1])
+        # scaled by 1/n once, in place, so each column keeps its key order
+        for column in acc:
+            for i, (num, den) in column.items():
+                g = gcd(num, n)
+                column[i] = (num // g, den * (n // g))
         maps.append(acc)
     return HSFamily(algebra, tuple(LinMap._raw(columns) for columns in maps))
 
@@ -924,7 +933,9 @@ def operator_from_word_poly(p: NCPoly, maps: Sequence[LinMap], dim: int) -> LinM
     Words compose with the rightmost factor applied first; the empty
     word is the identity.  This is the algebra morphism fixed by
     Z_k -> maps[k-1]; poly._evaluate computes it with one map product per
-    distinct quotient of the support.
+    edge between the quotients of the support that are distinct up to a
+    scalar (n(n + 1)/2 of them for z_in_pprime(n)).  A lone root is never
+    scaled or copied, so no ``scaled`` is passed.
     """
     for m in maps:
         if m.dim != dim:

@@ -23,6 +23,8 @@ from typing import Mapping
 from ._backend import kernels as _k
 from .words import check_composition, term_order_key, weight
 
+_ONE = (1, 1)
+
 
 def coeff_pair(value) -> tuple[int, int]:
     """Coerce an int / Fraction / "n/d" string / (num, den) pair."""
@@ -212,8 +214,9 @@ class NCPoly(_TermMap):
 
         ``images`` is a callable or mapping from letter to NCPoly; the
         image of a word is the product of its letters' images.  Words
-        that share a prefix share its work, and equal quotients below
-        different prefixes are evaluated once (see :func:`_evaluate`).
+        that share a prefix share its work, and quotients below
+        different prefixes that are equal up to a scalar are evaluated
+        once (see :func:`_evaluate`).
         """
         (result,) = _substitutions([self], images)
         return result
@@ -223,8 +226,8 @@ def _substitutions(polys, images):
     """The images of the polynomials under one substitution, in order.
 
     All of them come from one :func:`_evaluate` call, so a quotient that
-    several of them share is evaluated once; each image is yielded as
-    soon as it is formed.
+    several of them share, up to a scalar, is evaluated once; each image
+    is yielded as soon as it is formed.
     """
     lookup = images.__getitem__ if isinstance(images, Mapping) else images
     return map(
@@ -254,25 +257,29 @@ def _walks_from_suffix(roots) -> bool:
     return len(below_last) < len(below_first)
 
 
-def _evaluate(roots, image, product_into, unit):
+def _evaluate(roots, image, product_into, unit, scaled=None):
     """Images of word-keyed term maps under one algebra morphism, in order.
 
     ``roots`` is a sequence of term maps and ``image(letter)`` gives a
     letter's image.  ``unit(c)`` returns a fresh accumulator holding c
-    times the image of the empty word (an empty one for ``c`` None), and
-    ``product_into(acc, x, y)`` adds x * y to an accumulator in place.
-    Images need not be term maps (``hsops`` uses lists of map columns).
-    This is a generator: it yields the image of each root in order, as
-    soon as that image is formed.
+    times the image of the empty word (an empty one for ``c`` None),
+    ``product_into(acc, x, y, c)`` adds c * x * y to an accumulator in
+    place, and ``scaled(x, c)`` returns a fresh c * x (by default, of a
+    term map); it is called only for a root that is a multiple of an
+    earlier quotient or that a later root reads, so never for a lone
+    root.  Images need not be term maps (``hsops`` uses lists of map
+    columns).  This is a generator: it yields the image of each root in
+    order, as soon as that image is formed.
 
     Writing Q_w for the quotient of a root below the prefix w (the terms
     c_{wv} v), the image is computed by the Horner rule
 
         image(Q_w) = unit(c_w) + sum_a image(a) * image(Q_{wa})
 
-    over the trie of the support, with cancellation at every node.  Equal
-    quotients have equal images, so each distinct quotient is evaluated
-    once, across all the roots, in two passes:
+    over the trie of the support, with cancellation at every node.
+    Quotients that are equal up to a nonzero scalar have images equal up
+    to that scalar, so each class of them is evaluated once, across all
+    the roots, in two passes:
 
     1. The words of each root are walked in lexicographic order, so that
        the subtree of each node is contiguous; ``path`` holds the letters
@@ -280,15 +287,35 @@ def _evaluate(roots, image, product_into, unit):
        ``path[:d]`` built so far, as ``[c_w or None, (letter, child id),
        ...]``.  Each closed node is interned by that key, children first,
        in one table for all the roots, so two nodes get one id exactly
-       when their quotients are equal; ``uses`` counts the distinct
-       parents that read each id, and each time a root is yielded.
-    2. The distinct nodes are evaluated in id order, so children come
-       first, by the Horner rule: one product per edge of the shared
-       graph instead of one per trie edge.  The nodes that root k added
-       to the table come after those of the roots before it, so root k is
-       yielded once they are evaluated, before any node that only a later
-       root needs.  An image is dropped after its last use, so only images
-       still to be read stay alive.
+       when their quotients are equal.  Each new id then gets its place
+       ``where[id] = (node, ratio)``: its quotient is ratio times that of
+       the node.  Its key with every child read as a multiple of a node
+       or as a constant, divided by its first coefficient, names its
+       class in ``classes``; the first quotient of a class is the class's
+       node, with its own coefficients and ratio 1, and a later one is
+       read as (that node, ratio).  This is done once per id, not once
+       per trie node.  A
+       constant is a node of its own, since its image costs no product;
+       reading it as a multiple would only move scalars onto the edges
+       above it.  ``uses`` counts the edges of the nodes that read each
+       node, and each time a root is yielded.
+    2. The nodes are evaluated in order, so children come first, by the
+       Horner rule: one ``product_into`` per edge, each with the ratio
+       of the child it reads, instead of one per trie edge.  The nodes
+       that root k added come after those of the roots before it, so
+       root k is yielded once they are evaluated, before any node that
+       only a later root needs.  An image is dropped after its last use,
+       so only images still to be read stay alive.  Each yielded image
+       belongs to the caller alone: a root that is a multiple of its
+       node is yielded through ``scaled``, and one that a later root
+       still reads as a copy.
+
+    Keeping the first quotient of a class as its node, instead of
+    normalizing every quotient, leaves a ratio other than 1 only on the
+    edges into a class that two quotients share.  Normalizing every node
+    would put a rational scalar on almost every edge of families whose
+    quotients merge with nothing, such as the exp/log expansions, and
+    take the products off their unit fast paths.
 
     The same rule works from the other end: writing R_w for the quotient
     above the suffix w (the terms c_{vw} v),
@@ -299,64 +326,99 @@ def _evaluate(roots, image, product_into, unit):
     quotients (the R_a) take fewer distinct values than their one-letter
     prefix quotients (the Q_a), and the prefix end on a tie.  It then
     walks the reversed words and multiplies as ``product_into(acc, child,
-    letter)``.  A lone homogeneous root of weight n whose words start and
-    end with every letter up to n ties (n quotients at each end), so a
-    single ``coproduct`` or ``substitute`` of the Newton primitives or
-    the exp/log expansions walks from the prefix.  The distinct one-letter
-    quotients of the families the suites evaluate, over n <= 12, and the
-    end that measured faster:
+    letter, c)``.  A lone homogeneous root of weight n whose words start
+    and end with every letter up to n ties (n quotients at each end), so
+    a single ``coproduct`` or ``substitute`` of the Newton primitives or
+    the exp/log expansions walks from the prefix.
 
-        family            prefix  suffix  end walked  faster end
-        newton_p_left         23      78  prefix      prefix
-        newton_p_right        78      23  suffix      suffix
-        z_of_u, u_of_z        12      12  prefix      prefix
-        z_in_pprime           78      78  prefix      prefix
+    The families that the suites evaluate take, over n <= 12 in one
+    evaluation each, these numbers of products at each end (exact
+    sharing only, as before, in brackets):
 
-    Counting all the distinct quotients at each end instead would pick
-    the suffix for ``z_in_pprime`` under the right primitives (1,874
-    quotients against 2,695, the roots included), which is the slower end
-    there: the quotient of z_in_pprime(n) below its first letter i is
-    z_in_pprime(n - i) / n, whose image is the single word Z_{n-i} / n.
-    It would also take a second interning pass.
+        family, evaluation          prefix        suffix       end walked
+        newton_p_left, coproducts     78  (144)    143   (583)  prefix
+        newton_p_right, coproducts   143  (583)     78   (144)  suffix
+        z_of_u, coproducts           353  (364)    353   (364)  prefix
+        z_in_pprime under P'          78 (5,266)   353 (2,972)  prefix
+        z_of_u, u_of_z under the
+          other's images             353  (364)    353   (364)  prefix
 
-    The Newton primitives and the exp/log expansions give each word a
-    coefficient that depends on a few statistics of the word, so their
-    4,096 words of degree 12 have only 44 to 134 distinct quotients.
-    Across n <= 12 the coproducts of the left primitives take 144
-    products in all, since the quotient of P_n below its first letter a
-    is -P_{n-a}: the table runs the Newton recursion.  Only the fresh
-    accumulators from ``unit`` are written to; the letter images (often
-    cached) and the images of shared quotients are only read, and a yielded
-    image is never written again.  The walk keeps its own stack, so a word
-    may be longer than the interpreter's recursion limit.
+    The Newton families run their recursions: the quotient of P_n below
+    its first letter a is -P_{n-a}, and that of z_in_pprime(n) below i is
+    z_in_pprime(n - i) / n, so each is a multiple of an earlier root and
+    root n takes n products, 1 + 2 + ... + 12 = 78 in all.  Few
+    quotients of the exp/log expansions are multiples of one another, so
+    sharing up to a scalar saves them 11 of 364 products.  In each case
+    the end walked is the one with fewer products.
+
+    Only the fresh accumulators from ``unit`` are written to; the letter
+    images (often cached) and the images of shared quotients are only
+    read, and a yielded image is never written again.  The walk keeps its
+    own stack, so a word may be longer than the interpreter's recursion
+    limit.
     """
+    if scaled is None:
+        scaled = _k.scale_terms
     roots = list(roots)
     from_suffix = _walks_from_suffix(roots)
     if from_suffix:
         roots = [{word[::-1]: pair for word, pair in terms.items()} for terms in roots]
 
     ids: dict = {}
+    where: list = []
+    classes: dict = {}
     nodes: list = []
     uses: list = []
     path: list = []
     frames: list = [[None]]
 
+    def add(node):
+        # a node to evaluate, read with ratio 1
+        nodes.append(node)
+        uses.append(0)
+        for _, child, _ in node[1:]:
+            uses[child] += 1
+        return len(nodes) - 1, _ONE
+
+    def place(key):
+        # (node, ratio) of a new exact quotient: a multiple of the
+        # representative of its class, or the first of a new class
+        coefficient = key[0]
+        if len(key) == 1:
+            # a constant, or the zero root, is a node of its own: its image
+            # costs no product
+            return add(key)
+        edges = tuple((letter, *where[child]) for letter, child in key[1:])
+        # each child as a multiple of a node with edges, or as a constant
+        values = [
+            (letter, node, ratio) if len(nodes[node]) > 1 else (letter, None, nodes[node][0])
+            for letter, node, ratio in edges
+        ]
+        num, den = first = coefficient or values[0][2]
+        inverse = (den, num) if num > 0 else (-den, -num)
+        normal = (coefficient and _ONE,) + tuple(
+            (letter, node, _k.rat_mul(ratio, inverse)) for letter, node, ratio in values
+        )
+        found = classes.get(normal)
+        if found is not None:
+            node, scale = found
+            return node, _k.rat_mul(first, scale)
+        classes[normal] = (len(nodes), inverse)
+        return add((coefficient, *edges))
+
     def intern(frame):
         key = tuple(frame)
-        node = ids.get(key)
-        if node is None:
-            node = ids[key] = len(nodes)
-            nodes.append(key)
-            uses.append(0)
-            for _, child in key[1:]:
-                uses[child] += 1
-        return node
+        exact = ids.get(key)
+        if exact is None:
+            exact = ids[key] = len(where)
+            where.append(place(key))
+        return exact
 
     def close(depth):
         # intern the nodes below depth and hand each id to its parent
         while len(path) > depth:
-            node = intern(frames.pop())
-            frames[-1].append((path.pop(), node))
+            exact = intern(frames.pop())
+            frames[-1].append((path.pop(), exact))
 
     def intern_root(terms):
         for word in sorted(terms):
@@ -370,15 +432,17 @@ def _evaluate(roots, image, product_into, unit):
                 frames.append([None])
             frames[-1][0] = terms[word]
         close(0)
-        root = intern(frames.pop())
+        root, ratio = where[intern(frames.pop())]
         frames.append([None])
         uses[root] += 1
-        return root
+        return root, ratio, len(nodes)
 
-    # (root id, number of nodes once the root is interned)
-    ends = [(root, len(nodes)) for root in map(intern_root, roots)]
+    # (root node, its ratio, number of nodes once the root is interned)
+    ends = list(map(intern_root, roots))
     del roots
     ids.clear()
+    where.clear()
+    classes.clear()
     nodes.reverse()
     images: list = []
 
@@ -392,23 +456,31 @@ def _evaluate(roots, image, product_into, unit):
 
     def evaluate(coefficient, *edges):
         acc = unit(coefficient)
-        for letter, child in edges:
+        for letter, child, ratio in edges:
             child_image = read(child)
             letter_image = image(letter)
             if child_image and letter_image:
                 if from_suffix:
-                    product_into(acc, child_image, letter_image)
+                    product_into(acc, child_image, letter_image, ratio)
                 else:
-                    product_into(acc, letter_image, child_image)
+                    product_into(acc, letter_image, child_image, ratio)
         return acc
 
-    # No image is held in a local of this frame and each node key is dropped
+    def release(node, ratio):
+        # a root's image, owned by the caller alone: scaled when the root is
+        # a multiple of its node, and copied when a later root still reads it
+        node_image = read(node)
+        if ratio != _ONE or images[node] is not None:
+            return scaled(node_image, ratio)
+        return node_image
+
+    # No image is held in a local of this frame and each node is dropped
     # once read, so while paused between roots the generator keeps only the
     # images that later roots still read.
-    for root, end in ends:
+    for root, ratio, end in ends:
         while len(images) < end:
             images.append(evaluate(*nodes.pop()))
-        yield read(root)
+        yield release(root, ratio)
 
 
 class Tensor2(_TermMap):

@@ -194,7 +194,7 @@ class _ProductMemo(dict):
         return product
 
 
-def _law_walk(max_degree: int, lefts, ns) -> tuple[dict, int]:
+def _law_walk(max_degree: int, lefts, ns, close_above=False) -> tuple[dict, int]:
     """Check the law for each n in ns on the pairs (M_u, M_v), u in lefts.
 
     v runs over every composition of weight <= max_degree - weight(u), in
@@ -207,8 +207,9 @@ def _law_walk(max_degree: int, lefts, ns) -> tuple[dict, int]:
     (u', v'), where ' drops the last part.
 
     Each n stops at its first failing pair, its witness, and the walk
-    ends once every n has failed.  Returns the witnesses by n and the
-    number of (pair, n) checks made.
+    ends once every n has failed.  With ``close_above``, a failing n also
+    stops every larger n, since only the first failing n is read.
+    Returns the witnesses by n and the number of (pair, n) checks made.
     """
     open_ns = set(ns)
     witnesses = {}
@@ -247,6 +248,8 @@ def _law_walk(max_degree: int, lefts, ns) -> tuple[dict, int]:
             for n in failed:
                 witnesses[n] = {"n": n, "left": list(u), "right": list(v)}
                 open_ns.remove(n)
+            if failed and close_above:
+                open_ns = {n for n in open_ns if n < min(failed)}
             if not open_ns:
                 return witnesses, checks
     return witnesses, checks
@@ -297,11 +300,12 @@ def verify_hs_qsymm(max_degree: int) -> Report:
     which has both properties.
 
     So the walk over the generators decides every n below n0, its first
-    failing n, and those n pass.  Every n >= n0 is walked again over all
-    pairs, in (weight, lex) order of u and then of v.  Each n then fails
-    at the pair where a walk over every pair first fails it, so each
-    record, pass or witness, is the one that walk gives.  A failing run
-    therefore costs both walks.
+    failing n, and those n pass; it stops every n at or above a failing n
+    at once, since nothing else is read from it.  Every n >= n0 is walked
+    again over all pairs, in (weight, lex) order of u and then of v.  Each
+    n then fails at the pair where a walk over every pair first fails it,
+    so each record, pass or witness, is the one that walk gives.  A
+    failing run therefore costs both walks.
 
     ``meta["pairs_checked"]`` counts the (pair, n) checks of both walks.
     The walks are shared, so their whole time is charged to the n = 1
@@ -314,7 +318,8 @@ def verify_hs_qsymm(max_degree: int) -> Report:
     def walk():
         every_u = compositions_up_to(max_degree)
         generators = [u for u in every_u if not u or is_lyndon(u)]
-        found, checks = _law_walk(max_degree, generators, range(1, max_degree + 1))
+        ns = range(1, max_degree + 1)
+        found, checks = _law_walk(max_degree, generators, ns, close_above=True)
         if found:
             found, more = _law_walk(max_degree, every_u, range(min(found), max_degree + 1))
             checks += more

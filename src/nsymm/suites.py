@@ -8,10 +8,12 @@ A suite that applies a morphism to a family of polynomials, one per
 degree, does so in one shared evaluation for the whole family and reads
 the images off it in degree order: the first record of the family also
 carries its set-up, and the record of degree n the quotients that degree
-n is the first to need.  Over n <= 12 this halves the primitivity suite
-(144 coproduct products per side, against 584 and 1,574 one degree at a
-time) and takes about a fifth off iso; newton-consistency, whose
-substitution shares few quotients, stays flat.
+n is the first to need.  The evaluation shares quotients that are equal
+up to a scalar, so the Newton families run their recursions: over
+n <= 12 each side of primitivity and the substitution of
+newton-consistency take 78 products, 1 + 2 + ... + 12, against 364 one
+degree at a time (and 5,266 for newton-consistency when only equal
+quotients were shared); each family of iso takes 353, against 1,024.
 """
 
 from __future__ import annotations

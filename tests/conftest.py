@@ -60,3 +60,82 @@ def near_twin_polys():
         NCPoly(terms)
         for terms in (exact, deep_coefficient, missing_word, nested, shared_child)
     ]
+
+
+_MULTIPLES = (-1, 3, Fraction(-2, 7), Fraction(5, 2))
+_STEMS = ((1,), (2,), (3,), (1, 2), (3, 1))
+
+
+def _scaled_twins(rng):
+    """Roots whose quotients below different stems are multiples of one another.
+
+    Two seeded tails each sit below two stems, scaled by -1, 3, -2/7 or
+    5/2, so some quotients are negative, integer and rational multiples
+    of others.  After them come a multiple of a tail (a quotient of the
+    roots before it), a multiple of the first root, a root that is a
+    multiple of a tail but for one coefficient, the zero root and a
+    constant root.
+    """
+    tails = [_trie_poly(rng, max_weight=4) for _ in range(2)]
+    roots = []
+    for _ in range(3):
+        terms = {}
+        for tail in tails:
+            for stem in rng.sample(_STEMS, 2):
+                scale = rng.choice(_MULTIPLES)
+                for word, coeff in tail.items():
+                    terms[stem + word] = terms.get(stem + word, 0) + scale * coeff
+        roots.append(NCPoly(terms))
+    near_miss = dict(tails[1].scale(rng.choice(_MULTIPLES)).items())
+    near_miss[max(near_miss)] += 1
+    roots += [
+        tails[0].scale(rng.choice(_MULTIPLES)),
+        roots[0].scale(rng.choice(_MULTIPLES)),
+        NCPoly(near_miss),
+        NCPoly.zero(),
+        NCPoly.scalar(rng.choice(_COEFFS)),
+    ]
+    return roots
+
+
+@pytest.fixture(scope="session")
+def scaled_twin_roots():
+    """Eight seeded root lists for one shared evaluation each (see _scaled_twins)."""
+    rng = random.Random(20118)
+    return [_scaled_twins(rng) for _ in range(8)]
+
+
+@pytest.fixture
+def record_scalars(monkeypatch):
+    """Patch module.name, a product_into(acc, x, y, c), to record each scalar c."""
+
+    def record(module, name):
+        scalars = []
+        real = getattr(module, name)
+
+        def product_into(acc, x, y, c=(1, 1)):
+            scalars.append(c)
+            return real(acc, x, y, c)
+
+        monkeypatch.setattr(module, name, product_into)
+        return scalars
+
+    return record
+
+
+@pytest.fixture
+def scalar_kinds():
+    """The kinds of the scalars: negative, integer other than +-1, non-integer."""
+
+    def kinds(scalars):
+        found = set()
+        for n, d in scalars:
+            if n < 0:
+                found.add("negative")
+            if d == 1 and abs(n) > 1:
+                found.add("integer")
+            if d > 1:
+                found.add("fraction")
+        return found
+
+    return kinds

@@ -25,6 +25,7 @@ from nsymm import (
     z_of_u,
 )
 from nsymm import _core_py as _k
+from nsymm import poly
 from nsymm.hopf import _coproducts, _primitive_residue, _word_coproduct
 from nsymm.poly import _walks_from_suffix
 
@@ -210,13 +211,14 @@ def test_coproduct_matches_oracle_on_near_twin_quotients(family, near_twin_polys
         assert coproduct(p, family) == _coproduct_oracle(p, family)
 
 
-# products per coproduct at degree 12, one per edge between distinct quotients
-# (the trie of the 4,096 compositions has 4,095 edges); below the prefix (a)
-# the left primitive has the quotient -P_{12-a}, up to the parity of the length
+# products per coproduct at degree 12, one per edge between quotients that are
+# distinct up to a scalar (the trie of the 4,096 compositions has 4,095
+# edges); below the prefix (a) the left primitive has the quotient -P_{12-a},
+# so the evaluation runs the Newton recursion in 12 + 11 + ... + 1 products
 PRODUCT_COUNTS = {
-    "newton_p_left": (newton_p_left, NS, 133),
-    "newton_p_right": (newton_p_right, NS, 463),
-    "z_of_u": (z_of_u, LH, 298),
+    "newton_p_left": (newton_p_left, NS, 78),
+    "newton_p_right": (newton_p_right, NS, 78),
+    "z_of_u": (z_of_u, LH, 288),
 }
 
 
@@ -264,11 +266,13 @@ def test_shared_coproducts_walked_from_the_suffix(family, near_twin_polys):
 
 
 # products for the coproducts of every n <= 12 in one evaluation, and the end
-# walked: the right primitives repeat their one-letter suffix quotients
+# walked: the right primitives repeat their one-letter suffix quotients.  The
+# quotients of each primitive are multiples of the primitives before it, so
+# the family takes the 78 products of its top degree alone
 SHARED_PRODUCT_COUNTS = {
-    "newton_p_left": (newton_p_left, NS, 144, False),
-    "newton_p_right": (newton_p_right, NS, 144, True),
-    "z_of_u": (z_of_u, LH, 364, False),
+    "newton_p_left": (newton_p_left, NS, 78, False),
+    "newton_p_right": (newton_p_right, NS, 78, True),
+    "z_of_u": (z_of_u, LH, 353, False),
 }
 
 
@@ -283,6 +287,73 @@ def test_shared_coproducts_products_count(monkeypatch, name):
     got = list(_coproducts(roots, family, max_degree=12))
     assert len(calls) == products
     assert got == [coproduct(p, family, max_degree=12) for p in roots]
+
+
+@pytest.mark.parametrize("from_suffix", [False, True])
+@pytest.mark.parametrize("family", [NS, LH])
+def test_shared_coproducts_match_oracle_on_scaled_quotients(
+    monkeypatch, record_scalars, scalar_kinds, from_suffix, family, scaled_twin_roots
+):
+    monkeypatch.setattr(poly, "_walks_from_suffix", lambda roots: from_suffix)
+    scalars = record_scalars(_k, "mul_tensor_into")
+    for roots in scaled_twin_roots:
+        got = list(_coproducts(roots, family))
+        assert got == [_coproduct_oracle(p, family) for p in roots]
+        assert len({id(image._terms) for image in got}) == len(got)
+    assert scalar_kinds(scalars) == {"negative", "integer", "fraction"}
+
+
+def _scaled_edges_oracle(roots):
+    """How many products of the shared evaluation carry a scalar other than 1.
+
+    The quotients are visited as the evaluator interns them: root by root,
+    children first, in letter order.  The first nonconstant quotient of
+    each class up to a scalar represents the class and takes one product
+    per child; that product carries a scalar other than 1 exactly when
+    the child is nonconstant and not itself the representative of its
+    class, that is, where two quotients merged.
+    """
+    seen, first = set(), {}
+    scaled = 0
+
+    def normal(q):
+        # q divided by the coefficient of its least word
+        c = q[min(q)]
+        return frozenset((word, coeff / c) for word, coeff in q.items())
+
+    def visit(q):
+        nonlocal scaled
+        children = {}
+        for word, coeff in q.items():
+            if word:
+                children.setdefault(word[0], {})[word[1:]] = coeff
+        for letter in sorted(children):
+            visit(children[letter])
+        exact = frozenset(q.items())
+        if not children or exact in seen:
+            return
+        seen.add(exact)
+        if first.setdefault(normal(q), exact) == exact:
+            scaled += sum(
+                1
+                for child in children.values()
+                if any(child) and first[normal(child)] != frozenset(child.items())
+            )
+
+    for p in roots:
+        visit(dict(p.items()))
+    return scaled
+
+
+@pytest.mark.parametrize("make", [z_of_u, u_of_z])
+def test_exp_log_products_scale_only_where_quotients_merge(record_scalars, make):
+    roots = [make(n, max_degree=10) for n in range(1, 11)]
+    assert not _walks_from_suffix([p._terms for p in roots])
+    scalars = record_scalars(_k, "mul_tensor_into")
+    list(_coproducts(roots, LH, max_degree=10))
+    merged = _scaled_edges_oracle(roots)
+    assert merged > 0
+    assert sum(c != (1, 1) for c in scalars) == merged
 
 
 def test_shared_coproducts_check_every_degree():

@@ -31,7 +31,7 @@ from nsymm import (
     u_of_z,
     z_in_pprime,
 )
-from nsymm import hsops
+from nsymm import hsops, poly
 from nsymm.hsops import ddx_matrix
 from nsymm.newton import c_coeff
 from nsymm.poly import _walks_from_suffix
@@ -945,6 +945,33 @@ def test_operator_walked_from_the_suffix_composes_in_order():
     got = operator_from_word_poly(p, seq, A.dim)
     assert got != oracle_operator_from_word_poly(p.reverse_words(), seq, A.dim)
     assert got == oracle_operator_from_word_poly(p, seq, A.dim)
+
+
+@pytest.mark.parametrize("from_suffix", [False, True])
+def test_operator_matches_oracle_on_scaled_quotients(
+    monkeypatch, record_scalars, scalar_kinds, from_suffix, scaled_twin_roots
+):
+    A, seq = inner_sequence(3)
+    monkeypatch.setattr(poly, "_walks_from_suffix", lambda roots: from_suffix)
+    scalars = record_scalars(hsops, "_compose_into")
+    for roots in scaled_twin_roots:
+        for p in roots:
+            expected = oracle_operator_from_word_poly(p, seq, A.dim)
+            assert operator_from_word_poly(p, seq, A.dim) == expected
+    assert scalar_kinds(scalars) == {"negative", "integer", "fraction"}
+
+
+def test_bridge_products_count(record_scalars):
+    # the quotient of z_in_pprime(n) below i is z_in_pprime(n - i) / n, so the
+    # bridge runs the Newton inversion: n(n + 1)/2 map products, 286 over n <= 11
+    family = taylor_hs(40, 40)
+    deltas = delta_from_d(family)
+    scalars = record_scalars(hsops, "_compose_into")
+    for n in range(1, 12):
+        before = len(scalars)
+        assert operator_from_word_poly(z_in_pprime(n, 11), deltas, 41) == family.d(n)
+        assert len(scalars) - before == n * (n + 1) // 2
+    assert len(scalars) == 286
 
 
 def test_operator_rejects_a_letter_without_a_map():

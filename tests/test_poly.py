@@ -20,6 +20,7 @@ from nsymm import (
     z_of_u,
 )
 from nsymm import _core_py as _k
+from nsymm import poly
 from nsymm.poly import _evaluate, _substitutions, _walks_from_suffix
 
 Z1 = NCPoly.generator(1)
@@ -286,9 +287,9 @@ def test_shared_quotient_is_evaluated_once_and_only_read():
     images = {1: Z1 + Z2, 2: NCPoly.one() - Z1, 3: Z2 * Z1}
     reads = []
 
-    def product_into(acc, letter_image, child_image):
+    def product_into(acc, letter_image, child_image, c):
         reads.append((acc, child_image, dict(child_image)))
-        _k.mul_word_into(acc, letter_image, child_image)
+        _k.mul_word_into(acc, letter_image, child_image, c)
 
     (got,) = _evaluate([p._terms], lambda k: images[k]._terms, product_into, _word_unit)
     assert NCPoly._raw(got) == _substitute_oracle(p, images)
@@ -348,14 +349,33 @@ def test_suffix_walk_equals_prefix_walk(family, near_twin_polys):
 
 
 def test_shared_substitution_products_count(monkeypatch):
-    # Z_n in the P' alphabet, with the right primitives put back, over n <= 12
+    # Z_n in the P' alphabet, with the right primitives put back, over n <= 12:
+    # the quotient of z_in_pprime(n) below i is z_in_pprime(n - i) / n, a
+    # multiple of an earlier root, so z_in_pprime(n) takes n products and
+    # the family 1 + 2 + ... + 12 = 78
     roots = [z_in_pprime(n, max_degree=12) for n in range(1, 13)]
     images = {k: newton_p_right(k, max_degree=12) for k in range(1, 13)}
     assert not _walks_from_suffix([p._terms for p in roots])
     calls = _count_calls(monkeypatch, "mul_word_into")
     got = list(_substitutions(roots, images))
-    assert len(calls) == 5266
+    assert len(calls) == 78
     assert got == [NCPoly.generator(n) for n in range(1, 13)]
+
+
+@pytest.mark.parametrize("from_suffix", [False, True])
+@pytest.mark.parametrize("family", ["affine", "z_of_u", "newton_p_right"])
+def test_shared_substitution_matches_oracle_on_scaled_quotients(
+    monkeypatch, record_scalars, scalar_kinds, from_suffix, family, scaled_twin_roots
+):
+    images = IMAGE_FAMILIES[family]
+    monkeypatch.setattr(poly, "_walks_from_suffix", lambda roots: from_suffix)
+    scalars = record_scalars(_k, "mul_word_into")
+    for roots in scaled_twin_roots:
+        got = list(_substitutions(roots, images))
+        assert got == [_substitute_oracle(p, images) for p in roots]
+        # every yielded image is a map of its own
+        assert len({id(image._terms) for image in got}) == len(got)
+    assert scalar_kinds(scalars) == {"negative", "integer", "fraction"}
 
 
 def test_yielded_image_is_not_written_later():

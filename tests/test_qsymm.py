@@ -344,10 +344,11 @@ def test_oracle_agrees_when_n_fail_at_different_pairs(monkeypatch):
     # n = 6 holds, so the full walk runs to the end (256 pairs at degree 6)
     # while n = 1..5 stop early
     assert witnesses(data) == {n: ((1,), (n,)) for n in range(1, 6)}
-    # the generator walk checks n = 6 on all its 161 pairs and n = 1..5 up to
-    # their witnesses (543 checks); n = 1 fails there, so the full walk runs
-    # again for every n (638 checks, as many as the oracle's)
-    assert pairs_checked == 543 + 638
+    # the generator walk checks every n on the 64 pairs of u = () and on
+    # ((1,), ()) and ((1,), (1,)), where n = 1 fails and closes every n
+    # (396 checks); the full walk then runs again for every n (638 checks,
+    # as many as the oracle's)
+    assert pairs_checked == 66 * 6 + 638
 
 
 def test_oracle_agrees_when_every_n_fails_and_the_walk_ends_early(monkeypatch):
@@ -422,7 +423,7 @@ def test_lyndon_walk_and_full_walk_agree_on_perturbed_d(monkeypatch):
         with monkeypatch.context() as patch:
             perturb_d(patch, extra)
             data, _ = assert_matches_oracle(6)
-            found, _ = qsymm._law_walk(6, generators, range(1, 7))
+            found, _ = qsymm._law_walk(6, generators, range(1, 7), close_above=True)
         failed = [r["degree"] for r in data["checks"] if not r["pass"]]
         assert min(found, default=None) == min(failed, default=None)
         first_failures.append(min(failed, default=None))

@@ -181,20 +181,21 @@ def small_maps(keys, min_size=0):
     return st.dictionaries(keys, small_pairs, min_size=min_size, max_size=5)
 
 
-def into_model(acc, a, b, concat):
+def into_model(acc, a, b, concat, c=(1, 1)):
     expected = model(acc)
     for ka, va in model(a).items():
         for kb, vb in model(b).items():
             k = concat(ka, kb)
-            expected[k] = expected.get(k, Fraction(0)) + va * vb
+            expected[k] = expected.get(k, Fraction(0)) + as_fraction(c) * va * vb
     return expected
 
 
-def check_into(kernel, acc, a, b, concat):
-    expected = into_model(acc, a, b, concat)
+def check_into(kernel, acc, a, b, concat, c=None):
+    """kernel(acc, a, b), or kernel(acc, a, b, c), against the model."""
+    expected = into_model(acc, a, b, concat, c or (1, 1))
     a_before, b_before = dict(a), dict(b)
     got = dict(acc)
-    assert kernel(got, a, b) is None
+    assert (kernel(got, a, b) if c is None else kernel(got, a, b, c)) is None
     check_same(got, expected)
     assert a == a_before and b == b_before
 
@@ -218,6 +219,22 @@ short_pairs = st.tuples(short_words, short_words)
 @given(small_maps(short_pairs, min_size=1), small_maps(short_pairs), small_maps(short_pairs))
 def test_mul_tensor_into_model(acc, a, b):
     check_into(K.mul_tensor_into, acc, a, b, concat_pairs)
+
+
+# the scalar argument: the unit, a sign, an integer and a rational
+SCALARS = [(1, 1), (-1, 1), (3, 1), (-2, 7)]
+
+
+@pytest.mark.parametrize("c", SCALARS)
+@given(small_maps(short_words, min_size=1), small_maps(short_words), small_maps(short_words))
+def test_mul_word_into_scaled_model(c, acc, a, b):
+    check_into(K.mul_word_into, acc, a, b, concat_words, c)
+
+
+@pytest.mark.parametrize("c", SCALARS)
+@given(small_maps(short_pairs, min_size=1), small_maps(short_pairs), small_maps(short_pairs))
+def test_mul_tensor_into_scaled_model(c, acc, a, b):
+    check_into(K.mul_tensor_into, acc, a, b, concat_pairs, c)
 
 
 @given(term_maps, term_maps)
@@ -270,6 +287,24 @@ def test_in_place_products_on_each_branch(case):
     got = doubled(acc)
     K.mul_tensor_into(got, doubled(a), doubled(b))
     assert got == doubled(after)
+
+
+@pytest.mark.parametrize("c", SCALARS)
+@pytest.mark.parametrize("case", sorted(INTO_BRANCHES))
+def test_scaled_products_on_each_branch(case, c):
+    acc, a, b, _ = INTO_BRANCHES[case]
+    check_into(K.mul_word_into, acc, a, b, concat_words, c)
+    check_into(K.mul_tensor_into, doubled(acc), doubled(a), doubled(b), concat_pairs, c)
+
+
+def test_scaled_products_by_zero_add_nothing():
+    acc, a, b, _ = INTO_BRANCHES["mixed rationals"]
+    got = dict(acc)
+    K.mul_word_into(got, a, b, (0, 1))
+    assert got == acc
+    got = doubled(acc)
+    K.mul_tensor_into(got, doubled(a), doubled(b), (0, 1))
+    assert got == doubled(acc)
 
 
 def test_evaluator_leaves_cached_images_unchanged():
