@@ -934,8 +934,9 @@ def operator_from_word_poly(p: NCPoly, maps: Sequence[LinMap], dim: int) -> LinM
     word is the identity.  This is the algebra morphism fixed by
     Z_k -> maps[k-1]; poly._evaluate computes it with one map product per
     edge between the quotients of the support that are distinct up to a
-    scalar (n(n + 1)/2 of them for z_in_pprime(n)).  A lone root is never
-    scaled or copied, so no ``scaled`` is passed.
+    scalar (n(n + 1)/2 of them for z_in_pprime(n)).  Its single root is
+    never yielded scaled or copied, so the column lists never reach
+    ``kernels.scale_terms``.
     """
     for m in maps:
         if m.dim != dim:

@@ -257,19 +257,19 @@ def _walks_from_suffix(roots) -> bool:
     return len(below_last) < len(below_first)
 
 
-def _evaluate(roots, image, product_into, unit, scaled=None):
+def _evaluate(roots, image, product_into, unit):
     """Images of word-keyed term maps under one algebra morphism, in order.
 
     ``roots`` is a sequence of term maps and ``image(letter)`` gives a
     letter's image.  ``unit(c)`` returns a fresh accumulator holding c
     times the image of the empty word (an empty one for ``c`` None),
     ``product_into(acc, x, y, c)`` adds c * x * y to an accumulator in
-    place, and ``scaled(x, c)`` returns a fresh c * x (by default, of a
-    term map); it is called only for a root that is a multiple of an
-    earlier quotient or that a later root reads, so never for a lone
-    root.  Images need not be term maps (``hsops`` uses lists of map
-    columns).  This is a generator: it yields the image of each root in
-    order, as soon as that image is formed.
+    place.  Images need not be term maps (``hsops`` uses lists of map
+    columns) as long as no root is a multiple of an earlier quotient or
+    read by a later root, since such a root is yielded through
+    ``kernels.scale_terms``; a lone root never is.  This is a generator:
+    it yields the image of each root in order, as soon as that image is
+    formed.
 
     Writing Q_w for the quotient of a root below the prefix w (the terms
     c_{wv} v), the image is computed by the Horner rule
@@ -304,11 +304,12 @@ def _evaluate(roots, image, product_into, unit, scaled=None):
        of the child it reads, instead of one per trie edge.  The nodes
        that root k added come after those of the roots before it, so
        root k is yielded once they are evaluated, before any node that
-       only a later root needs.  An image is dropped after its last use,
-       so only images still to be read stay alive.  Each yielded image
-       belongs to the caller alone: a root that is a multiple of its
-       node is yielded through ``scaled``, and one that a later root
-       still reads as a copy.
+       only a later root needs.  A node that nothing reads is skipped
+       (a constant child of a quotient that joined an earlier class),
+       and an image is dropped after its last use, so only images still
+       to be read stay alive.  Each yielded image belongs to the caller
+       alone: a root that is a multiple of its node is yielded scaled,
+       and one that a later root still reads as a copy.
 
     Keeping the first quotient of a class as its node, instead of
     normalizing every quotient, leaves a ratio other than 1 only on the
@@ -357,8 +358,6 @@ def _evaluate(roots, image, product_into, unit, scaled=None):
     own stack, so a word may be longer than the interpreter's recursion
     limit.
     """
-    if scaled is None:
-        scaled = _k.scale_terms
     roots = list(roots)
     from_suffix = _walks_from_suffix(roots)
     if from_suffix:
@@ -471,7 +470,7 @@ def _evaluate(roots, image, product_into, unit, scaled=None):
         # a multiple of its node, and copied when a later root still reads it
         node_image = read(node)
         if ratio != _ONE or images[node] is not None:
-            return scaled(node_image, ratio)
+            return _k.scale_terms(node_image, ratio)
         return node_image
 
     # No image is held in a local of this frame and each node is dropped
@@ -479,7 +478,8 @@ def _evaluate(roots, image, product_into, unit, scaled=None):
     # images that later roots still read.
     for root, ratio, end in ends:
         while len(images) < end:
-            images.append(evaluate(*nodes.pop()))
+            node = nodes.pop()
+            images.append(evaluate(*node) if uses[len(images)] else None)
         yield release(root, ratio)
 
 

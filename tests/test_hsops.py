@@ -961,17 +961,30 @@ def test_operator_matches_oracle_on_scaled_quotients(
     assert scalar_kinds(scalars) == {"negative", "integer", "fraction"}
 
 
-def test_bridge_products_count(record_scalars):
+def test_bridge_products_count(monkeypatch, record_scalars):
     # the quotient of z_in_pprime(n) below i is z_in_pprime(n - i) / n, so the
     # bridge runs the Newton inversion: n(n + 1)/2 map products, 286 over n <= 11
     family = taylor_hs(40, 40)
     deltas = delta_from_d(family)
     scalars = record_scalars(hsops, "_compose_into")
+    # unit images: one per class z_in_pprime(k), k <= n, and one per distinct
+    # constant that those classes read, n - 1 of them for n >= 2 (the classes
+    # of k = 1 and 2 read the same one); a constant below a later multiple of
+    # a class is read by no node and never evaluated
+    units = []
+    real = hsops._evaluate
+
+    def counting(roots, image, product_into, unit):
+        return real(roots, image, product_into, lambda c: (units.append(c), unit(c))[1])
+
+    monkeypatch.setattr(hsops, "_evaluate", counting)
     for n in range(1, 12):
-        before = len(scalars)
+        before, units_before = len(scalars), len(units)
         assert operator_from_word_poly(z_in_pprime(n, 11), deltas, 41) == family.d(n)
         assert len(scalars) - before == n * (n + 1) // 2
+        assert len(units) - units_before == max(2 * n - 1, 2)
     assert len(scalars) == 286
+    assert len(units) == 122
 
 
 def test_operator_rejects_a_letter_without_a_map():

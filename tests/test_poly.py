@@ -378,6 +378,47 @@ def test_shared_substitution_matches_oracle_on_scaled_quotients(
     assert scalar_kinds(scalars) == {"negative", "integer", "fraction"}
 
 
+class _ReadEvenIfEmpty(dict):
+    """An accumulator that the evaluator reads even when it cancels to zero."""
+
+    def __bool__(self):
+        return True
+
+
+@pytest.mark.parametrize("from_suffix", [False, True])
+def test_every_evaluated_image_is_read(monkeypatch, from_suffix, scaled_twin_roots):
+    # a constant below a quotient that joins an earlier class is read by no
+    # node, so it is skipped: every accumulator from unit is read by a
+    # product, scaled at release or yielded
+    monkeypatch.setattr(poly, "_walks_from_suffix", lambda roots: from_suffix)
+    made, read = [], {}
+    real_scale = _k.scale_terms
+
+    def unit(c):
+        made.append(_ReadEvenIfEmpty(_word_unit(c)))
+        return made[-1]
+
+    def product_into(acc, x, y, c):
+        read.update({id(x): x, id(y): y})
+        _k.mul_word_into(acc, x, y, c)
+
+    def scale_terms(terms, c):
+        read[id(terms)] = terms
+        return real_scale(terms, c)
+
+    monkeypatch.setattr(_k, "scale_terms", scale_terms)
+    images = IMAGE_FAMILIES["affine"]
+    z_family = [z_in_pprime(n, max_degree=12) for n in range(1, 13)]
+    for roots in [*scaled_twin_roots, z_family]:
+        made.clear()
+        read.clear()
+        terms = [p._terms for p in roots]
+        got = list(_evaluate(terms, lambda k: images(k)._terms, product_into, unit))
+        assert [NCPoly._raw(dict(g)) for g in got] == [_substitute_oracle(p, images) for p in roots]
+        read.update((id(g), g) for g in got)
+        assert all(read.get(id(acc)) is acc for acc in made)
+
+
 def test_yielded_image_is_not_written_later():
     # the image of q is yielded first, then read as a child of the second root
     # and yielded again
