@@ -9,8 +9,10 @@ This is the package's one kernel module (``nsymm._backend.kernels``);
 tests/test_rational_kernels.py holds it to a ``fractions.Fraction``
 model.  The ``*_into`` kernels add their result to an accumulator in
 place and leave their operands untouched; the two products add c times
-the product, with c folded into the coefficient of each term of the
-left factor.  ``add_scaled_into`` is the one loop that merges a term
+the product.  Their outer loop runs over the shorter factor, with c
+folded into the coefficient of each of its terms, and the inner loop
+over the longer one; each key is still the left factor's key followed
+by the right factor's.  ``add_scaled_into`` is the one loop that merges a term
 map into another: the sum, difference, negation and scaling kernels
 are each one call of it on a fresh dict, but scaling by one copies the
 map.  Only the two products and the quasi-shuffle keep merge loops of their
@@ -134,31 +136,72 @@ def mul_tensor_terms(a, b):
 def mul_word_into(acc, a, b, c=_ONE):
     """acc += c * a * b under concatenation, in place; acc stays canonical.
 
-    c is folded into the coefficient of each term of a, once per term.
+    c is folded into the coefficient of each term of the shorter factor,
+    which the outer loop runs over; the key stays the left one's plus the
+    right one's.
     """
     cn, cd = c
     if cn == 0:
         return
     scaled = cn != 1 or cd != 1
-    for ka, (an, ad) in a.items():
+    if len(a) > len(b):
+        for kb, (on, od) in b.items():
+            if scaled:
+                if od == 1 and cd == 1:
+                    on *= cn
+                else:
+                    g1, g2 = gcd(on, cd), gcd(cn, od)
+                    on, od = (on // g1) * (cn // g2), (od // g2) * (cd // g1)
+            unit = on == 1 and od == 1
+            for ka, v in a.items():
+                # exact fast paths: a unit factor copies the pair; integers need no gcd
+                if unit:
+                    wn, wd = v
+                elif od == 1 and v[1] == 1:
+                    wn, wd = on * v[0], 1
+                else:
+                    g1 = gcd(on, v[1])
+                    g2 = gcd(v[0], od)
+                    wn = (on // g1) * (v[0] // g2)
+                    wd = (od // g2) * (v[1] // g1)
+                k = ka + kb
+                p = acc.get(k)
+                if p is None:
+                    acc[k] = (wn, wd)
+                elif wd == 1 and p[1] == 1:
+                    n = p[0] + wn
+                    if n:
+                        acc[k] = (n, 1)
+                    else:
+                        del acc[k]
+                else:
+                    n = p[0] * wd + wn * p[1]
+                    if n == 0:
+                        del acc[k]
+                    else:
+                        d = p[1] * wd
+                        g = gcd(n, d)
+                        acc[k] = (n // g, d // g)
+        return
+    for ka, (on, od) in a.items():
         if scaled:
-            if ad == 1 and cd == 1:
-                an *= cn
+            if od == 1 and cd == 1:
+                on *= cn
             else:
-                g1, g2 = gcd(an, cd), gcd(cn, ad)
-                an, ad = (an // g1) * (cn // g2), (ad // g2) * (cd // g1)
-        unit = an == 1 and ad == 1
-        for kb, vb in b.items():
+                g1, g2 = gcd(on, cd), gcd(cn, od)
+                on, od = (on // g1) * (cn // g2), (od // g2) * (cd // g1)
+        unit = on == 1 and od == 1
+        for kb, v in b.items():
             # exact fast paths: a unit factor copies the pair; integers need no gcd
             if unit:
-                wn, wd = vb
-            elif ad == 1 and vb[1] == 1:
-                wn, wd = an * vb[0], 1
+                wn, wd = v
+            elif od == 1 and v[1] == 1:
+                wn, wd = on * v[0], 1
             else:
-                g1 = gcd(an, vb[1])
-                g2 = gcd(vb[0], ad)
-                wn = (an // g1) * (vb[0] // g2)
-                wd = (ad // g2) * (vb[1] // g1)
+                g1 = gcd(on, v[1])
+                g2 = gcd(v[0], od)
+                wn = (on // g1) * (v[0] // g2)
+                wd = (od // g2) * (v[1] // g1)
             k = ka + kb
             p = acc.get(k)
             if p is None:
@@ -182,31 +225,72 @@ def mul_word_into(acc, a, b, c=_ONE):
 def mul_tensor_into(acc, a, b, c=_ONE):
     """acc += c * a * b componentwise on pair keys, in place; acc stays canonical.
 
-    c is folded into the coefficient of each term of a, once per term.
+    c is folded into the coefficient of each term of the shorter factor,
+    which the outer loop runs over; the key stays the left one's plus the
+    right one's.
     """
     cn, cd = c
     if cn == 0:
         return
     scaled = cn != 1 or cd != 1
-    for (la, ra), (an, ad) in a.items():
+    if len(a) > len(b):
+        for (lb, rb), (on, od) in b.items():
+            if scaled:
+                if od == 1 and cd == 1:
+                    on *= cn
+                else:
+                    g1, g2 = gcd(on, cd), gcd(cn, od)
+                    on, od = (on // g1) * (cn // g2), (od // g2) * (cd // g1)
+            unit = on == 1 and od == 1
+            for (la, ra), v in a.items():
+                # exact fast paths: a unit factor copies the pair; integers need no gcd
+                if unit:
+                    wn, wd = v
+                elif od == 1 and v[1] == 1:
+                    wn, wd = on * v[0], 1
+                else:
+                    g1 = gcd(on, v[1])
+                    g2 = gcd(v[0], od)
+                    wn = (on // g1) * (v[0] // g2)
+                    wd = (od // g2) * (v[1] // g1)
+                k = (la + lb, ra + rb)
+                p = acc.get(k)
+                if p is None:
+                    acc[k] = (wn, wd)
+                elif wd == 1 and p[1] == 1:
+                    n = p[0] + wn
+                    if n:
+                        acc[k] = (n, 1)
+                    else:
+                        del acc[k]
+                else:
+                    n = p[0] * wd + wn * p[1]
+                    if n == 0:
+                        del acc[k]
+                    else:
+                        d = p[1] * wd
+                        g = gcd(n, d)
+                        acc[k] = (n // g, d // g)
+        return
+    for (la, ra), (on, od) in a.items():
         if scaled:
-            if ad == 1 and cd == 1:
-                an *= cn
+            if od == 1 and cd == 1:
+                on *= cn
             else:
-                g1, g2 = gcd(an, cd), gcd(cn, ad)
-                an, ad = (an // g1) * (cn // g2), (ad // g2) * (cd // g1)
-        unit = an == 1 and ad == 1
-        for (lb, rb), vb in b.items():
+                g1, g2 = gcd(on, cd), gcd(cn, od)
+                on, od = (on // g1) * (cn // g2), (od // g2) * (cd // g1)
+        unit = on == 1 and od == 1
+        for (lb, rb), v in b.items():
             # exact fast paths: a unit factor copies the pair; integers need no gcd
             if unit:
-                wn, wd = vb
-            elif ad == 1 and vb[1] == 1:
-                wn, wd = an * vb[0], 1
+                wn, wd = v
+            elif od == 1 and v[1] == 1:
+                wn, wd = on * v[0], 1
             else:
-                g1 = gcd(an, vb[1])
-                g2 = gcd(vb[0], ad)
-                wn = (an // g1) * (vb[0] // g2)
-                wd = (ad // g2) * (vb[1] // g1)
+                g1 = gcd(on, v[1])
+                g2 = gcd(v[0], od)
+                wn = (on // g1) * (v[0] // g2)
+                wd = (od // g2) * (v[1] // g1)
             k = (la + lb, ra + rb)
             p = acc.get(k)
             if p is None:

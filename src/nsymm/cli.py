@@ -9,6 +9,7 @@ stable contract: 0 success / all checks passed, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from contextlib import nullcontext
@@ -433,6 +434,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # The command runs with the cyclic collector paused.  Its term maps are
+    # dicts of tuples with no reference cycles, so reference counting frees
+    # them, yet the collector would rescan the growing accumulators every
+    # few hundred allocations.  The pause spans the whole command: pausing
+    # each evaluation alone still runs the pending collection over the
+    # image just yielded, each time the collector is switched back on.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.handler(args)
     except CliError as err:
@@ -440,6 +449,9 @@ def main(argv=None) -> int:
         return err.code
     except BrokenPipeError:
         return 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

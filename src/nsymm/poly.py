@@ -242,7 +242,12 @@ def _substitutions(polys, images):
 
 
 def _walks_from_suffix(roots) -> bool:
-    """Whether the roots have fewer distinct one-letter suffix than prefix quotients."""
+    """Whether the roots have fewer distinct one-letter suffix than prefix quotients.
+
+    Each quotient is compared by the sum of ``hash((tail, pair))`` over its
+    terms, not by the set of its terms, so no sliced word outlives its
+    hash.  A collision can only pick the slower end, never a wrong image.
+    """
     below_first: set = set()
     below_last: set = set()
     for terms in roots:
@@ -250,10 +255,11 @@ def _walks_from_suffix(roots) -> bool:
         lasts: dict = {}
         for word, pair in terms.items():
             if word:
-                firsts.setdefault(word[0], []).append((word[1:], pair))
-                lasts.setdefault(word[-1], []).append((word[:-1], pair))
-        below_first.update(map(frozenset, firsts.values()))
-        below_last.update(map(frozenset, lasts.values()))
+                a, z = word[0], word[-1]
+                firsts[a] = firsts.get(a, 0) + hash((word[1:], pair))
+                lasts[z] = lasts.get(z, 0) + hash((word[:-1], pair))
+        below_first.update(firsts.values())
+        below_last.update(lasts.values())
     return len(below_last) < len(below_first)
 
 

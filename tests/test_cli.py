@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from nsymm import (
 from nsymm import hsops
 from nsymm import cli
 from nsymm.cli import main
-from nsymm.reports import Report
+from nsymm.reports import Check, Report
 from nsymm.suites import CEILINGS, SUITES
 from nsymm.serialize import derivations_to_data, family_to_data, poly_from_data, poly_to_data
 
@@ -591,6 +592,78 @@ def test_qsymm_actions_accept_weight_at_limit(capsys):
     assert run_cli(capsys, "qsymm", "deconcat", "2,2", "--max-degree", "4")[0] == 0
     assert run_cli(capsys, "qsymm", "dn", "1", "1,3", "--max-degree", "4")[0] == 0
     assert run_cli(capsys, "qsymm", "pairing", "4", "4", "--max-degree", "4")[0] == 0
+
+
+# --- the cyclic collector ---------------------------------------------------
+
+
+def _passing(name, max_degree):
+    return Report(suite=name, max_degree=max_degree)
+
+
+def _failing(name, max_degree):
+    return Report(suite=name, max_degree=max_degree, checks=[Check("law", 1, False)])
+
+
+def _usage_error(name, max_degree):
+    raise cli.CliError("stub usage error")
+
+
+def _broken_pipe(name, max_degree):
+    raise BrokenPipeError
+
+
+def _crash(name, max_degree):
+    raise RuntimeError("stub crash")
+
+
+# stub suite -> the exit code main returns, or the exception that leaves it
+GC_EXITS = {
+    "exit 0": (_passing, 0),
+    "failing suite": (_failing, 1),
+    "CliError": (_usage_error, 2),
+    "BrokenPipeError": (_broken_pipe, 0),
+    "unexpected exception": (_crash, RuntimeError),
+}
+
+
+@pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+def collector_state(request):
+    """Start the test with the collector in the given state; restore it after."""
+    before = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if before else gc.disable)()
+
+
+@pytest.mark.parametrize("exit_path", sorted(GC_EXITS))
+def test_main_pauses_the_collector_and_restores_it(monkeypatch, capsys, collector_state, exit_path):
+    stub, outcome = GC_EXITS[exit_path]
+    seen = []
+
+    def run_suite(name, max_degree):
+        seen.append(gc.isenabled())
+        return stub(name, max_degree)
+
+    monkeypatch.setattr(cli, "run_suite", run_suite)
+    argv = ["verify", "primitivity", "--max-degree", "3"]
+    if isinstance(outcome, int):
+        assert main(argv) == outcome
+    else:
+        with pytest.raises(outcome):
+            main(argv)
+    assert seen == [False]
+    assert gc.isenabled() is collector_state
+
+
+def test_main_rejected_by_argparse_leaves_the_collector_alone(collector_state, monkeypatch, capsys):
+    paused = []
+    monkeypatch.setattr(gc, "disable", lambda: paused.append(True))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "no-such-suite"])
+    assert exc.value.code == 2
+    assert paused == []
+    assert gc.isenabled() is collector_state
 
 
 # --- installed entry point --------------------------------------------------

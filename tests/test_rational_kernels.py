@@ -307,6 +307,51 @@ def test_scaled_products_by_zero_add_nothing():
     assert got == doubled(acc)
 
 
+# (a, b) per shape of the two factors.  The products loop over the shorter
+# factor outside, so these take both loop bodies; their coefficients mix
+# units, integers and rationals, so each body takes each fast path.
+LONG = {(1, 2): (1, 1), (2,): (-3, 1), (1,): (2, 5)}
+SHAPES = {
+    "left longer": (LONG, {(3,): (2, 1), (): (-1, 3)}),
+    "right longer": ({(3,): (2, 1), (): (-1, 3)}, LONG),
+    "equal lengths": (LONG, {(3,): (1, 1), (1,): (-2, 1), (): (5, 6)}),
+    "one-term left": ({(3,): (1, 1)}, LONG),
+    "one-term right": (LONG, {(3,): (1, 1)}),
+    "empty left": ({}, LONG),
+    "empty right": (LONG, {}),
+}
+# keys that (1, 2)(3,), (3,)(1, 2) and (1, 2)() reach; at c = 1 some sums
+# cancel, in each loop body, and some do not
+SHAPE_ACC = {(1, 2, 3): (-1, 1), (3, 1, 2): (-2, 1), (1, 2): (1, 3), (9,): (1, 1)}
+
+
+@pytest.mark.parametrize("c", SCALARS)
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_products_on_each_shape(shape, c):
+    a, b = SHAPES[shape]
+    check_into(K.mul_word_into, SHAPE_ACC, a, b, concat_words, c)
+    check_into(K.mul_tensor_into, doubled(SHAPE_ACC), doubled(a), doubled(b), concat_pairs, c)
+    pa = {(k, k[::-1]): v for k, v in a.items()}
+    pb = {(k[::-1], k): v for k, v in b.items()}
+    check_into(K.mul_tensor_into, {}, pa, pb, concat_pairs, c)
+
+
+@pytest.mark.parametrize("pad", ["none", "left", "right"])
+def test_products_keep_the_factor_order(pad):
+    # (1, 2)(3,) and (3,)(1, 2) differ, so a body that swaps the factors fails
+    left, right = {(1, 2): (1, 1)}, {(3,): (2, 1)}
+    if pad == "left":
+        left[(4,)] = (1, 1)
+    elif pad == "right":
+        right[(4,)] = (1, 1)
+    expected = into_model({}, left, right, concat_words)
+    assert expected != into_model({}, left, right, lambda u, v: v + u)
+    check_same(K.mul_word_terms(left, right), expected)
+    check_same(K.mul_word_terms(right, left), into_model({}, right, left, concat_words))
+    for pl, pr in ((doubled(left), doubled(right)), (doubled(right), doubled(left))):
+        check_same(K.mul_tensor_terms(pl, pr), into_model({}, pl, pr, concat_pairs))
+
+
 def test_evaluator_leaves_cached_images_unchanged():
     families = tuple(HopfFamily)
     images = {
