@@ -9,11 +9,15 @@ gives, summing over compositions (r_1, ..., r_m) of n:
 Over the rationals these are mutually inverse and turn the generator-
 primitive coproduct into the binomial one; :func:`verify_iso` checks
 both facts mechanically at bounded degree.  A coefficient depends only
-on the length m of its word, so the quotients of z_of_u(n) below one
-first letter take 12 distinct values over n <= 12, and one shared
-evaluation of the family takes 353 products where one evaluation per
-degree takes 1,024.  Both expansions are built straight from their
-coefficient pairs, which are in lowest terms.
+on the length m of its word, so the quotient of z_of_u(n) below a prefix
+of length L and weight n - r depends only on (L, r).  These quotients,
+shared across n, are the nodes of the quotient graph that
+:func:`verify_iso` hands to the evaluator (``poly._evaluate``): over
+n <= 12 it has 90 nodes, and the 12 with r = 1 are multiples of one
+another, so each of iso's three evaluations takes 353 products, where
+one evaluation per degree takes 1,024, and walks no word.  The term
+maps are built straight from their coefficient pairs, which are in
+lowest terms, and stay the independent closed forms of the graphs.
 """
 
 from __future__ import annotations
@@ -23,24 +27,64 @@ from math import factorial
 
 from ._backend import kernels as _k
 from .config import check_index
-from .hopf import HopfFamily, _coproducts, _tensor_residue
-from .poly import NCPoly, Tensor2, _substitutions
+from .hopf import HopfFamily, _graph_coproducts, _tensor_residue
+from .poly import NCPoly, Tensor2, _graph_substitutions
 from .reports import Report
 from .words import compositions_of
+
+_ONE = (1, 1)
+
+
+def _exp_coefficient(m: int):
+    # 1 / m!, in lowest terms
+    return (1, factorial(m))
+
+
+def _log_coefficient(m: int):
+    # (-1)^(m+1) / m, in lowest terms
+    return (1 if m % 2 else -1, m)
 
 
 @lru_cache(maxsize=None)
 def _z_of_u(n: int) -> NCPoly:
-    # (1, m!) is in lowest terms
-    return NCPoly._raw({word: (1, factorial(len(word))) for word in compositions_of(n)})
+    return NCPoly._raw({word: _exp_coefficient(len(word)) for word in compositions_of(n)})
 
 
 @lru_cache(maxsize=None)
 def _u_of_z(n: int) -> NCPoly:
-    # (+-1, m) is in lowest terms
-    return NCPoly._raw(
-        {word: (1 if len(word) % 2 else -1, len(word)) for word in compositions_of(n)}
-    )
+    return NCPoly._raw({word: _log_coefficient(len(word)) for word in compositions_of(n)})
+
+
+def _graph(coefficient, top: int):
+    """The quotient graph of the expansions of degrees 1..top (see ``poly._evaluate``).
+
+    Below a prefix of length L and weight n - r, the quotient of the
+    degree-n expansion is node (L, r): the sum over the compositions w of
+    r of coefficient(L + len(w)) w.  It reads (L + 1, r - a) below the
+    letter a, and node (L, 0) is the constant coefficient(L).  The nodes
+    are shared across n and ordered by (L + r, -L), so each comes right
+    before the first root that reads it, and root n is node (0, n).
+    """
+    ids: dict = {}
+    nodes: list = []
+    for total in range(1, top + 1):
+        for length in range(total, -1, -1):
+            left = total - length
+            ids[length, left] = len(nodes)
+            if left:
+                edges = ((a, ids[length + 1, left - a], _ONE) for a in range(1, left + 1))
+                nodes.append((None, *edges))
+            else:
+                nodes.append((coefficient(length),))
+    return False, nodes, [ids[0, n] for n in range(1, top + 1)]
+
+
+def _z_of_u_graph(top: int):
+    return _graph(_exp_coefficient, top)
+
+
+def _u_of_z_graph(top: int):
+    return _graph(_log_coefficient, top)
 
 
 def z_of_u(n: int, max_degree=None) -> NCPoly:
@@ -77,18 +121,20 @@ def verify_iso(max_degree: int) -> Report:
     are report content with witness terms, not exceptions.
 
     Each of the three families (the two round trips and the coproducts)
-    is evaluated in one shared evaluation over every n <= max_degree, so
-    the record of degree n times only the quotients that degree n is the
-    first to need.
+    is evaluated in one shared evaluation over every n <= max_degree,
+    from the quotient graph of the expansions, so the record of degree n
+    times only the quotients that degree n is the first to need.  The
+    letter images and the factors of the binomial coproduct are built
+    before the evaluations start.
     """
     check_index(max_degree, max_degree, what="max_degree")
     report = Report(suite="iso", max_degree=max_degree)
     degrees = range(1, max_degree + 1)
     zs = [z_of_u(n, max_degree) for n in degrees]
     us = [u_of_z(n, max_degree) for n in degrees]
-    z_round_trips = _substitutions(zs, lambda k: u_of_z(k, max_degree))
-    u_round_trips = _substitutions(us, lambda k: z_of_u(k, max_degree))
-    lhs = _coproducts(zs, HopfFamily.LIEHOPF, max_degree)
+    z_round_trips = _graph_substitutions(_z_of_u_graph(max_degree), lambda k: us[k - 1])
+    u_round_trips = _graph_substitutions(_u_of_z_graph(max_degree), lambda k: zs[k - 1])
+    lhs = _graph_coproducts(_z_of_u_graph(max_degree), HopfFamily.LIEHOPF)
     for n in degrees:
         report.timed(
             "round-trip Z->U->Z", n, lambda: next(z_round_trips) - NCPoly.generator(n)

@@ -9,13 +9,15 @@ the quotients below prefixes that are equal up to a scalar are evaluated
 once.  For the left Newton primitive the quotient below the prefix (a)
 is -P_{n-a}, so the evaluation runs the Newton recursion
 P_n = n Z_n - sum Z_{n-k} P_k on its own: 78 products at degree 12, k
-for each P_k with k <= 12, where the trie has 4,095 edges.  The suites
-take the coproducts of a whole family at once (``_coproducts``), so the
-quotients are shared across degrees too: the left primitives of every
-n <= 12 take those 78 products in all, against 364 one degree at a
-time, and so do the right ones, walked from the suffix.  A primitivity
-defect looks each term of p (x) 1 + 1 (x) p up in the coproduct instead
-of building those tensors and subtracting.
+for each P_k with k <= 12, where the trie has 4,095 edges.  The
+coproducts of a whole family can be taken at once (``_coproducts``), so
+the quotients are shared across degrees too: the left primitives of
+every n <= 12 take those 78 products in all, against 364 one degree at
+a time, and so do the right ones, walked from the suffix.  The suites
+hand the evaluator the quotient graph of a family's recursion instead
+(``_graph_coproducts``), which takes the same products and walks no
+word.  A primitivity defect looks each term of p (x) 1 + 1 (x) p up in
+the coproduct instead of building those tensors and subtracting.
 The word-by-word coproduct ``_word_coproduct`` serves the
 coassociativity check and the quasi-shuffle duality.
 """
@@ -28,7 +30,7 @@ from functools import lru_cache
 
 from ._backend import kernels as _k
 from .config import resolve_limit, DegreeOverflowError
-from .poly import NCPoly, Tensor2, _evaluate
+from .poly import NCPoly, Tensor2, _evaluate, _evaluate_graph
 
 
 class HopfFamily(enum.Enum):
@@ -66,6 +68,15 @@ def _check_degree(p: NCPoly, max_degree):
         )
 
 
+def _tensor_morphism(family: HopfFamily):
+    # (image, product_into, unit) of the coproduct of the family
+    return (
+        lambda letter: _generator_coproduct(letter, family),
+        _k.mul_tensor_into,
+        lambda c: {((), ()): c} if c else {},
+    )
+
+
 def _coproducts(polys, family: HopfFamily, max_degree=None):
     """The coproducts of the polynomials, in order, from one shared evaluation.
 
@@ -78,15 +89,16 @@ def _coproducts(polys, family: HopfFamily, max_degree=None):
             _check_degree(p, max_degree)
             yield p._terms
 
-    return map(
-        Tensor2._raw,
-        _evaluate(
-            checked(),
-            lambda letter: _generator_coproduct(letter, family),
-            _k.mul_tensor_into,
-            lambda c: {((), ()): c} if c else {},
-        ),
-    )
+    return map(Tensor2._raw, _evaluate(checked(), *_tensor_morphism(family)))
+
+
+def _graph_coproducts(graph, family: HopfFamily):
+    """The coproducts of the roots of a quotient graph, in order.
+
+    ``graph`` is in the format of ``poly._evaluate``, built by a family
+    from its recursion up to a degree it has checked; no word is walked.
+    """
+    return map(Tensor2._raw, _evaluate_graph(graph, *_tensor_morphism(family)))
 
 
 def coproduct(p: NCPoly, family: HopfFamily, max_degree=None) -> Tensor2:

@@ -11,6 +11,15 @@ Z_n in the P' alphabet; the same expansion has a closed form whose
 coefficient on a word is the product of reciprocal suffix sums
 (:func:`c_coeff`).  Both expansion paths are exposed and must agree.
 
+Each recursion is also a quotient graph in the format of
+``poly._evaluate``, with two nodes per degree: the quotient of P_n below
+its first letter a < n is -P_{n-a} (above its last letter, for P'_n),
+and that of z_in_pprime(n) below i < n is z_in_pprime(n - i) / n.  The
+suites hand these graphs to the evaluator, which then runs the
+recursion's n(n + 1)/2 products without walking the 2^(n-1) words of a
+degree.  The term maps read the same steps off the graph, node by node,
+with each letter as itself; the closed forms stay independent of both.
+
 Outputs of the two ``z_in_pprime`` operations are plain NCPoly whose
 words are read in the P' alphabet (PBasisPoly); everything else is in
 the Z alphabet.
@@ -29,32 +38,86 @@ from .words import check_composition, compositions_of
 # Words of these polynomials are read in the P' alphabet.
 PBasisPoly = NCPoly
 
+_ONE = (1, 1)
 _MINUS_ONE = (-1, 1)
+
+
+# Each family is given by its recursion, as a quotient graph (the format
+# of ``poly._evaluate``): below its first letter a < n (above its last, for
+# the right primitives) member n has ratio(n) times member n - a as its
+# quotient, and below the letter n the constant(n).  ``step(n)`` gives
+# (constant(n), ratio(n)).
+
+
+def _primitive_step(n: int):
+    # P_n = n Z_n - sum_a Z_a P_{n-a}, and the same read from the suffix
+    return (n, 1), _MINUS_ONE
+
+
+def _inversion_step(n: int):
+    # Z_n = (P'_n + sum_i P'_i Z_{n-i}) / n, the right recursion solved for Z_n
+    return (1, n), (1, n)
+
+
+def _graph(step, top: int, from_suffix: bool = False):
+    """The quotient graph of a family's members 1..top, as its recursion gives it.
+
+    Node 2n - 2 is the constant(n) and node 2n - 1 member n, so each
+    member comes right after the nodes it reads.
+    """
+    nodes: list = []
+    members: list = []
+    for n in range(1, top + 1):
+        constant, ratio = step(n)
+        nodes.append((constant,))
+        edges = [(a, members[n - a - 1], ratio) for a in range(1, n)]
+        nodes.append((None, *edges, (n, len(nodes) - 1, _ONE)))
+        members.append(len(nodes) - 1)
+    return from_suffix, nodes, members
+
+
+def _p_left_graph(top: int):
+    return _graph(_primitive_step, top)
+
+
+def _p_right_graph(top: int):
+    return _graph(_primitive_step, top, from_suffix=True)
+
+
+def _z_in_pprime_graph(top: int):
+    return _graph(_inversion_step, top)
+
+
+def _member(step, family, n: int, from_suffix: bool = False) -> NCPoly:
+    """Member n of a family: node n of its graph with each letter read as itself.
+
+    The children are the family's cached lower members, taken in
+    increasing degree, so the recursion stays one level deep.
+    """
+    constant, ratio = step(n)
+    acc = {(n,): constant}
+    for a in range(n - 1, 0, -1):
+        letter, child = {(a,): ratio}, family(n - a)._terms
+        if from_suffix:
+            _k.mul_word_into(acc, child, letter)
+        else:
+            _k.mul_word_into(acc, letter, child)
+    return NCPoly._raw(acc)
 
 
 @lru_cache(maxsize=None)
 def _p_left(n: int) -> NCPoly:
-    acc = {(n,): (n, 1)}
-    for k in range(1, n):
-        _k.mul_word_into(acc, {(n - k,): _MINUS_ONE}, _p_left(k)._terms)
-    return NCPoly._raw(acc)
+    return _member(_primitive_step, _p_left, n)
 
 
 @lru_cache(maxsize=None)
 def _p_right(n: int) -> NCPoly:
-    acc = {(n,): (n, 1)}
-    for k in range(1, n):
-        _k.mul_word_into(acc, _p_right(k)._terms, {(n - k,): _MINUS_ONE})
-    return NCPoly._raw(acc)
+    return _member(_primitive_step, _p_right, n, from_suffix=True)
 
 
 @lru_cache(maxsize=None)
 def _z_in_pprime(n: int) -> PBasisPoly:
-    # solve the right recursion for Z_n:  Z_n = (P'_n + sum P'_i Z_{n-i}) / n
-    acc = {(n,): (1, 1)}
-    for i in range(1, n):
-        _k.mul_word_into(acc, {(i,): (1, 1)}, _z_in_pprime(n - i)._terms)
-    return NCPoly._raw(acc) / n
+    return _member(_inversion_step, _z_in_pprime, n)
 
 
 def newton_p_left(n: int, max_degree=None) -> NCPoly:

@@ -222,6 +222,16 @@ class NCPoly(_TermMap):
         return result
 
 
+def _word_morphism(images):
+    # (image, product_into, unit) of the substitution of ``images`` into words
+    lookup = images.__getitem__ if isinstance(images, Mapping) else images
+    return (
+        lambda letter: lookup(letter)._terms,
+        _k.mul_word_into,
+        lambda c: {(): c} if c else {},
+    )
+
+
 def _substitutions(polys, images):
     """The images of the polynomials under one substitution, in order.
 
@@ -229,16 +239,17 @@ def _substitutions(polys, images):
     several of them share, up to a scalar, is evaluated once; each image
     is yielded as soon as it is formed.
     """
-    lookup = images.__getitem__ if isinstance(images, Mapping) else images
-    return map(
-        NCPoly._raw,
-        _evaluate(
-            (p._terms for p in polys),
-            lambda letter: lookup(letter)._terms,
-            _k.mul_word_into,
-            lambda c: {(): c} if c else {},
-        ),
-    )
+    return map(NCPoly._raw, _evaluate((p._terms for p in polys), *_word_morphism(images)))
+
+
+def _graph_substitutions(graph, images):
+    """The images of the roots of a quotient graph under one substitution, in order.
+
+    ``graph`` is in the format of :func:`_evaluate`; no word is walked.
+    Under the identity substitution (``NCPoly.generator``) the images are
+    the roots' own term maps, the expansion of the graph.
+    """
+    return map(NCPoly._raw, _evaluate_graph(graph, *_word_morphism(images)))
 
 
 def _walks_from_suffix(roots) -> bool:
@@ -282,40 +293,57 @@ def _evaluate(roots, image, product_into, unit):
 
         image(Q_w) = unit(c_w) + sum_a image(a) * image(Q_{wa})
 
-    over the trie of the support, with cancellation at every node.
+    over the quotients of the roots, with cancellation at every node.
     Quotients that are equal up to a nonzero scalar have images equal up
     to that scalar, so each class of them is evaluated once, across all
-    the roots, in two passes:
+    the roots.  The work is split in two passes that meet in a quotient
+    graph, a triple ``(from_suffix, nodes, roots)``:
 
-    1. The words of each root are walked in lexicographic order, so that
-       the subtree of each node is contiguous; ``path`` holds the letters
-       from the root to the current node and ``frames[d]`` the node below
-       ``path[:d]`` built so far, as ``[c_w or None, (letter, child id),
-       ...]``.  Each closed node is interned by that key, children first,
-       in one table for all the roots, so two nodes get one id exactly
-       when their quotients are equal.  Each new id then gets its place
-       ``where[id] = (node, ratio)``: its quotient is ratio times that of
-       the node.  Its key with every child read as a multiple of a node
-       or as a constant, divided by its first coefficient, names its
-       class in ``classes``; the first quotient of a class is the class's
-       node, with its own coefficients and ratio 1, and a later one is
-       read as (that node, ratio).  This is done once per id, not once
-       per trie node.  A
+    - ``nodes`` lists exact quotients, children first, each as
+      ``(c or None, (letter, child, ratio), ...)``: its constant term,
+      then one edge per letter, in letter order, that reads the quotient
+      below that letter as ratio times the node ``nodes[child]``;
+    - ``roots`` gives the node of each root, in order, and the nodes
+      that root k reads come before those that only a later root reads;
+    - ``from_suffix`` names the end the words are read from (below).
+
+    1. :func:`_quotient_graph` finds the graph of arbitrary term maps,
+       the input of ``coproduct``, ``substitute`` and the ``hsops``
+       bridge.  It walks the words of each root in lexicographic order,
+       so that the subtree of each trie node is contiguous; ``path``
+       holds the letters from the root to the current trie node and
+       ``frames[d]`` the node below ``path[:d]`` built so far.  Each
+       closed node is interned by that key, children first, in one
+       table for all the roots, so two trie nodes get one node exactly
+       when their quotients are equal, and every edge has ratio 1.  A
+       family whose recursion is known hands its graph over directly
+       (``newton`` and ``explog``), and this pass, which walks all
+       2^(n-1) words of a root of weight n, is skipped.
+    2. :func:`_evaluate_graph` places each node in turn: ``where[id] =
+       (node, ratio)`` says that its quotient is ratio times that of a
+       node to evaluate, read through the ``where`` of its children
+       times the ratios on its edges.  Its key with every child read as
+       a multiple of a node or as a constant, divided by its first
+       coefficient, names its class in ``classes``; the first quotient
+       of a class is the class's node, with its own coefficients and
+       ratio 1, and a later one is read as (that node, ratio).  A
        constant is a node of its own, since its image costs no product;
        reading it as a multiple would only move scalars onto the edges
-       above it.  ``uses`` counts the edges of the nodes that read each
-       node, and each time a root is yielded.
-    2. The nodes are evaluated in order, so children come first, by the
+       above it.  Once every node is placed, ``uses`` counts the reads
+       of each node to evaluate: one each time a root is yielded, and
+       one per edge of a node that is read itself.  Then the nodes to
+       evaluate are evaluated in order, so children come first, by the
        Horner rule: one ``product_into`` per edge, each with the ratio
-       of the child it reads, instead of one per trie edge.  The nodes
-       that root k added come after those of the roots before it, so
-       root k is yielded once they are evaluated, before any node that
-       only a later root needs.  A node that nothing reads is skipped
-       (a constant child of a quotient that joined an earlier class),
-       and an image is dropped after its last use, so only images still
-       to be read stay alive.  Each yielded image belongs to the caller
-       alone: a root that is a multiple of its node is yielded scaled,
-       and one that a later root still reads as a copy.
+       of the child it reads.  The nodes that root k added come after
+       those of the roots before it, so root k is yielded once they are
+       evaluated, before any node that only a later root needs.  A node
+       that nothing reads is skipped (from pass 1, a constant child of a
+       quotient that joined an earlier class; in a graph, also a node
+       that no root reaches), and an image is dropped after its last
+       use, so only images still to be read stay alive.  Each
+       yielded image belongs to the caller alone: a root that is a
+       multiple of its node is yielded scaled, and one that a later root
+       still reads as a copy.
 
     Keeping the first quotient of a class as its node, instead of
     normalizing every quotient, leaves a ratio other than 1 only on the
@@ -329,26 +357,29 @@ def _evaluate(roots, image, product_into, unit):
 
         image(R_w) = unit(c_w) + sum_a image(R_{aw}) * image(a).
 
-    The walk takes the suffix end only when the roots' one-letter suffix
-    quotients (the R_a) take fewer distinct values than their one-letter
-    prefix quotients (the Q_a), and the prefix end on a tie.  It then
-    walks the reversed words and multiplies as ``product_into(acc, child,
-    letter, c)``.  A lone homogeneous root of weight n whose words start
-    and end with every letter up to n ties (n quotients at each end), so
-    a single ``coproduct`` or ``substitute`` of the Newton primitives or
-    the exp/log expansions walks from the prefix.
+    A graph read from the suffix is evaluated as ``product_into(acc,
+    child, letter, c)``.  Pass 1 takes the suffix end only when the
+    roots' one-letter suffix quotients (the R_a) take fewer distinct
+    values than their one-letter prefix quotients (the Q_a), and the
+    prefix end on a tie; it then walks the reversed words.  A lone
+    homogeneous root of weight n whose words start and end with every
+    letter up to n ties (n quotients at each end), so a single
+    ``coproduct`` or ``substitute`` of the Newton primitives or the
+    exp/log expansions walks from the prefix.
 
     The families that the suites evaluate take, over n <= 12 in one
-    evaluation each, these numbers of products at each end (exact
-    sharing only, as before, in brackets):
+    evaluation each, these numbers of products from pass 1 at each end
+    (exact sharing only, as before, in brackets), the end pass 1 walks,
+    and the products and nodes of the graph that the family's recursion
+    gives, which the suites evaluate:
 
-        family, evaluation          prefix        suffix       end walked
-        newton_p_left, coproducts     78  (144)    143   (583)  prefix
-        newton_p_right, coproducts   143  (583)     78   (144)  suffix
-        z_of_u, coproducts           353  (364)    353   (364)  prefix
-        z_in_pprime under P'          78 (5,266)   353 (2,972)  prefix
+        family, evaluation         prefix       suffix       pass 1  graph path
+        newton_p_left, coproducts    78  (144)   143   (583)  prefix   78, 24 nodes
+        newton_p_right, coproducts  143  (583)    78   (144)  suffix   78, 24 nodes
+        z_of_u, coproducts          353  (364)   353   (364)  prefix  353, 90 nodes
+        z_in_pprime under P'         78 (5,266)  353 (2,972)  prefix   78, 24 nodes
         z_of_u, u_of_z under the
-          other's images             353  (364)    353   (364)  prefix
+          other's images            353  (364)   353   (364)  prefix  353, 90 nodes
 
     The Newton families run their recursions: the quotient of P_n below
     its first letter a is -P_{n-a}, and that of z_in_pprime(n) below i is
@@ -356,74 +387,43 @@ def _evaluate(roots, image, product_into, unit):
     root n takes n products, 1 + 2 + ... + 12 = 78 in all.  Few
     quotients of the exp/log expansions are multiples of one another, so
     sharing up to a scalar saves them 11 of 364 products.  In each case
-    the end walked is the one with fewer products.
+    pass 1 walks the end with fewer products.  The graph of a recursion
+    has the same classes as the graph that pass 1 finds, so it takes the
+    same products; pass 1 walks the 4,095 trie edges of each degree-12
+    root to find them.
 
     Only the fresh accumulators from ``unit`` are written to; the letter
     images (often cached) and the images of shared quotients are only
-    read, and a yielded image is never written again.  The walk keeps its
+    read, and a yielded image is never written again.  Pass 1 keeps its
     own stack, so a word may be longer than the interpreter's recursion
     limit.
     """
+    yield from _evaluate_graph(_quotient_graph(roots), image, product_into, unit)
+
+
+def _quotient_graph(roots):
+    """Pass 1 of :func:`_evaluate`: the quotient graph of word-keyed term maps."""
     roots = list(roots)
     from_suffix = _walks_from_suffix(roots)
     if from_suffix:
         roots = [{word[::-1]: pair for word, pair in terms.items()} for terms in roots]
 
     ids: dict = {}
-    where: list = []
-    classes: dict = {}
-    nodes: list = []
-    uses: list = []
     path: list = []
     frames: list = [[None]]
-
-    def add(node):
-        # a node to evaluate, read with ratio 1
-        nodes.append(node)
-        uses.append(0)
-        for _, child, _ in node[1:]:
-            uses[child] += 1
-        return len(nodes) - 1, _ONE
-
-    def place(key):
-        # (node, ratio) of a new exact quotient: a multiple of the
-        # representative of its class, or the first of a new class
-        coefficient = key[0]
-        if len(key) == 1:
-            # a constant, or the zero root, is a node of its own: its image
-            # costs no product
-            return add(key)
-        edges = tuple((letter, *where[child]) for letter, child in key[1:])
-        # each child as a multiple of a node with edges, or as a constant
-        values = [
-            (letter, node, ratio) if len(nodes[node]) > 1 else (letter, None, nodes[node][0])
-            for letter, node, ratio in edges
-        ]
-        num, den = first = coefficient or values[0][2]
-        inverse = (den, num) if num > 0 else (-den, -num)
-        normal = (coefficient and _ONE,) + tuple(
-            (letter, node, _k.rat_mul(ratio, inverse)) for letter, node, ratio in values
-        )
-        found = classes.get(normal)
-        if found is not None:
-            node, scale = found
-            return node, _k.rat_mul(first, scale)
-        classes[normal] = (len(nodes), inverse)
-        return add((coefficient, *edges))
 
     def intern(frame):
         key = tuple(frame)
         exact = ids.get(key)
         if exact is None:
-            exact = ids[key] = len(where)
-            where.append(place(key))
+            exact = ids[key] = len(ids)
         return exact
 
     def close(depth):
         # intern the nodes below depth and hand each id to its parent
         while len(path) > depth:
             exact = intern(frames.pop())
-            frames[-1].append((path.pop(), exact))
+            frames[-1].append((path.pop(), exact, _ONE))
 
     def intern_root(terms):
         for word in sorted(terms):
@@ -437,17 +437,80 @@ def _evaluate(roots, image, product_into, unit):
                 frames.append([None])
             frames[-1][0] = terms[word]
         close(0)
-        root, ratio = where[intern(frames.pop())]
+        root = intern(frames.pop())
         frames.append([None])
-        uses[root] += 1
-        return root, ratio, len(nodes)
+        return root
 
-    # (root node, its ratio, number of nodes once the root is interned)
-    ends = list(map(intern_root, roots))
-    del roots
-    ids.clear()
+    root_ids = list(map(intern_root, roots))
+    return from_suffix, list(ids), root_ids
+
+
+def _evaluate_graph(graph, image, product_into, unit):
+    """Pass 2 of :func:`_evaluate`: the images of a quotient graph's roots, in order."""
+    from_suffix, exact, root_ids = graph
+    where: list = []
+    classes: dict = {}
+    nodes: list = []
+
+    def add(node):
+        # a node to evaluate, read with ratio 1
+        nodes.append(node)
+        return len(nodes) - 1, _ONE
+
+    def place(key):
+        # (node, ratio) of a new exact quotient: a multiple of the
+        # representative of its class, or the first of a new class
+        coefficient = key[0]
+        if len(key) == 1:
+            # a constant, or the zero root, is a node of its own: its image
+            # costs no product
+            return add(key)
+        # each child as a multiple of a node (edges), and as a multiple of
+        # a node with edges or as a constant (values)
+        edges, values = [], []
+        for letter, child, ratio in key[1:]:
+            node, scale = where[child]
+            if ratio != _ONE:
+                scale = _k.rat_mul(scale, ratio)
+            edges.append((letter, node, scale))
+            if len(nodes[node]) > 1:
+                values.append((letter, node, scale))
+            else:
+                constant = nodes[node][0]
+                if scale != _ONE:
+                    constant = _k.rat_mul(constant, scale)
+                values.append((letter, None, constant))
+        num, den = first = coefficient or values[0][2]
+        inverse = (den, num) if num > 0 else (-den, -num)
+        normal = (coefficient and _ONE,) + tuple(
+            (letter, node, _k.rat_mul(ratio, inverse)) for letter, node, ratio in values
+        )
+        found = classes.get(normal)
+        if found is not None:
+            node, scale = found
+            return node, _k.rat_mul(first, scale)
+        classes[normal] = (len(nodes), inverse)
+        return add((coefficient, *edges))
+
+    # (node to evaluate, its ratio, number of nodes once the root is placed)
+    ends = []
+    for root_id in root_ids:
+        while len(where) <= root_id:
+            where.append(place(exact[len(where)]))
+        ends.append((*where[root_id], len(nodes)))
+    del graph, exact, root_ids
     where.clear()
     classes.clear()
+    # the reads of each node: once per yield of a root, and once per edge of
+    # a node that is read itself, so a node that no root reaches is read
+    # by none
+    uses = [0] * len(nodes)
+    for root, _, _ in ends:
+        uses[root] += 1
+    for node in range(len(nodes) - 1, -1, -1):
+        if uses[node]:
+            for _, child, _ in nodes[node][1:]:
+                uses[child] += 1
     nodes.reverse()
     images: list = []
 

@@ -2,7 +2,9 @@
 
 Every suite records its checks through :meth:`Report.timed`: it runs one
 check, times it, and files the result with the witness that
-:func:`witness` derives from the check's defect.
+:func:`witness` derives from the check's defect.  A suite that runs its
+checks in another order than it reports them makes each with
+:func:`timed_check` and files it later with :meth:`Report.add`.
 """
 
 from __future__ import annotations
@@ -108,6 +110,24 @@ class Check:
         return record
 
 
+def timed_check(law: str, degree: int, run) -> Check:
+    """Time ``run()`` and make its result the defect of one check.
+
+    A falsy defect means the law holds; any other value fails the check,
+    with the witness that :func:`witness` derives from it.
+    """
+    start = time.perf_counter_ns()
+    defect = run()
+    elapsed_us = (time.perf_counter_ns() - start) // 1000
+    return Check(
+        law=law,
+        degree=degree,
+        passed=not defect,
+        witness=witness(defect),
+        elapsed_us=elapsed_us,
+    )
+
+
 class Report:
     """The checks of one suite run up to a degree bound, plus free-form meta."""
 
@@ -143,23 +163,8 @@ class Report:
         self.checks.append(check)
 
     def timed(self, law: str, degree: int, run) -> None:
-        """Time ``run()`` and record its result as the defect of one check.
-
-        A falsy defect means the law holds; any other value fails the
-        check, with the witness that :func:`witness` derives from it.
-        """
-        start = time.perf_counter_ns()
-        defect = run()
-        elapsed_us = (time.perf_counter_ns() - start) // 1000
-        self.add(
-            Check(
-                law=law,
-                degree=degree,
-                passed=not defect,
-                witness=witness(defect),
-                elapsed_us=elapsed_us,
-            )
-        )
+        """Time ``run()`` and record its result as the defect of one check."""
+        self.add(timed_check(law, degree, run))
 
     @property
     def passed(self) -> bool:

@@ -8,12 +8,16 @@ A suite that applies a morphism to a family of polynomials, one per
 degree, does so in one shared evaluation for the whole family and reads
 the images off it in degree order: the first record of the family also
 carries its set-up, and the record of degree n the quotients that degree
-n is the first to need.  The evaluation shares quotients that are equal
-up to a scalar, so the Newton families run their recursions: over
-n <= 12 each side of primitivity and the substitution of
-newton-consistency take 78 products, 1 + 2 + ... + 12, against 364 one
-degree at a time (and 5,266 for newton-consistency when only equal
-quotients were shared); each family of iso takes 353, against 1,024.
+n is the first to need.  The evaluation starts from the quotient graph
+that the family's recursion gives (``newton`` and ``explog``), so no
+word of the 2^(n-1) of a degree is walked, and it shares quotients that
+are equal up to a scalar: over n <= 12 each side of primitivity and the
+substitution of newton-consistency take 78 products, 1 + 2 + ... + 12,
+against 364 one degree at a time (and 5,266 for newton-consistency when
+only equal quotients were shared); each family of iso takes 353, against
+1,024.  Primitivity runs its left side to its end before its right one,
+so the two families' images are never alive at once, and files the
+records interleaved by degree.
 """
 
 from __future__ import annotations
@@ -24,22 +28,25 @@ from .config import check_index
 from .explog import verify_iso
 from .hopf import (
     HopfFamily,
-    _coproducts,
+    _graph_coproducts,
     _primitive_residue,
     coassociativity_defect,
     coproduct,
     counit_law_defects,
 )
 from .newton import (
+    _p_left_graph,
+    _p_right_graph,
+    _z_in_pprime_graph,
     newton_p_explicit,
     newton_p_left,
     newton_p_right,
     z_in_pprime,
     z_in_pprime_via_c,
 )
-from .poly import NCPoly, _substitutions
+from .poly import NCPoly, _graph_substitutions
 from .qsymm import verify_hs_qsymm
-from .reports import Report
+from .reports import Report, timed_check
 from .words import compositions_of
 
 _SEED = 0x5EED
@@ -49,22 +56,29 @@ def primitivity_suite(max_degree: int) -> Report:
     """Both Newton primitives are primitive at every degree up to the bound.
 
     The left primitives over every n <= max_degree share one evaluation of
-    their coproducts, and the right ones another, so the record of degree
-    n times only the quotients that degree n is the first to need.
+    their coproducts, from the graph of their recursion, and the right
+    ones another, so the record of degree n times only the quotients that
+    degree n is the first to need.  The left side runs to its end before
+    the right one starts, which keeps the peak at 16 under 100 MB; the
+    records are filed by degree, left then right.
     """
     check_index(max_degree, max_degree, what="max_degree")
     report = Report(suite="primitivity", max_degree=max_degree)
     degrees = range(1, max_degree + 1)
     sides = []
-    for label, primitive in (
-        ("left Newton primitive", newton_p_left),
-        ("right Newton primitive", newton_p_right),
+    for label, primitive, graph in (
+        ("left Newton primitive", newton_p_left, _p_left_graph),
+        ("right Newton primitive", newton_p_right, _p_right_graph),
     ):
         polys = [primitive(n, max_degree) for n in degrees]
-        sides.append((label, zip(polys, _coproducts(polys, HopfFamily.NSYMM, max_degree))))
-    for n in degrees:
-        for label, pairs in sides:
-            report.timed(f"{label} is primitive", n, lambda: _primitive_residue(*next(pairs)))
+        pairs = zip(polys, _graph_coproducts(graph(max_degree), HopfFamily.NSYMM))
+        law = f"{label} is primitive"
+        sides.append(
+            [timed_check(law, n, lambda: _primitive_residue(*next(pairs))) for n in degrees]
+        )
+    for checks in zip(*sides):
+        for check in checks:
+            report.add(check)
     return report
 
 
@@ -72,14 +86,15 @@ def newton_consistency_suite(max_degree: int) -> Report:
     """The closed forms, recursions, and expansions agree with one another.
 
     The primitives are substituted back into the expansions of every
-    n <= max_degree in one shared evaluation, so the record of degree n
-    times only the quotients that degree n is the first to need.
+    n <= max_degree in one shared evaluation, from the graph of the
+    inverted recursion, so the record of degree n times only the
+    quotients that degree n is the first to need.
     """
     check_index(max_degree, max_degree, what="max_degree")
     report = Report(suite="newton-consistency", max_degree=max_degree)
     degrees = range(1, max_degree + 1)
-    recovered = _substitutions(
-        (z_in_pprime(n, max_degree) for n in degrees), lambda k: newton_p_right(k, max_degree)
+    recovered = _graph_substitutions(
+        _z_in_pprime_graph(max_degree), lambda k: newton_p_right(k, max_degree)
     )
     for n in degrees:
         report.timed(
@@ -181,14 +196,16 @@ SUITES = {
 # The largest degree `nsymm verify` accepts for each suite: the highest
 # degree at which one run took under 5 s and 100 MB peak RSS in process
 # (Python 3.11.7, pure-Python kernels, 2 vCPUs).  Measured there:
-# primitivity 0.9 s and 67 MB at 15, 2.0 s and 123 MB at 16; iso 3.1 s and
+# primitivity, which runs its left side to its end before its right one,
+# 0.9 s and 89 MB at 16, 2.0 s and 166 MB at 17 (fresh processes, own
+# peak VmHWM); iso 3.1 s and
 # 96 MB at 15, 7.6 s and 187 MB at 16; newton-consistency 4.5 s at 16,
 # 9.4 s and 142 MB at 17; qsymm-hs, which walks only the Lyndon left
 # factors, 1.5-1.9 s and 34 MB at 13, 4.6-5.1 s and 60 MB at 14 (three
 # fresh processes each, own peak VmHWM); hopf-laws, which samples, 0.9 s
 # and 85 MB at 20, where the compositions it samples from double per degree.
 CEILINGS = {
-    "primitivity": 15,
+    "primitivity": 16,
     "newton-consistency": 16,
     "iso": 15,
     "qsymm-hs": 13,

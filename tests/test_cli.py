@@ -170,7 +170,7 @@ def no_suite_runs(monkeypatch):
 def test_verify_rejects_degree_30(no_suite_runs, capsys):
     code, out, err = run_cli(capsys, "verify", "primitivity", "--max-degree", "30")
     assert code == 2 and out == ""
-    assert "exceeds the suite's ceiling 15" in err
+    assert "exceeds the suite's ceiling 16" in err
 
 
 def test_verify_ceilings_cover_every_suite():

@@ -15,7 +15,8 @@ from nsymm import (
     z_of_u,
 )
 from nsymm import Tensor2, coproduct
-from nsymm.explog import _coalgebra_defect
+from nsymm.explog import _coalgebra_defect, _u_of_z_graph, _z_of_u_graph
+from nsymm.poly import _graph_substitutions
 from nsymm.words import compositions_of
 
 
@@ -130,3 +131,35 @@ def test_coalgebra_residue_matches_the_tensor_subtraction(n):
         delta = Tensor2._raw(variant)
         assert _coalgebra_defect(n, delta, n) == _old_coalgebra_defect(n, delta)
     assert not _coalgebra_defect(n, lhs, n)
+
+
+# --- the expansions as one shared quotient graph ------------------------------
+
+GRAPHS = {
+    "z_of_u": (_z_of_u_graph, z_of_u, lambda m: Fraction(1, factorial(m))),
+    "u_of_z": (_u_of_z_graph, u_of_z, lambda m: Fraction(1 if m % 2 else -1, m)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_graph_expansion_equals_the_composition_sum(name):
+    # the identity substitution reads each root of the graph as its term map
+    graph, member, coefficient = GRAPHS[name]
+    expansion = list(_graph_substitutions(graph(12), NCPoly.generator))
+    assert expansion == [
+        NCPoly({w: coefficient(len(w)) for w in compositions_of(n)}) for n in range(1, 13)
+    ]
+    assert expansion == [member(n, max_degree=12) for n in range(1, 13)]
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_graph_nodes_are_shared_across_degrees(name):
+    # node (L, r) for L + r <= 12, but (0, 0): 90 nodes, children first
+    from_suffix, nodes, roots = GRAPHS[name][0](12)
+    assert not from_suffix
+    assert len(nodes) == sum(total + 1 for total in range(1, 13)) == 90
+    assert [len(nodes[root]) - 1 for root in roots] == list(range(1, 13))
+    for k, (_, *edges) in enumerate(nodes):
+        assert all(child < k for _, child, _ in edges)
+    # the root of degree n comes right after the nodes of weight n
+    assert roots == [sum(total + 1 for total in range(1, n + 1)) - 1 for n in range(1, 13)]

@@ -26,8 +26,10 @@ from nsymm import (
 )
 from nsymm import _core_py as _k
 from nsymm import poly
-from nsymm.hopf import _coproducts, _primitive_residue, _word_coproduct
-from nsymm.poly import _walks_from_suffix
+from nsymm.explog import _u_of_z_graph, _z_of_u_graph
+from nsymm.hopf import _coproducts, _graph_coproducts, _primitive_residue, _word_coproduct
+from nsymm.newton import _p_left_graph, _p_right_graph
+from nsymm.poly import _graph_substitutions, _walks_from_suffix
 
 NS, LH = HopfFamily.NSYMM, HopfFamily.LIEHOPF
 
@@ -391,3 +393,40 @@ def test_primitive_residue_matches_the_tensor_subtraction(family, n):
         for delta in _perturbed(coproduct(p, family)):
             assert _primitive_residue(p, delta) == _old_primitivity_defect(p, delta)
         assert primitivity_defect(p, family) == _old_primitivity_defect(p, coproduct(p, family))
+
+
+# --- the graphs of the families' recursions -----------------------------------
+
+# products of the graph path over n <= 12, with no word walked: the same as
+# pass 1 takes on the expanded maps (SHARED_PRODUCT_COUNTS)
+GRAPH_PRODUCT_COUNTS = {
+    "newton_p_left": (_p_left_graph, NS, 78),
+    "newton_p_right": (_p_right_graph, NS, 78),
+    "z_of_u": (_z_of_u_graph, LH, 353),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_PRODUCT_COUNTS))
+def test_graph_coproducts_products_count(monkeypatch, name):
+    graph, family, products = GRAPH_PRODUCT_COUNTS[name]
+    roots = list(_graph_substitutions(graph(12), NCPoly.generator))
+    expected = list(_coproducts(roots, family, max_degree=12))
+    calls = []
+    real = _k.mul_tensor_into
+    monkeypatch.setattr(_k, "mul_tensor_into", lambda *args: (calls.append(1), real(*args))[1])
+
+    def no_walk(roots):
+        raise AssertionError("the graph path walked the words")
+
+    monkeypatch.setattr(poly, "_quotient_graph", no_walk)
+    got = list(_graph_coproducts(graph(12), family))
+    assert len(calls) == products
+    assert got == expected
+
+
+@pytest.mark.parametrize("family", [NS, LH])
+@pytest.mark.parametrize("graph", [_p_left_graph, _p_right_graph, _z_of_u_graph, _u_of_z_graph])
+def test_graph_coproducts_match_the_oracle(family, graph):
+    roots = list(_graph_substitutions(graph(7), NCPoly.generator))
+    got = list(_graph_coproducts(graph(7), family))
+    assert got == [_coproduct_oracle(p, family) for p in roots]

@@ -16,6 +16,8 @@ from nsymm import (
     z_in_pprime,
     z_in_pprime_via_c,
 )
+from nsymm.newton import _p_left_graph, _p_right_graph, _z_in_pprime_graph
+from nsymm.poly import _graph_substitutions
 
 Z = NCPoly.generator
 W = NCPoly.word
@@ -126,3 +128,40 @@ def test_index_bounds():
         with pytest.raises(DegreeOverflowError):
             fn(9)  # default limit is 8
         fn(9, max_degree=9)
+
+
+# --- the recursions as quotient graphs ---------------------------------------
+
+GRAPHS = {
+    "left": (_p_left_graph, newton_p_left, lambda n: newton_p_explicit(n, max_degree=12)),
+    "right": (
+        _p_right_graph,
+        newton_p_right,
+        lambda n: newton_p_explicit(n, max_degree=12).reverse_words(),
+    ),
+    "z_in_pprime": (_z_in_pprime_graph, z_in_pprime, lambda n: z_in_pprime_via_c(n, max_degree=12)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_graph_expansion_equals_the_closed_form(name):
+    # the identity substitution reads each root of the graph as its term map
+    graph, member, closed_form = GRAPHS[name]
+    expansion = list(_graph_substitutions(graph(12), NCPoly.generator))
+    assert expansion == [closed_form(n) for n in range(1, 13)]
+    assert expansion == [member(n, max_degree=12) for n in range(1, 13)]
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_graph_lists_children_first(name):
+    from_suffix, nodes, roots = GRAPHS[name][0](12)
+    assert from_suffix is (name == "right")
+    assert len(nodes) == 24 and roots == list(range(1, 24, 2))
+    for k, (_, *edges) in enumerate(nodes):
+        assert [letter for letter, _, _ in edges] == sorted({letter for letter, _, _ in edges})
+        assert all(child < k for _, child, _ in edges)
+
+
+def test_graph_of_one_degree():
+    assert _p_left_graph(1) == (False, [((1, 1),), (None, (1, 0, (1, 1)))], [1])
+    assert _z_in_pprime_graph(2)[1][3] == (None, (1, 1, (1, 2)), (2, 2, (1, 1)))

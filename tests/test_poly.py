@@ -1,3 +1,4 @@
+import random
 from collections.abc import Mapping
 from fractions import Fraction
 from types import MappingProxyType
@@ -21,7 +22,9 @@ from nsymm import (
 )
 from nsymm import _core_py as _k
 from nsymm import poly
-from nsymm.poly import _evaluate, _substitutions, _walks_from_suffix
+from nsymm.explog import _u_of_z_graph, _z_of_u_graph
+from nsymm.newton import _z_in_pprime_graph
+from nsymm.poly import _evaluate, _graph_substitutions, _substitutions, _walks_from_suffix
 
 Z1 = NCPoly.generator(1)
 Z2 = NCPoly.generator(2)
@@ -440,8 +443,10 @@ def test_paused_evaluation_keeps_no_yielded_image():
     images = IMAGE_FAMILIES["affine"]
     stream = _evaluate(roots, lambda k: images(k)._terms, _k.mul_word_into, _word_unit)
     for image in stream:
-        held = stream.gi_frame.f_locals
-        assert not any(value is image for value in [*held.values(), *held["images"]])
+        # _evaluate delegates to the generator of pass 2, which holds the images
+        outer, inner = stream.gi_frame.f_locals, stream.gi_yieldfrom.gi_frame.f_locals
+        held = [*outer.values(), *inner.values(), *inner["images"]]
+        assert not any(value is image for value in held)
 
 
 @pytest.mark.parametrize("make", [newton_p_left, z_in_pprime, z_of_u])
@@ -459,3 +464,145 @@ def test_each_root_is_yielded_before_later_work(monkeypatch, make):
     # when the k-th root is yielded, exactly the products the first k roots need are done
     for k, _ in enumerate(_substitutions(roots, images), 1):
         assert len(calls) == alone[k - 1]
+
+
+# --- quotient graphs handed over by a family ---------------------------------
+
+
+def _expand_nodes(graph):
+    """Every node of a quotient graph as a polynomial, node by node: the oracle."""
+    from_suffix, nodes, _ = graph
+    polys = []
+    for constant, *edges in nodes:
+        p = NCPoly.scalar(Fraction(*constant)) if constant else NCPoly.zero()
+        for letter, child, ratio in edges:
+            z = NCPoly.generator(letter)
+            p = p + (polys[child] * z if from_suffix else z * polys[child]).scale(Fraction(*ratio))
+        polys.append(p)
+    return polys
+
+
+def _expand_graph(graph):
+    """The roots of a quotient graph as polynomials."""
+    polys = _expand_nodes(graph)
+    return [polys[root] for root in graph[2]]
+
+
+def _class_edges(graph):
+    """The edges of one node per class of the nodes that the roots read.
+
+    Two nodes are in one class when their expansions are equal up to a
+    scalar; a constant costs no product.
+    """
+    _, nodes, roots = graph
+    polys = _expand_nodes(graph)
+    reached, todo = set(), list(roots)
+    while todo:
+        k = todo.pop()
+        if k not in reached:
+            reached.add(k)
+            todo += [child for _, child, _ in nodes[k][1:]]
+    classes = {}
+    for k in reached:
+        if len(nodes[k]) > 1:
+            first = polys[k].items()[0][1]
+            classes[frozenset((w, c / first) for w, c in polys[k].items())] = len(nodes[k]) - 1
+    return sum(classes.values())
+
+
+_RATIOS = ((1, 1), (-1, 1), (3, 1), (-2, 7), (5, 2))
+
+
+def _random_graph(rng, from_suffix):
+    """A seeded graph in which many nodes are multiples of earlier ones.
+
+    After three constants, each node either copies an earlier node's
+    constant and edges with everything scaled by one ratio, a multiple of
+    that node, or gets its own constant and one to three edges, each into
+    an earlier node with a ratio.  Five roots are drawn from the nodes
+    that have edges, in increasing order.
+    """
+    nodes = [((1, 1),), ((-2, 1),), ((1, 3),)]
+    for _ in range(14):
+        inner = [k for k, node in enumerate(nodes) if len(node) > 1]
+        if inner and rng.random() < 0.5:
+            constant, *edges = nodes[rng.choice(inner)]
+            scale = rng.choice(_RATIOS[1:])
+            constant = constant and _k.rat_mul(constant, scale)
+            nodes.append((constant, *((a, c, _k.rat_mul(r, scale)) for a, c, r in edges)))
+        else:
+            constant = rng.choice([None, *_RATIOS])
+            letters = sorted(rng.sample(range(1, 4), rng.randint(1, 3)))
+            edges = [(a, rng.randrange(len(nodes)), rng.choice(_RATIOS)) for a in letters]
+            nodes.append((constant, *edges))
+    inner = [k for k, node in enumerate(nodes) if len(node) > 1]
+    return from_suffix, nodes, sorted(rng.sample(inner, 5))
+
+
+@pytest.mark.parametrize("from_suffix", [False, True])
+@pytest.mark.parametrize("family", ["affine", "cancelling", "newton_p_right"])
+def test_graph_substitutions_match_the_oracle_on_scaled_edges(
+    monkeypatch, record_scalars, scalar_kinds, from_suffix, family
+):
+    # the ratio on an edge multiplies into the ratio of the node it reads, so
+    # a node whose edges are all scaled joins the class of the node it copies
+    images = IMAGE_FAMILIES[family]
+    rng = random.Random(20121)
+    scalars = record_scalars(_k, "mul_word_into")
+    kinds, merged = set(), 0
+    for _ in range(10):
+        graph = _random_graph(rng, from_suffix)
+        expected = [_substitute_oracle(p, images) for p in _expand_graph(graph)]
+        scalars.clear()
+        got = list(_graph_substitutions(graph, images))
+        assert got == expected
+        assert len({id(image._terms) for image in got}) == len(got)
+        kinds |= scalar_kinds(scalars)
+        if family == "newton_p_right":
+            # no image is zero, so one product per edge of each class
+            products = len(scalars)
+            assert products == _class_edges(graph)
+            merged += sum(len(node) - 1 for node in graph[1]) - products
+    assert kinds == {"negative", "integer", "fraction"}
+    assert family != "newton_p_right" or merged > 0
+
+
+@pytest.mark.parametrize("from_suffix", [False, True])
+def test_pass_one_finds_the_graph_of_the_expansion(from_suffix):
+    # evaluating a graph and evaluating its expansion, which pass 1 turns back
+    # into a graph, give the same images
+    images = IMAGE_FAMILIES["affine"]
+    rng = random.Random(20122)
+    for _ in range(10):
+        graph = _random_graph(rng, from_suffix)
+        expansion = _expand_graph(graph)
+        assert list(_graph_substitutions(graph, images)) == list(_substitutions(expansion, images))
+        assert list(_graph_substitutions(graph, NCPoly.generator)) == expansion
+
+
+# products of the graph path over n <= 12, with no word walked: the same as
+# pass 1 takes on the expanded maps (test_shared_substitution_products_count)
+GRAPH_SUBSTITUTIONS = {
+    "z_in_pprime under P'": (_z_in_pprime_graph, newton_p_right, 78),
+    "z_of_u under u_of_z": (_z_of_u_graph, u_of_z, 353),
+    "u_of_z under z_of_u": (_u_of_z_graph, z_of_u, 353),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_SUBSTITUTIONS))
+def test_graph_substitutions_products_count(monkeypatch, name):
+    graph, letter_image, products = GRAPH_SUBSTITUTIONS[name]
+    images = {k: letter_image(k, max_degree=12) for k in range(1, 13)}
+    roots = list(_graph_substitutions(graph(12), NCPoly.generator))
+    expected = list(_substitutions(roots, images))
+    calls = _count_calls(monkeypatch, "mul_word_into")
+
+    def no_walk(roots):
+        raise AssertionError("the graph path walked the words")
+
+    monkeypatch.setattr(poly, "_quotient_graph", no_walk)
+    got = list(_graph_substitutions(graph(12), images))
+    assert len(calls) == products
+    assert got == expected
+    if name.startswith("z_in_pprime"):
+        assert got == [NCPoly.generator(n) for n in range(1, 13)]

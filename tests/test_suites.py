@@ -2,13 +2,15 @@
 same report, and the exact record of each kind of failure."""
 
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from nsymm import NCPoly, QSPoly, Tensor2, explog, qsymm, suites
+from nsymm import NCPoly, QSPoly, Tensor2, explog, hopf, poly, qsymm, suites
 from nsymm.hopf import HopfFamily
+from nsymm.poly import _graph_substitutions
 from nsymm.suites import run_suite
 
 LAWS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "laws.json").read_text())
@@ -92,16 +94,17 @@ def test_poly_defect_record(monkeypatch):
 
 def test_iso_poly_defect_record(monkeypatch):
     def fake(real):
-        def _substitutions(polys, images):
-            # only the Z->U->Z round trip of degree 3 starts from z_of_u(3)
-            polys = list(polys)
-            for p, image in zip(polys, real(polys, images)):
+        def _graph_substitutions(graph, images):
+            # only the Z->U->Z round trip of degree 3 starts from z_of_u(3); the
+            # identity substitution expands the graph's roots
+            polys = real(graph, NCPoly.generator)
+            for p, image in zip(polys, real(graph, images)):
                 extra = NCPoly.word((1, 1, 1), -2) if p == explog.z_of_u(3) else NCPoly.zero()
                 yield image + extra
 
-        return _substitutions
+        return _graph_substitutions
 
-    failing = failure_records(monkeypatch, "iso", 5, explog, "_substitutions", fake)
+    failing = failure_records(monkeypatch, "iso", 5, explog, "_graph_substitutions", fake)
     assert failing == [
         {
             "degree": 3,
@@ -137,16 +140,16 @@ def test_tensor_defect_record(monkeypatch):
 
 def test_iso_tensor_defect_record(monkeypatch):
     def fake(real):
-        def _coproducts(polys, family, max_degree=None):
-            polys = list(polys)
-            for p, out in zip(polys, real(polys, family, max_degree)):
+        def _graph_coproducts(graph, family):
+            polys = _graph_substitutions(graph, NCPoly.generator)
+            for p, out in zip(polys, real(graph, family)):
                 if p.degree == 3:
                     out = out + Tensor2.outer(NCPoly.word((1,)), NCPoly.word((1, 1), "1/4"))
                 yield out
 
-        return _coproducts
+        return _graph_coproducts
 
-    failing = failure_records(monkeypatch, "iso", 5, explog, "_coproducts", fake)
+    failing = failure_records(monkeypatch, "iso", 5, explog, "_graph_coproducts", fake)
     assert failing == [
         {
             "degree": 3,
@@ -155,6 +158,98 @@ def test_iso_tensor_defect_record(monkeypatch):
             "witness": {"left_word": [1], "right_word": [1, 1], "coeff": coeff(1, 4)},
         }
     ]
+
+
+def test_primitivity_runs_its_sides_in_turn_and_files_them_by_degree(monkeypatch):
+    real = suites._graph_coproducts
+    calls = []
+
+    def _graph_coproducts(graph, family):
+        side = "right" if graph[0] else "left"
+        for n, delta in enumerate(real(graph, family), 1):
+            calls.append((side, n))
+            yield delta
+
+    monkeypatch.setattr(suites, "_graph_coproducts", _graph_coproducts)
+    report = run_suite("primitivity", 5)
+    assert calls == [(side, n) for side in ("left", "right") for n in range(1, 6)]
+    assert [(check.degree, check.law) for check in report.checks] == [
+        (n, f"{side} Newton primitive is primitive")
+        for n in range(1, 6)
+        for side in ("left", "right")
+    ]
+
+
+def _perturbed(graph, rng):
+    """The graph with one edge ratio or one constant, drawn by rng, raised by 1/7."""
+    from_suffix, nodes, roots = graph
+    nodes = list(nodes)
+    k = rng.randrange(len(nodes))
+    constant, *edges = nodes[k]
+    if edges:
+        e = rng.randrange(len(edges))
+        letter, child, ratio = edges[e]
+        edges[e] = (letter, child, _raised(ratio))
+    else:
+        constant = _raised(constant)
+    nodes[k] = (constant, *edges)
+    return from_suffix, nodes, roots
+
+
+def _raised(pair):
+    f = Fraction(*pair) + Fraction(1, 7)
+    return (f.numerator, f.denominator)
+
+
+def _expansion(graph):
+    return list(_graph_substitutions(graph, NCPoly.generator))
+
+
+def graph_and_term_map_records(monkeypatch, suite, degree, module, builder, paths, seed):
+    """The records of a suite run on a perturbed graph, on its graph path and on its term maps.
+
+    ``module.builder`` is made to return the graph of degree ``degree``
+    with one seeded change; the second run replaces each graph entry
+    point named in ``paths`` by the term-map path on that graph's
+    expansion.
+    """
+    perturbed = _perturbed(getattr(module, builder)(degree), random.Random(seed))
+    monkeypatch.setattr(module, builder, lambda top: perturbed if top == degree else None)
+    graph_path = records(run_suite(suite, degree))
+    for name in paths:
+        monkeypatch.setattr(module, name, TERM_MAP_PATHS[name])
+    return graph_path, records(run_suite(suite, degree))
+
+
+# the graph entry points as the term-map path on the graph's expansion
+TERM_MAP_PATHS = {
+    "_graph_coproducts": lambda graph, family: hopf._coproducts(_expansion(graph), family),
+    "_graph_substitutions": lambda graph, images: poly._substitutions(_expansion(graph), images),
+}
+
+GRAPH_SUITES = {
+    "primitivity, left": ("primitivity", suites, "_p_left_graph", ["_graph_coproducts"]),
+    "primitivity, right": ("primitivity", suites, "_p_right_graph", ["_graph_coproducts"]),
+    "newton-consistency": (
+        "newton-consistency",
+        suites,
+        "_z_in_pprime_graph",
+        ["_graph_substitutions"],
+    ),
+    "iso, exp": ("iso", explog, "_z_of_u_graph", ["_graph_substitutions", "_graph_coproducts"]),
+    "iso, log": ("iso", explog, "_u_of_z_graph", ["_graph_substitutions", "_graph_coproducts"]),
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", sorted(GRAPH_SUITES))
+def test_perturbed_graph_records_equal_the_term_map_path(monkeypatch, name, seed):
+    suite, module, builder, paths = GRAPH_SUITES[name]
+    graph_path, term_map_path = graph_and_term_map_records(
+        monkeypatch, suite, 6, module, builder, paths, seed
+    )
+    assert graph_path == term_map_path
+    assert not all(record["pass"] for record in graph_path)
 
 
 def test_coassociativity_triple_record(monkeypatch):
