@@ -3,24 +3,35 @@
 A raw term map is a plain dict from an opaque hashable key (a word
 tuple, or a pair of word tuples for tensors) to a normalized rational
 pair ``(num, den)``: arbitrary-precision ints, ``den >= 1``,
-``gcd(num, den) == 1``, and no stored pair has ``num == 0``.
+``gcd(num, den) == 1``, and no stored pair has ``num == 0``.  Pairs are
+the form at every API edge: every value that enters or leaves a
+polynomial, a tensor or an evaluation is one.
+
+Inside pass 2 of the evaluator (``poly._evaluate``), the word and tensor
+morphisms keep each image as an integer map instead: ``(ints, den)``, a
+dict from key to nonzero int and one common denominator, the term map
+ints / den, not reduced.  ``to_int_map`` converts a term map once,
+``from_int_map`` reduces an integer map back in place, one gcd per term,
+and ``mul_word_ints_into`` and ``mul_tensor_ints_into`` add an integer
+multiple of a product with no gcd at all.
 
 This is the package's one kernel module (``nsymm._backend.kernels``);
 tests/test_rational_kernels.py holds it to a ``fractions.Fraction``
 model.  The ``*_into`` kernels add their result to an accumulator in
-place and leave their operands untouched; the two products add c times
-the product.  Their outer loop runs over the shorter factor, with c
-folded into the coefficient of each of its terms, and the inner loop
-over the longer one; each key is still the left factor's key followed
-by the right factor's.  ``add_scaled_into`` is the one loop that merges a term
-map into another: the sum, difference, negation and scaling kernels
-are each one call of it on a fresh dict, but scaling by one copies the
-map.  Only the two products and the quasi-shuffle keep merge loops of their
-own, inlined for speed.  Outside this module, the law walk of
-nsymm.hsops, which also checks associativity, and its map product
-inline the same multiply-add over one-term structure constants, where
-a call per term cost more than its arithmetic.  Everything here is
-exact integer arithmetic — no floats.
+place and leave their operands untouched.  The products' outer loop
+runs over the shorter factor, and the inner loop over the longer one;
+an integer product folds its multiplier into each term of the shorter
+factor, and each key is still the left factor's key followed by the
+right factor's.
+``add_scaled_into`` is the one loop that merges a term map into another:
+the sum, difference, negation and scaling kernels are each one call of
+it on a fresh dict, but scaling by one copies the map.  Only the
+products and the quasi-shuffle keep merge loops of their own, inlined
+for speed.  Outside this module, the law walk of nsymm.hsops, which also
+checks associativity, and its map product inline the same multiply-add
+over one-term structure constants, where a call per term cost more than
+its arithmetic.  Everything here is exact integer arithmetic — no
+floats.
 """
 
 from math import gcd
@@ -133,25 +144,14 @@ def mul_tensor_terms(a, b):
     return out
 
 
-def mul_word_into(acc, a, b, c=_ONE):
-    """acc += c * a * b under concatenation, in place; acc stays canonical.
+def mul_word_into(acc, a, b):
+    """acc += a * b under concatenation, in place; acc stays canonical.
 
-    c is folded into the coefficient of each term of the shorter factor,
-    which the outer loop runs over; the key stays the left one's plus the
-    right one's.
+    The outer loop runs over the shorter factor; the key stays the left
+    one's plus the right one's.
     """
-    cn, cd = c
-    if cn == 0:
-        return
-    scaled = cn != 1 or cd != 1
     if len(a) > len(b):
         for kb, (on, od) in b.items():
-            if scaled:
-                if od == 1 and cd == 1:
-                    on *= cn
-                else:
-                    g1, g2 = gcd(on, cd), gcd(cn, od)
-                    on, od = (on // g1) * (cn // g2), (od // g2) * (cd // g1)
             unit = on == 1 and od == 1
             for ka, v in a.items():
                 # exact fast paths: a unit factor copies the pair; integers need no gcd
@@ -184,12 +184,6 @@ def mul_word_into(acc, a, b, c=_ONE):
                         acc[k] = (n // g, d // g)
         return
     for ka, (on, od) in a.items():
-        if scaled:
-            if od == 1 and cd == 1:
-                on *= cn
-            else:
-                g1, g2 = gcd(on, cd), gcd(cn, od)
-                on, od = (on // g1) * (cn // g2), (od // g2) * (cd // g1)
         unit = on == 1 and od == 1
         for kb, v in b.items():
             # exact fast paths: a unit factor copies the pair; integers need no gcd
@@ -222,25 +216,14 @@ def mul_word_into(acc, a, b, c=_ONE):
                     acc[k] = (n // g, d // g)
 
 
-def mul_tensor_into(acc, a, b, c=_ONE):
-    """acc += c * a * b componentwise on pair keys, in place; acc stays canonical.
+def mul_tensor_into(acc, a, b):
+    """acc += a * b componentwise on pair keys, in place; acc stays canonical.
 
-    c is folded into the coefficient of each term of the shorter factor,
-    which the outer loop runs over; the key stays the left one's plus the
-    right one's.
+    The outer loop runs over the shorter factor; the key stays the left
+    one's plus the right one's.
     """
-    cn, cd = c
-    if cn == 0:
-        return
-    scaled = cn != 1 or cd != 1
     if len(a) > len(b):
         for (lb, rb), (on, od) in b.items():
-            if scaled:
-                if od == 1 and cd == 1:
-                    on *= cn
-                else:
-                    g1, g2 = gcd(on, cd), gcd(cn, od)
-                    on, od = (on // g1) * (cn // g2), (od // g2) * (cd // g1)
             unit = on == 1 and od == 1
             for (la, ra), v in a.items():
                 # exact fast paths: a unit factor copies the pair; integers need no gcd
@@ -273,12 +256,6 @@ def mul_tensor_into(acc, a, b, c=_ONE):
                         acc[k] = (n // g, d // g)
         return
     for (la, ra), (on, od) in a.items():
-        if scaled:
-            if od == 1 and cd == 1:
-                on *= cn
-            else:
-                g1, g2 = gcd(on, cd), gcd(cn, od)
-                on, od = (on // g1) * (cn // g2), (od // g2) * (cd // g1)
         unit = on == 1 and od == 1
         for (lb, rb), v in b.items():
             # exact fast paths: a unit factor copies the pair; integers need no gcd
@@ -309,6 +286,91 @@ def mul_tensor_into(acc, a, b, c=_ONE):
                     d = p[1] * wd
                     g = gcd(n, d)
                     acc[k] = (n // g, d // g)
+
+
+def to_int_map(terms):
+    """A term map as ``(ints, den)``: integer numerators over the lcm of its denominators."""
+    den = 1
+    for _, d in terms.values():
+        if den % d:
+            den = den // gcd(den, d) * d
+    return {k: n * (den // d) for k, (n, d) in terms.items()}, den
+
+
+def from_int_map(ints, den):
+    """The term map ints / den, reduced in place with one gcd per term; returns ints.
+
+    The reduced denominators are shared: each distinct one is one int object.
+    """
+    if den == 1:
+        for k, v in ints.items():
+            ints[k] = (v, 1)
+        return ints
+    reduced = {}
+    for k, v in ints.items():
+        g = gcd(v, den)
+        d = reduced.get(g)
+        if d is None:
+            d = reduced[g] = den // g
+        ints[k] = (v // g, d)
+    return ints
+
+
+def mul_word_ints_into(acc, a, b, m):
+    """acc += m * a * b under concatenation, on integer maps, in place.
+
+    acc, a and b map keys to nonzero ints and m is a nonzero int, so no
+    gcd is taken; a sum that cancels is deleted.  m is folded into each
+    term of the shorter factor, which the outer loop runs over; the key
+    stays the left one's plus the right one's.
+    """
+    if len(a) > len(b):
+        for kb, vb in b.items():
+            vb *= m
+            for ka, va in a.items():
+                k = ka + kb
+                n = acc.get(k, 0) + va * vb
+                if n:
+                    acc[k] = n
+                else:
+                    del acc[k]
+        return
+    for ka, va in a.items():
+        va *= m
+        for kb, vb in b.items():
+            k = ka + kb
+            n = acc.get(k, 0) + va * vb
+            if n:
+                acc[k] = n
+            else:
+                del acc[k]
+
+
+def mul_tensor_ints_into(acc, a, b, m):
+    """acc += m * a * b componentwise on pair keys, on integer maps, in place.
+
+    As :func:`mul_word_ints_into`, with the key (la + lb, ra + rb).
+    """
+    if len(a) > len(b):
+        for (lb, rb), vb in b.items():
+            vb *= m
+            for (la, ra), va in a.items():
+                k = (la + lb, ra + rb)
+                n = acc.get(k, 0) + va * vb
+                if n:
+                    acc[k] = n
+                else:
+                    del acc[k]
+        return
+    for (la, ra), va in a.items():
+        va *= m
+        for (lb, rb), vb in b.items():
+            k = (la + lb, ra + rb)
+            n = acc.get(k, 0) + va * vb
+            if n:
+                acc[k] = n
+            else:
+                del acc[k]
 
 
 def quasi_shuffle_words(u, v):

@@ -16,8 +16,12 @@ every n <= 12 take those 78 products in all, against 364 one degree at
 a time, and so do the right ones, walked from the suffix.  The suites
 hand the evaluator the quotient graph of a family's recursion instead
 (``_graph_coproducts``), which takes the same products and walks no
-word.  A primitivity defect looks each term of p (x) 1 + 1 (x) p up in
-the coproduct instead of building those tensors and subtracting.
+word.  The evaluation keeps each image as an integer map with one
+denominator, so its products take no gcd; ``_graph_int_coproducts``
+yields the coproducts in that form, which iso's coalgebra check reads,
+and the other entries reduce them to term maps.  A primitivity defect
+looks each term of p (x) 1 + 1 (x) p up in the coproduct instead of
+building those tensors and subtracting.
 The word-by-word coproduct ``_word_coproduct`` serves the
 coassociativity check and the quasi-shuffle duality.
 """
@@ -30,7 +34,7 @@ from functools import lru_cache
 
 from ._backend import kernels as _k
 from .config import resolve_limit, DegreeOverflowError
-from .poly import NCPoly, Tensor2, _evaluate, _evaluate_graph
+from .poly import NCPoly, Tensor2, _evaluate_graph, _int_morphism, _quotient_graph
 
 
 class HopfFamily(enum.Enum):
@@ -69,11 +73,9 @@ def _check_degree(p: NCPoly, max_degree):
 
 
 def _tensor_morphism(family: HopfFamily):
-    # (image, product_into, unit) of the coproduct of the family
-    return (
-        lambda letter: _generator_coproduct(letter, family),
-        _k.mul_tensor_into,
-        lambda c: {((), ()): c} if c else {},
+    # (image, combine, finish) of the coproduct of the family
+    return _int_morphism(
+        lambda letter: _generator_coproduct(letter, family), _k.mul_tensor_ints_into, ((), ())
     )
 
 
@@ -89,16 +91,26 @@ def _coproducts(polys, family: HopfFamily, max_degree=None):
             _check_degree(p, max_degree)
             yield p._terms
 
-    return map(Tensor2._raw, _evaluate(checked(), *_tensor_morphism(family)))
+    yield from map(
+        Tensor2._from_int_map,
+        _evaluate_graph(_quotient_graph(checked()), *_tensor_morphism(family)),
+    )
 
 
-def _graph_coproducts(graph, family: HopfFamily):
-    """The coproducts of the roots of a quotient graph, in order.
+def _graph_int_coproducts(graph, family: HopfFamily):
+    """The coproducts of the roots of a quotient graph, in order, as integer maps.
 
     ``graph`` is in the format of ``poly._evaluate``, built by a family
     from its recursion up to a degree it has checked; no word is walked.
+    Each coproduct is yielded as pass 2 forms it, ``(ints, den)``, the
+    term map ints / den, not reduced.
     """
-    return map(Tensor2._raw, _evaluate_graph(graph, *_tensor_morphism(family)))
+    return _evaluate_graph(graph, *_tensor_morphism(family))
+
+
+def _graph_coproducts(graph, family: HopfFamily):
+    """The coproducts of the roots of a quotient graph, in order, as tensors."""
+    return map(Tensor2._from_int_map, _graph_int_coproducts(graph, family))
 
 
 def coproduct(p: NCPoly, family: HopfFamily, max_degree=None) -> Tensor2:

@@ -18,6 +18,7 @@ handled by the kernel backend; the public face is fractions.Fraction.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Mapping
 
 from ._backend import kernels as _k
@@ -68,6 +69,11 @@ class _TermMap:
         self = object.__new__(cls)
         self._terms = terms
         return self
+
+    @classmethod
+    def _from_int_map(cls, image):
+        # an integer map (ints, den) of pass 2, reduced in place
+        return cls._raw(_k.from_int_map(*image))
 
     @classmethod
     def zero(cls):
@@ -223,23 +229,92 @@ class NCPoly(_TermMap):
 
 
 def _word_morphism(images):
-    # (image, product_into, unit) of the substitution of ``images`` into words
+    # (image, combine, finish) of the substitution of ``images`` into words
     lookup = images.__getitem__ if isinstance(images, Mapping) else images
-    return (
-        lambda letter: lookup(letter)._terms,
-        _k.mul_word_into,
-        lambda c: {(): c} if c else {},
-    )
+    return _int_morphism(lambda letter: lookup(letter)._terms, _k.mul_word_ints_into, ())
+
+
+def _int_morphism(image, product_into, one):
+    """(image, combine, finish) of a morphism into term maps, over integer maps.
+
+    ``image(letter)`` gives a letter's term map, converted here once per
+    letter; ``product_into(acc, x, y, m)`` adds m * x * y to an integer
+    map, and ``one`` is the key of the unit.  See "Image forms" in
+    :func:`_evaluate`.
+    """
+    letters: dict = {}
+
+    def letter_image(letter):
+        found = letters.get(letter)
+        if found is None:
+            found = letters[letter] = _k.to_int_map(image(letter))
+        return found
+
+    def combine(constant, factors):
+        den = constant[1] if constant else 1
+        for (x, dx), (y, dy), (_, r) in factors:
+            if x and y:
+                d = dx * dy * r
+                if den % d:
+                    den = den // gcd(den, d) * d
+        acc = {one: constant[0] * (den // constant[1])} if constant else {}
+        # pop each factor, so an image read for the last time goes with its product
+        factors.reverse()
+        while factors:
+            (x, dx), (y, dy), (rn, rd) = factors.pop()
+            if x and y:
+                product_into(acc, x, y, rn * (den // (dx * dy * rd)))
+        return acc, den
+
+    def finish(node_image, ratio, shared):
+        if ratio == _ONE and not shared:
+            return node_image
+        (ints, den), (rn, rd) = node_image, ratio
+        if rn == 1:
+            return dict(ints), den * rd
+        return {key: rn * value for key, value in ints.items()}, den * rd
+
+    return letter_image, combine, finish
+
+
+def _pair_morphism(image, product_into, unit):
+    """(image, combine, finish) of a morphism given as (image, product_into, unit).
+
+    ``unit(c)`` returns a fresh accumulator holding c times the image of
+    the empty word (an empty one for ``c`` None), and
+    ``product_into(acc, x, y, c)`` adds c * x * y to it in place.  A root
+    that is a multiple of its node, or that a later root reads, is
+    handed over through ``kernels.scale_terms``.
+    """
+
+    def combine(constant, factors):
+        acc = unit(constant)
+        factors.reverse()
+        while factors:
+            x, y, ratio = factors.pop()
+            if x and y:
+                product_into(acc, x, y, ratio)
+        return acc
+
+    def finish(node_image, ratio, shared):
+        if ratio != _ONE or shared:
+            return _k.scale_terms(node_image, ratio)
+        return node_image
+
+    return image, combine, finish
 
 
 def _substitutions(polys, images):
     """The images of the polynomials under one substitution, in order.
 
-    All of them come from one :func:`_evaluate` call, so a quotient that
-    several of them share, up to a scalar, is evaluated once; each image
-    is yielded as soon as it is formed.
+    All of them come from one evaluation (see :func:`_evaluate`), so a
+    quotient that several of them share, up to a scalar, is evaluated
+    once; each image is yielded as soon as it is formed.
     """
-    return map(NCPoly._raw, _evaluate((p._terms for p in polys), *_word_morphism(images)))
+    yield from map(
+        NCPoly._from_int_map,
+        _evaluate_graph(_quotient_graph(p._terms for p in polys), *_word_morphism(images)),
+    )
 
 
 def _graph_substitutions(graph, images):
@@ -249,7 +324,7 @@ def _graph_substitutions(graph, images):
     Under the identity substitution (``NCPoly.generator``) the images are
     the roots' own term maps, the expansion of the graph.
     """
-    return map(NCPoly._raw, _evaluate_graph(graph, *_word_morphism(images)))
+    return map(NCPoly._from_int_map, _evaluate_graph(graph, *_word_morphism(images)))
 
 
 def _walks_from_suffix(roots) -> bool:
@@ -286,7 +361,9 @@ def _evaluate(roots, image, product_into, unit):
     read by a later root, since such a root is yielded through
     ``kernels.scale_terms``; a lone root never is.  This is a generator:
     it yields the image of each root in order, as soon as that image is
-    formed.
+    formed.  This pair form serves the ``hsops`` bridge; the word and
+    tensor morphisms (``substitute``, ``coproduct`` and the suites) run
+    the same two passes over integer maps (below).
 
     Writing Q_w for the quotient of a root below the prefix w (the terms
     c_{wv} v), the image is computed by the Horner rule
@@ -333,17 +410,44 @@ def _evaluate(roots, image, product_into, unit):
        of each node to evaluate: one each time a root is yielded, and
        one per edge of a node that is read itself.  Then the nodes to
        evaluate are evaluated in order, so children come first, by the
-       Horner rule: one ``product_into`` per edge, each with the ratio
-       of the child it reads.  The nodes that root k added come after
-       those of the roots before it, so root k is yielded once they are
-       evaluated, before any node that only a later root needs.  A node
+       Horner rule: one product per edge, each with the ratio of the
+       child it reads (see "Image forms").  The nodes that root k added
+       come after those of the roots before it, so root k is yielded
+       once they are evaluated, before any node that only a later root
+       needs.  A node
        that nothing reads is skipped (from pass 1, a constant child of a
        quotient that joined an earlier class; in a graph, also a node
        that no root reaches), and an image is dropped after its last
        use, so only images still to be read stay alive.  Each
        yielded image belongs to the caller alone: a root that is a
        multiple of its node is yielded scaled, and one that a later root
-       still reads as a copy.
+       still reads as a copy.  Once every node is evaluated, pass 2
+       drops the letter images, before it yields the last roots.
+
+    Image forms.  Pass 2 takes its morphism as ``(image, combine,
+    finish)``: ``combine(c, factors)`` forms the image of a node from
+    its constant term and one factor ``(x, y, ratio)`` per edge, x the
+    left factor of its product, and ``finish(image, ratio, shared)``
+    hands a root over, scaled by ratio, and copied when ``shared`` says
+    that a later root still reads it.  Two forms exist:
+
+    - the pair form (``_pair_morphism``) of this function's arguments:
+      one ``product_into(acc, x, y, ratio)`` per edge into ``unit(c)``,
+      and ``kernels.scale_terms`` for a scaled or shared root;
+    - integer maps (``_int_morphism``), for word and for tensor keys:
+      each image is ``(ints, den)``, the term map ints / den with no
+      zero in ints.  A letter's image is converted once per evaluation
+      (``kernels.to_int_map``).  A node's den is fixed before its
+      products, as the lcm over its edges of den(x) * den(y) *
+      den(ratio) and its constant's den, so a product adds m * x * y
+      with the integer m = num(ratio) * den / (den(x) den(y) den(ratio))
+      and takes no gcd (``kernels.mul_word_ints_into``,
+      ``mul_tensor_ints_into``); entries that cancel are deleted in
+      place.  A root is yielded in this form; ``_TermMap._from_int_map``
+      reduces it in place, one gcd per term, for ``substitute``,
+      ``coproduct`` and the suites, and iso's coalgebra check reads it
+      as it is.  No node is reduced, so a den may exceed the reduced
+      one: at most 30 bits in iso at 12 and 45 at 15.
 
     Keeping the first quotient of a class as its node, instead of
     normalizing every quotient, leaves a ratio other than 1 only on the
@@ -357,11 +461,11 @@ def _evaluate(roots, image, product_into, unit):
 
         image(R_w) = unit(c_w) + sum_a image(R_{aw}) * image(a).
 
-    A graph read from the suffix is evaluated as ``product_into(acc,
-    child, letter, c)``.  Pass 1 takes the suffix end only when the
-    roots' one-letter suffix quotients (the R_a) take fewer distinct
-    values than their one-letter prefix quotients (the Q_a), and the
-    prefix end on a tie; it then walks the reversed words.  A lone
+    A graph read from the suffix is evaluated with the child as the left
+    factor and the letter as the right one.  Pass 1 takes the suffix end
+    only when the roots' one-letter suffix quotients (the R_a) take fewer
+    distinct values than their one-letter prefix quotients (the Q_a),
+    and the prefix end on a tie; it then walks the reversed words.  A lone
     homogeneous root of weight n whose words start and end with every
     letter up to n ties (n quotients at each end), so a single
     ``coproduct`` or ``substitute`` of the Newton primitives or the
@@ -392,13 +496,15 @@ def _evaluate(roots, image, product_into, unit):
     same products; pass 1 walks the 4,095 trie edges of each degree-12
     root to find them.
 
-    Only the fresh accumulators from ``unit`` are written to; the letter
+    Only the fresh accumulators of ``combine`` are written to; the letter
     images (often cached) and the images of shared quotients are only
     read, and a yielded image is never written again.  Pass 1 keeps its
     own stack, so a word may be longer than the interpreter's recursion
     limit.
     """
-    yield from _evaluate_graph(_quotient_graph(roots), image, product_into, unit)
+    yield from _evaluate_graph(
+        _quotient_graph(roots), *_pair_morphism(image, product_into, unit)
+    )
 
 
 def _quotient_graph(roots):
@@ -445,8 +551,12 @@ def _quotient_graph(roots):
     return from_suffix, list(ids), root_ids
 
 
-def _evaluate_graph(graph, image, product_into, unit):
-    """Pass 2 of :func:`_evaluate`: the images of a quotient graph's roots, in order."""
+def _evaluate_graph(graph, image, combine, finish):
+    """Pass 2 of :func:`_evaluate`: the images of a quotient graph's roots, in order.
+
+    The morphism is ``(image, combine, finish)``, in one of the image
+    forms that :func:`_evaluate` describes.
+    """
     from_suffix, exact, root_ids = graph
     where: list = []
     classes: dict = {}
@@ -522,25 +632,17 @@ def _evaluate_graph(graph, image, product_into, unit):
             images[node] = None
         return node_image
 
-    def evaluate(coefficient, *edges):
-        acc = unit(coefficient)
-        for letter, child, ratio in edges:
-            child_image = read(child)
-            letter_image = image(letter)
-            if child_image and letter_image:
-                if from_suffix:
-                    product_into(acc, child_image, letter_image, ratio)
-                else:
-                    product_into(acc, letter_image, child_image, ratio)
-        return acc
+    def evaluate(constant, *edges):
+        # the factors of each edge's product, in order; combine takes the list
+        # over, so no image in it outlives its product here
+        if from_suffix:
+            return combine(constant, [(read(c), image(a), r) for a, c, r in edges])
+        return combine(constant, [(image(a), read(c), r) for a, c, r in edges])
 
     def release(node, ratio):
-        # a root's image, owned by the caller alone: scaled when the root is
-        # a multiple of its node, and copied when a later root still reads it
-        node_image = read(node)
-        if ratio != _ONE or images[node] is not None:
-            return _k.scale_terms(node_image, ratio)
-        return node_image
+        # a root's image, owned by the caller alone
+        root_image = read(node)
+        return finish(root_image, ratio, images[node] is not None)
 
     # No image is held in a local of this frame and each node is dropped
     # once read, so while paused between roots the generator keeps only the
@@ -549,6 +651,9 @@ def _evaluate_graph(graph, image, product_into, unit):
         while len(images) < end:
             node = nodes.pop()
             images.append(evaluate(*node) if uses[len(images)] else None)
+        if not nodes:
+            # every node is evaluated: the letter images are read no more
+            image = combine = None
         yield release(root, ratio)
 
 

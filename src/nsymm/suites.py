@@ -198,8 +198,9 @@ SUITES = {
 # (Python 3.11.7, pure-Python kernels, 2 vCPUs).  Measured there:
 # primitivity, which runs its left side to its end before its right one,
 # 0.9 s and 89 MB at 16, 2.0 s and 166 MB at 17 (fresh processes, own
-# peak VmHWM); iso 3.1 s and
-# 96 MB at 15, 7.6 s and 187 MB at 16; newton-consistency 4.5 s at 16,
+# peak VmHWM); iso, whose evaluations take no gcd per product, 1.2-1.6 s
+# and 86.2-86.5 MB at 15, 3.0-3.2 s and 166 MB at 16 (fresh processes, own
+# peak VmHWM); newton-consistency 4.5 s at 16,
 # 9.4 s and 142 MB at 17; qsymm-hs, which walks only the Lyndon left
 # factors, 1.5-1.9 s and 34 MB at 13, 4.6-5.1 s and 60 MB at 14 (three
 # fresh processes each, own peak VmHWM); hopf-laws, which samples, 0.9 s

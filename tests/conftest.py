@@ -124,6 +124,35 @@ def record_scalars(monkeypatch):
 
 
 @pytest.fixture
+def record_ratios(monkeypatch):
+    """Patch module.name, a morphism of pass 2 over integer maps, to record each product's ratio.
+
+    ``module.name(...)`` returns ``(image, combine, finish)``; pass 2 folds
+    the ratio of each edge into the integer multiplier of its product in
+    ``combine``.  The wrapper records the ratio of each factor whose two
+    images, ``(ints, den)``, are nonzero: one per product.
+    """
+
+    def record(module, name):
+        ratios = []
+        real = getattr(module, name)
+
+        def morphism(*args):
+            image, combine, finish = real(*args)
+
+            def recording(constant, factors):
+                ratios.extend(ratio for x, y, ratio in factors if x[0] and y[0])
+                return combine(constant, factors)
+
+            return image, recording, finish
+
+        monkeypatch.setattr(module, name, morphism)
+        return ratios
+
+    return record
+
+
+@pytest.fixture
 def scalar_kinds():
     """The kinds of the scalars: negative, integer other than +-1, non-integer."""
 

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 import pytest
 
@@ -15,7 +15,9 @@ from nsymm import (
     z_of_u,
 )
 from nsymm import Tensor2, coproduct
+from nsymm import _core_py as _k
 from nsymm.explog import _coalgebra_defect, _u_of_z_graph, _z_of_u_graph
+from nsymm.hopf import _graph_int_coproducts
 from nsymm.poly import _graph_substitutions
 from nsymm.words import compositions_of
 
@@ -129,8 +131,42 @@ def test_coalgebra_residue_matches_the_tensor_subtraction(n):
     both[((), (n + 1,))] = (-1, 3)
     for variant in (terms, changed, missing, extra, both):
         delta = Tensor2._raw(variant)
-        assert _coalgebra_defect(n, delta, n) == _old_coalgebra_defect(n, delta)
-    assert not _coalgebra_defect(n, lhs, n)
+        got = _coalgebra_defect(n, _k.to_int_map(variant), n)
+        assert got == _old_coalgebra_defect(n, delta)
+    assert not _coalgebra_defect(n, _k.to_int_map(terms), n)
+
+
+def _canonical(terms):
+    return all(num and den >= 1 and gcd(num, den) == 1 for num, den in terms.values())
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_coalgebra_check_on_a_perturbed_integer_map(n):
+    # the integer map that pass 2 yields, put over 7 * den, with one
+    # coefficient off by 1/7, one key missing and one extra key, each alone
+    # and all together
+    *_, (ints, den) = _graph_int_coproducts(_z_of_u_graph(n), HopfFamily.LIEHOPF)
+    assert not _coalgebra_defect(n, (ints, den), n)
+    keys = list(ints)
+    off, gone, extra = keys[0], keys[-1], ((n,), (n,))
+    for parts in ({"off"}, {"gone"}, {"extra"}, {"off", "gone", "extra"}):
+        lhs = {key: 7 * value for key, value in ints.items()}
+        if "off" in parts:
+            lhs[off] += den
+        if "gone" in parts:
+            del lhs[gone]
+        if "extra" in parts:
+            lhs[extra] = -3 * den
+        got = _coalgebra_defect(n, (lhs, 7 * den), n)
+        delta = Tensor2({key: Fraction(value, 7 * den) for key, value in lhs.items()})
+        assert got == _old_coalgebra_defect(n, delta)
+        assert _canonical(got._terms)
+        expected = {
+            "off": (off, (1, 7)),
+            "gone": (gone, _k.rat_norm(-ints[gone], den)),
+            "extra": (extra, (-3, 7)),
+        }
+        assert got._terms == dict(expected[part] for part in parts)
 
 
 # --- the expansions as one shared quotient graph ------------------------------

@@ -25,7 +25,7 @@ from nsymm import (
     z_of_u,
 )
 from nsymm import _core_py as _k
-from nsymm import poly
+from nsymm import hopf, poly
 from nsymm.explog import _u_of_z_graph, _z_of_u_graph
 from nsymm.hopf import _coproducts, _graph_coproducts, _primitive_residue, _word_coproduct
 from nsymm.newton import _p_left_graph, _p_right_graph
@@ -238,8 +238,8 @@ def test_coproduct_products_count_distinct_quotients(monkeypatch, name):
     make, family, products = PRODUCT_COUNTS[name]
     p = make(12, max_degree=12)
     calls = []
-    real = _k.mul_tensor_into
-    monkeypatch.setattr(_k, "mul_tensor_into", lambda *args: (calls.append(1), real(*args))[1])
+    real = _k.mul_tensor_ints_into
+    monkeypatch.setattr(_k, "mul_tensor_ints_into", lambda *args: (calls.append(1), real(*args))[1])
     got = coproduct(p, family, max_degree=12)
     assert len(calls) == products
     if family is LH:
@@ -284,8 +284,8 @@ def test_shared_coproducts_products_count(monkeypatch, name):
     roots = [make(n, max_degree=12) for n in range(1, 13)]
     assert _walks_from_suffix([p._terms for p in roots]) is from_suffix
     calls = []
-    real = _k.mul_tensor_into
-    monkeypatch.setattr(_k, "mul_tensor_into", lambda *args: (calls.append(1), real(*args))[1])
+    real = _k.mul_tensor_ints_into
+    monkeypatch.setattr(_k, "mul_tensor_ints_into", lambda *args: (calls.append(1), real(*args))[1])
     got = list(_coproducts(roots, family, max_degree=12))
     assert len(calls) == products
     assert got == [coproduct(p, family, max_degree=12) for p in roots]
@@ -294,10 +294,10 @@ def test_shared_coproducts_products_count(monkeypatch, name):
 @pytest.mark.parametrize("from_suffix", [False, True])
 @pytest.mark.parametrize("family", [NS, LH])
 def test_shared_coproducts_match_oracle_on_scaled_quotients(
-    monkeypatch, record_scalars, scalar_kinds, from_suffix, family, scaled_twin_roots
+    monkeypatch, record_ratios, scalar_kinds, from_suffix, family, scaled_twin_roots
 ):
     monkeypatch.setattr(poly, "_walks_from_suffix", lambda roots: from_suffix)
-    scalars = record_scalars(_k, "mul_tensor_into")
+    scalars = record_ratios(hopf, "_tensor_morphism")
     for roots in scaled_twin_roots:
         got = list(_coproducts(roots, family))
         assert got == [_coproduct_oracle(p, family) for p in roots]
@@ -348,10 +348,10 @@ def _scaled_edges_oracle(roots):
 
 
 @pytest.mark.parametrize("make", [z_of_u, u_of_z])
-def test_exp_log_products_scale_only_where_quotients_merge(record_scalars, make):
+def test_exp_log_products_scale_only_where_quotients_merge(record_ratios, make):
     roots = [make(n, max_degree=10) for n in range(1, 11)]
     assert not _walks_from_suffix([p._terms for p in roots])
-    scalars = record_scalars(_k, "mul_tensor_into")
+    scalars = record_ratios(hopf, "_tensor_morphism")
     list(_coproducts(roots, LH, max_degree=10))
     merged = _scaled_edges_oracle(roots)
     assert merged > 0
@@ -412,8 +412,8 @@ def test_graph_coproducts_products_count(monkeypatch, name):
     roots = list(_graph_substitutions(graph(12), NCPoly.generator))
     expected = list(_coproducts(roots, family, max_degree=12))
     calls = []
-    real = _k.mul_tensor_into
-    monkeypatch.setattr(_k, "mul_tensor_into", lambda *args: (calls.append(1), real(*args))[1])
+    real = _k.mul_tensor_ints_into
+    monkeypatch.setattr(_k, "mul_tensor_ints_into", lambda *args: (calls.append(1), real(*args))[1])
 
     def no_walk(roots):
         raise AssertionError("the graph path walked the words")

@@ -1,6 +1,8 @@
+import gc
 import random
 from collections.abc import Mapping
 from fractions import Fraction
+from math import gcd, lcm
 from types import MappingProxyType
 
 import pytest
@@ -20,8 +22,9 @@ from nsymm import (
     z_in_pprime,
     z_of_u,
 )
+from nsymm import HopfFamily
 from nsymm import _core_py as _k
-from nsymm import poly
+from nsymm import hopf, poly
 from nsymm.explog import _u_of_z_graph, _z_of_u_graph
 from nsymm.newton import _z_in_pprime_graph
 from nsymm.poly import _evaluate, _graph_substitutions, _substitutions, _walks_from_suffix
@@ -283,6 +286,11 @@ def _word_unit(c):
     return {(): c} if c else {}
 
 
+def _scaled_word_into(acc, x, y, c):
+    # the product_into of the pair form: acc += c * x * y
+    _k.add_scaled_into(acc, _k.mul_word_terms(x, y), c)
+
+
 def test_shared_quotient_is_evaluated_once_and_only_read():
     # the quotient Z2 below (1, 1) and (2, 1) has the parents (1,) and (2,),
     # whose quotients differ
@@ -292,7 +300,7 @@ def test_shared_quotient_is_evaluated_once_and_only_read():
 
     def product_into(acc, letter_image, child_image, c):
         reads.append((acc, child_image, dict(child_image)))
-        _k.mul_word_into(acc, letter_image, child_image, c)
+        _scaled_word_into(acc, letter_image, child_image, c)
 
     (got,) = _evaluate([p._terms], lambda k: images[k]._terms, product_into, _word_unit)
     assert NCPoly._raw(got) == _substitute_oracle(p, images)
@@ -308,8 +316,8 @@ def test_shared_quotient_is_evaluated_once_and_only_read():
 
 def test_substitute_products_count_distinct_quotients(monkeypatch):
     calls = []
-    real = _k.mul_word_into
-    monkeypatch.setattr(_k, "mul_word_into", lambda *args: (calls.append(1), real(*args))[1])
+    real = _k.mul_word_ints_into
+    monkeypatch.setattr(_k, "mul_word_ints_into", lambda *args: (calls.append(1), real(*args))[1])
     # the quotients below (1,), (2,) and (3,) are all Z1*Z1, evaluated once:
     # two products down that chain and three at the root, against nine trie edges
     p = NCPoly({(1, 1, 1): 1, (2, 1, 1): 1, (3, 1, 1): 1})
@@ -359,7 +367,7 @@ def test_shared_substitution_products_count(monkeypatch):
     roots = [z_in_pprime(n, max_degree=12) for n in range(1, 13)]
     images = {k: newton_p_right(k, max_degree=12) for k in range(1, 13)}
     assert not _walks_from_suffix([p._terms for p in roots])
-    calls = _count_calls(monkeypatch, "mul_word_into")
+    calls = _count_calls(monkeypatch, "mul_word_ints_into")
     got = list(_substitutions(roots, images))
     assert len(calls) == 78
     assert got == [NCPoly.generator(n) for n in range(1, 13)]
@@ -368,11 +376,11 @@ def test_shared_substitution_products_count(monkeypatch):
 @pytest.mark.parametrize("from_suffix", [False, True])
 @pytest.mark.parametrize("family", ["affine", "z_of_u", "newton_p_right"])
 def test_shared_substitution_matches_oracle_on_scaled_quotients(
-    monkeypatch, record_scalars, scalar_kinds, from_suffix, family, scaled_twin_roots
+    monkeypatch, record_ratios, scalar_kinds, from_suffix, family, scaled_twin_roots
 ):
     images = IMAGE_FAMILIES[family]
     monkeypatch.setattr(poly, "_walks_from_suffix", lambda roots: from_suffix)
-    scalars = record_scalars(_k, "mul_word_into")
+    scalars = record_ratios(poly, "_word_morphism")
     for roots in scaled_twin_roots:
         got = list(_substitutions(roots, images))
         assert got == [_substitute_oracle(p, images) for p in roots]
@@ -403,7 +411,7 @@ def test_every_evaluated_image_is_read(monkeypatch, from_suffix, scaled_twin_roo
 
     def product_into(acc, x, y, c):
         read.update({id(x): x, id(y): y})
-        _k.mul_word_into(acc, x, y, c)
+        _scaled_word_into(acc, x, y, c)
 
     def scale_terms(terms, c):
         read[id(terms)] = terms
@@ -435,31 +443,105 @@ def test_yielded_image_is_not_written_later():
     assert all(image._terms == before for image, before in seen)
 
 
+def _held_by(stream):
+    """What the frames of a paused chain of generators hold: locals and the images of pass 2.
+
+    A ``map`` in the chain has no frame; the generator it reads is
+    followed through ``gc.get_referents``.
+    """
+    held, todo = [], [stream]
+    while todo:
+        it = todo.pop()
+        frame = getattr(it, "gi_frame", None)
+        if frame is None:
+            todo += [r for r in gc.get_referents(it) if hasattr(r, "gi_frame")]
+            continue
+        f_locals = frame.f_locals
+        held += f_locals.values()
+        if isinstance(f_locals.get("images"), list):
+            held += f_locals["images"]
+        if it.gi_yieldfrom is not None:
+            todo.append(it.gi_yieldfrom)
+    return held
+
+
+def _holds(held, terms):
+    # the term map itself, or an integer map (ints, den) around it
+    return any(
+        value is terms or (type(value) is tuple and len(value) == 2 and value[0] is terms)
+        for value in held
+    )
+
+
 def test_paused_evaluation_keeps_no_yielded_image():
     # z_of_u(n) has no constant term and every quotient below a nonempty
-    # prefix has one, so no root reads another; once a root's image is
-    # yielded, only the caller holds it
+    # prefix has one, so no root of its graph reads another; a root that a
+    # later root does read is yielded as a copy.  Once a root's image is
+    # yielded, only the caller holds it: in the pair form, in the integer
+    # form that pass 2 yields and iso's coalgebra check reads, and reduced
+    # to a term map, for word and for tensor keys.
     roots = [z_of_u(n)._terms for n in range(1, 8)]
     images = IMAGE_FAMILIES["affine"]
-    stream = _evaluate(roots, lambda k: images(k)._terms, _k.mul_word_into, _word_unit)
-    for image in stream:
-        # _evaluate delegates to the generator of pass 2, which holds the images
-        outer, inner = stream.gi_frame.f_locals, stream.gi_yieldfrom.gi_frame.f_locals
-        held = [*outer.values(), *inner.values(), *inner["images"]]
-        assert not any(value is image for value in held)
+    graph = _z_of_u_graph(7)
+    streams = {
+        "pair form": _evaluate(roots, lambda k: images(k)._terms, _scaled_word_into, _word_unit),
+        "words": _substitutions([z_of_u(n) for n in range(1, 8)], images),
+        "graph words": _graph_substitutions(graph, images),
+        "tensors": hopf._coproducts([z_of_u(n) for n in range(1, 8)], HopfFamily.LIEHOPF),
+        "graph tensors": hopf._graph_coproducts(graph, HopfFamily.NSYMM),
+        "integer maps": hopf._graph_int_coproducts(graph, HopfFamily.LIEHOPF),
+    }
+    for name, stream in streams.items():
+        count = 0
+        for image in stream:
+            terms = image[0] if name == "integer maps" else getattr(image, "_terms", image)
+            assert terms, name
+            assert not _holds(_held_by(stream), terms), name
+            count += 1
+        assert count == 7, name
+
+
+def test_paused_evaluation_drops_the_letter_images_before_its_last_root(monkeypatch):
+    # pass 2 converts each letter image to an integer map once; once every
+    # node is evaluated, before the last root is yielded, nothing holds them
+    converted = []
+    real = _k.to_int_map
+
+    def to_int_map(terms):
+        converted.append(real(terms))
+        return converted[-1]
+
+    monkeypatch.setattr(_k, "to_int_map", to_int_map)
+    images = IMAGE_FAMILIES["affine"]
+    graph = _z_of_u_graph(7)
+    for make in (
+        lambda: _graph_substitutions(graph, images),
+        lambda: hopf._graph_int_coproducts(graph, HopfFamily.LIEHOPF),
+    ):
+        converted.clear()
+        stream = make()
+        for _ in range(6):
+            next(stream)
+        # the last root still needs its nodes, so the letter images are alive
+        assert any(gc.get_referrers(letter) != [converted] for letter in converted)
+        last = next(stream)
+        assert last
+        assert all(gc.get_referrers(letter) == [converted] for letter in converted)
 
 
 @pytest.mark.parametrize("make", [newton_p_left, z_in_pprime, z_of_u])
 def test_each_root_is_yielded_before_later_work(monkeypatch, make):
     roots = [make(n, max_degree=10) for n in range(1, 11)]
     images = {k: u_of_z(k, max_degree=10) for k in range(1, 11)}
-    calls = _count_calls(monkeypatch, "mul_word_into")
+    calls = _count_calls(monkeypatch, "mul_word_ints_into")
     alone = []
     for k in range(1, len(roots) + 1):
         assert not _walks_from_suffix([p._terms for p in roots[:k]])
         before = len(calls)
         list(_substitutions(roots[:k], images))
         alone.append(len(calls) - before)
+    # the counted kernel is the one the evaluation calls
+    assert all(alone)
     calls.clear()
     # when the k-th root is yielded, exactly the products the first k roots need are done
     for k, _ in enumerate(_substitutions(roots, images), 1):
@@ -542,13 +624,13 @@ def _random_graph(rng, from_suffix):
 @pytest.mark.parametrize("from_suffix", [False, True])
 @pytest.mark.parametrize("family", ["affine", "cancelling", "newton_p_right"])
 def test_graph_substitutions_match_the_oracle_on_scaled_edges(
-    monkeypatch, record_scalars, scalar_kinds, from_suffix, family
+    monkeypatch, record_ratios, scalar_kinds, from_suffix, family
 ):
     # the ratio on an edge multiplies into the ratio of the node it reads, so
     # a node whose edges are all scaled joins the class of the node it copies
     images = IMAGE_FAMILIES[family]
     rng = random.Random(20121)
-    scalars = record_scalars(_k, "mul_word_into")
+    scalars = record_ratios(poly, "_word_morphism")
     kinds, merged = set(), 0
     for _ in range(10):
         graph = _random_graph(rng, from_suffix)
@@ -580,6 +662,45 @@ def test_pass_one_finds_the_graph_of_the_expansion(from_suffix):
         assert list(_graph_substitutions(graph, NCPoly.generator)) == expansion
 
 
+def test_node_denominator_is_the_lcm_of_its_edges():
+    # pass 2 fixes a node's denominator before its products: here the lcm of
+    # its constant's 7, 2 * 4 * 1 on the first edge and 3 * 1 * 6 on the
+    # second; an edge into a zero image adds no product and no factor
+    letters = {1: {(1,): (1, 2)}, 2: {(2,): (1, 3), (): (1, 1)}}
+    image, combine, _ = poly._int_morphism(letters.__getitem__, _k.mul_word_ints_into, ())
+    first = {(3,): (1, 4), (): (3, 2)}
+    second = {(1,): (2, 1)}
+    factors = [
+        (image(1), _k.to_int_map(first), (1, 1)),
+        (image(1), ({}, 11), (1, 13)),
+        (image(2), _k.to_int_map(second), (-5, 6)),
+    ]
+    ints, den = combine((1, 7), factors)
+    assert den == 504 == lcm(7, 2 * 4, 3 * 6)
+    assert all(type(value) is int and value for value in ints.values())
+    word = NCPoly._raw
+    expected = (
+        NCPoly.scalar(Fraction(1, 7))
+        + word(letters[1]) * word(first)
+        + (word(letters[2]) * word(second)).scale(Fraction(-5, 6))
+    )
+    assert NCPoly._from_int_map((ints, den)) == expected
+
+
+@pytest.mark.parametrize("graph, letter", [(_z_of_u_graph, u_of_z), (_u_of_z_graph, z_of_u)])
+def test_round_trips_yield_canonical_maps(graph, letter):
+    # each round trip cancels to Z_n, so pass 2 forms its roots over
+    # denominators far above the reduced ones; every yielded map is
+    # canonical: lowest terms, den >= 1 and no zero
+    images = {k: letter(k, max_degree=12) for k in range(1, 13)}
+    raw = list(poly._evaluate_graph(graph(12), *poly._word_morphism(images)))
+    assert max(den for _, den in raw) > 1
+    for n, (p, image) in enumerate(zip(_graph_substitutions(graph(12), images), raw), 1):
+        for got in (p, NCPoly._from_int_map(image)):
+            assert got == NCPoly.generator(n)
+            assert all(num and den >= 1 and gcd(num, den) == 1 for num, den in got._terms.values())
+
+
 # products of the graph path over n <= 12, with no word walked: the same as
 # pass 1 takes on the expanded maps (test_shared_substitution_products_count)
 GRAPH_SUBSTITUTIONS = {
@@ -595,7 +716,7 @@ def test_graph_substitutions_products_count(monkeypatch, name):
     images = {k: letter_image(k, max_degree=12) for k in range(1, 13)}
     roots = list(_graph_substitutions(graph(12), NCPoly.generator))
     expected = list(_substitutions(roots, images))
-    calls = _count_calls(monkeypatch, "mul_word_into")
+    calls = _count_calls(monkeypatch, "mul_word_ints_into")
 
     def no_walk(roots):
         raise AssertionError("the graph path walked the words")

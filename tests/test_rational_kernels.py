@@ -1,6 +1,7 @@
 """The kernel module against a fractions.Fraction model."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -190,14 +191,38 @@ def into_model(acc, a, b, concat, c=(1, 1)):
     return expected
 
 
-def check_into(kernel, acc, a, b, concat, c=None):
-    """kernel(acc, a, b), or kernel(acc, a, b, c), against the model."""
-    expected = into_model(acc, a, b, concat, c or (1, 1))
+def check_into(kernel, acc, a, b, concat):
+    """kernel(acc, a, b) against the model; a and b stay untouched."""
+    expected = into_model(acc, a, b, concat)
     a_before, b_before = dict(a), dict(b)
     got = dict(acc)
-    assert (kernel(got, a, b) if c is None else kernel(got, a, b, c)) is None
+    assert kernel(got, a, b) is None
     check_same(got, expected)
     assert a == a_before and b == b_before
+
+
+def scaled_into_ints(kernel, acc, a, b, c):
+    """acc + c * a * b as pass 2 forms it, through an integer kernel, as a term map.
+
+    The three maps go over to integer maps, the denominator of the sum is
+    fixed first, as the lcm of acc's and den(a) * den(b) * den(c), and the
+    kernel adds the product with the integer multiplier that c becomes.
+    """
+    (ia, da), (ib, db), (ints, d) = K.to_int_map(a), K.to_int_map(b), K.to_int_map(acc)
+    cn, cd = c
+    den = lcm(d, da * db * cd)
+    ints = {k: v * (den // d) for k, v in ints.items()}
+    ia_before, ib_before = dict(ia), dict(ib)
+    if ia and ib:
+        assert kernel(ints, ia, ib, cn * (den // (da * db * cd))) is None
+    assert all(type(v) is int and v for v in ints.values())
+    assert ia == ia_before and ib == ib_before
+    return K.from_int_map(ints, den)
+
+
+def check_scaled_into(kernel, acc, a, b, concat, c):
+    """acc + c * a * b through an integer kernel against the model."""
+    check_same(scaled_into_ints(kernel, acc, a, b, c), into_model(acc, a, b, concat, c))
 
 
 def concat_words(u, v):
@@ -221,20 +246,22 @@ def test_mul_tensor_into_model(acc, a, b):
     check_into(K.mul_tensor_into, acc, a, b, concat_pairs)
 
 
-# the scalar argument: the unit, a sign, an integer and a rational
+# the scalar of a scaled product: the unit, a sign, an integer and a
+# rational.  The pair products take none; pass 2 forms c * a * b over one
+# denominator through the integer kernels (scaled_into_ints)
 SCALARS = [(1, 1), (-1, 1), (3, 1), (-2, 7)]
 
 
 @pytest.mark.parametrize("c", SCALARS)
 @given(small_maps(short_words, min_size=1), small_maps(short_words), small_maps(short_words))
 def test_mul_word_into_scaled_model(c, acc, a, b):
-    check_into(K.mul_word_into, acc, a, b, concat_words, c)
+    check_scaled_into(K.mul_word_ints_into, acc, a, b, concat_words, c)
 
 
 @pytest.mark.parametrize("c", SCALARS)
 @given(small_maps(short_pairs, min_size=1), small_maps(short_pairs), small_maps(short_pairs))
 def test_mul_tensor_into_scaled_model(c, acc, a, b):
-    check_into(K.mul_tensor_into, acc, a, b, concat_pairs, c)
+    check_scaled_into(K.mul_tensor_ints_into, acc, a, b, concat_pairs, c)
 
 
 @given(term_maps, term_maps)
@@ -293,18 +320,10 @@ def test_in_place_products_on_each_branch(case):
 @pytest.mark.parametrize("case", sorted(INTO_BRANCHES))
 def test_scaled_products_on_each_branch(case, c):
     acc, a, b, _ = INTO_BRANCHES[case]
-    check_into(K.mul_word_into, acc, a, b, concat_words, c)
-    check_into(K.mul_tensor_into, doubled(acc), doubled(a), doubled(b), concat_pairs, c)
-
-
-def test_scaled_products_by_zero_add_nothing():
-    acc, a, b, _ = INTO_BRANCHES["mixed rationals"]
-    got = dict(acc)
-    K.mul_word_into(got, a, b, (0, 1))
-    assert got == acc
-    got = doubled(acc)
-    K.mul_tensor_into(got, doubled(a), doubled(b), (0, 1))
-    assert got == doubled(acc)
+    check_scaled_into(K.mul_word_ints_into, acc, a, b, concat_words, c)
+    check_scaled_into(
+        K.mul_tensor_ints_into, doubled(acc), doubled(a), doubled(b), concat_pairs, c
+    )
 
 
 # (a, b) per shape of the two factors.  The products loop over the shorter
@@ -328,12 +347,19 @@ SHAPE_ACC = {(1, 2, 3): (-1, 1), (3, 1, 2): (-2, 1), (1, 2): (1, 3), (9,): (1, 1
 @pytest.mark.parametrize("c", SCALARS)
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_products_on_each_shape(shape, c):
+    # the pair products at c = 1; c * a * b, every c, through the integer kernels
     a, b = SHAPES[shape]
-    check_into(K.mul_word_into, SHAPE_ACC, a, b, concat_words, c)
-    check_into(K.mul_tensor_into, doubled(SHAPE_ACC), doubled(a), doubled(b), concat_pairs, c)
     pa = {(k, k[::-1]): v for k, v in a.items()}
     pb = {(k[::-1], k): v for k, v in b.items()}
-    check_into(K.mul_tensor_into, {}, pa, pb, concat_pairs, c)
+    if c == (1, 1):
+        check_into(K.mul_word_into, SHAPE_ACC, a, b, concat_words)
+        check_into(K.mul_tensor_into, doubled(SHAPE_ACC), doubled(a), doubled(b), concat_pairs)
+        check_into(K.mul_tensor_into, {}, pa, pb, concat_pairs)
+    check_scaled_into(K.mul_word_ints_into, SHAPE_ACC, a, b, concat_words, c)
+    check_scaled_into(
+        K.mul_tensor_ints_into, doubled(SHAPE_ACC), doubled(a), doubled(b), concat_pairs, c
+    )
+    check_scaled_into(K.mul_tensor_ints_into, {}, pa, pb, concat_pairs, c)
 
 
 @pytest.mark.parametrize("pad", ["none", "left", "right"])
@@ -374,3 +400,135 @@ def test_evaluator_leaves_cached_images_unchanged():
         z_in_pprime(n, 6).substitute(lambda k: newton_p_right(k, 6))
 
     assert {name: [dict(t) for t in terms] for name, terms in images.items()} == before
+
+
+# --- the integer kernels of pass 2 ------------------------------------------
+
+# integer maps: (a, b) per shape, with the left factor longer, the right
+# longer, one-term and empty factors
+INT_LONG = {(1, 2): 1, (2,): -3, (1,): 2, (): 4}
+INT_SHAPES = {
+    "left longer": (INT_LONG, {(3,): 2, (): -1}),
+    "right longer": ({(3,): 2, (): -1}, INT_LONG),
+    "one-term left": ({(3,): 5}, INT_LONG),
+    "one-term right": (INT_LONG, {(3,): 5}),
+    "empty left": ({}, INT_LONG),
+    "empty right": (INT_LONG, {}),
+}
+# the multiplier: the unit, a sign, an integer and a large negative one
+MULTIPLIERS = [1, -1, 6, -(10**20 + 1)]
+
+
+def int_model(acc, a, b, concat, m):
+    """acc + m * a * b over the integers, zeros dropped."""
+    expected = dict(acc)
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            k = concat(ka, kb)
+            expected[k] = expected.get(k, 0) + m * va * vb
+    return {k: v for k, v in expected.items() if v}
+
+
+def check_ints_into(kernel, acc, a, b, concat, m):
+    """kernel(acc, a, b, m) against the integer model; a and b stay untouched."""
+    expected = int_model(acc, a, b, concat, m)
+    a_before, b_before = dict(a), dict(b)
+    got = dict(acc)
+    assert kernel(got, a, b, m) is None
+    assert got == expected
+    assert all(type(v) is int and v for v in got.values())
+    assert a == a_before and b == b_before
+    return got
+
+
+def cancelling_acc(a, b, concat, m):
+    """An accumulator whose first product term cancels, with a term of its own."""
+    acc = {(9,): 7}
+    product = int_model({}, a, b, concat, m)
+    if product:
+        first = next(iter(product))
+        acc[first] = -product[first]
+    return acc
+
+
+@pytest.mark.parametrize("m", MULTIPLIERS)
+@pytest.mark.parametrize("shape", sorted(INT_SHAPES))
+def test_integer_products_on_each_shape(shape, m):
+    a, b = INT_SHAPES[shape]
+    pa = {(k, k[::-1]): v for k, v in a.items()}
+    pb = {(k[::-1], k): v for k, v in b.items()}
+    cases = [
+        (K.mul_word_ints_into, a, b, concat_words),
+        (K.mul_tensor_ints_into, doubled(a), doubled(b), concat_pairs),
+        (K.mul_tensor_ints_into, pa, pb, concat_pairs),
+    ]
+    for kernel, x, y, concat in cases:
+        check_ints_into(kernel, {}, x, y, concat, m)
+        acc = cancelling_acc(x, y, concat, m)
+        got = check_ints_into(kernel, acc, x, y, concat, m)
+        # the cancelled term is removed, and acc's own term stays
+        assert len(acc) == 1 or not acc.keys() - {(9,)} & got.keys()
+        assert got[(9,)] == 7
+
+
+@pytest.mark.parametrize("pad", ["none", "left", "right"])
+def test_integer_products_keep_the_factor_order(pad):
+    left, right = {(1, 2): 1}, {(3,): 2}
+    if pad == "left":
+        left[(4,)] = 1
+    elif pad == "right":
+        right[(4,)] = 1
+    for x, y in ((left, right), (right, left)):
+        check_ints_into(K.mul_word_ints_into, {}, x, y, concat_words, -3)
+        check_ints_into(K.mul_tensor_ints_into, {}, doubled(x), doubled(y), concat_pairs, -3)
+
+
+small_ints = st.integers(-3, 3).filter(bool)
+multipliers = st.one_of(st.sampled_from(MULTIPLIERS), st.integers(-(10**30), 10**30).filter(bool))
+
+
+@given(
+    st.dictionaries(short_words, small_ints, max_size=5),
+    st.dictionaries(short_words, small_ints, max_size=5),
+    st.dictionaries(short_words, small_ints, max_size=5),
+    multipliers,
+)
+def test_mul_word_ints_into_model(acc, a, b, m):
+    check_ints_into(K.mul_word_ints_into, acc, a, b, concat_words, m)
+
+
+@given(
+    st.dictionaries(short_pairs, small_ints, max_size=5),
+    st.dictionaries(short_pairs, small_ints, max_size=5),
+    st.dictionaries(short_pairs, small_ints, max_size=5),
+    multipliers,
+)
+def test_mul_tensor_ints_into_model(acc, a, b, m):
+    check_ints_into(K.mul_tensor_ints_into, acc, a, b, concat_pairs, m)
+
+
+@given(term_maps)
+def test_int_map_round_trip(terms):
+    ints, den = K.to_int_map(terms)
+    assert den >= 1 and all(type(v) is int and v for v in ints.values())
+    assert all(den % d == 0 for _, d in terms.values())
+    assert {k: Fraction(v, den) for k, v in ints.items()} == model(terms)
+    check_same(K.from_int_map(ints, den), model(terms))
+
+
+def test_from_int_map_reduces_in_place_and_shares_denominators():
+    den = 6 * 10**30
+    ints = {(1,): 2, (2,): 4, (3,): -2, (4,): den, (5,): -3 * den}
+    got = K.from_int_map(ints, den)
+    assert got is ints
+    assert got == {
+        (1,): (1, den // 2),
+        (2,): (1, den // 4),
+        (3,): (-1, den // 2),
+        (4,): (1, 1),
+        (5,): (-3, 1),
+    }
+    # each distinct reduced denominator is one int object
+    assert got[(1,)][1] is got[(3,)][1]
+    assert K.from_int_map({(): -3}, 1) == {(): (-3, 1)}
+    assert K.from_int_map({}, 5) == {}
