@@ -8,21 +8,37 @@ the form at every API edge: every value that enters or leaves a
 polynomial, a tensor or an evaluation is one.
 
 Inside pass 2 of the evaluator (``poly._evaluate``), the word and tensor
-morphisms keep each image as an integer map instead: ``(ints, den)``, a
-dict from key to nonzero int and one common denominator, the term map
-ints / den, not reduced.  ``to_int_map`` converts a term map once,
-``from_int_map`` reduces an integer map back in place, one gcd per term,
-and ``mul_word_ints_into`` and ``mul_tensor_ints_into`` add an integer
-multiple of a product with no gcd at all.
+morphisms keep each image over one common denominator instead, in one
+of two forms, with no gcd in a product:
+
+- an integer map ``(ints, den)``, a dict from key to nonzero int, the
+  term map ints / den, not reduced, for term maps given as input.
+  ``to_int_map`` converts a term map once, ``from_int_map`` reduces an
+  integer map back in place, one gcd per term, and
+  ``mul_word_ints_into`` and ``mul_tensor_ints_into`` add an integer
+  multiple of a product.
+- dense blocks ``(blocks, den)``, for the quotient graphs of the suite
+  families: one list of numerators per weight of word (per pair of
+  weights for a tensor, row-major), a slot per composition, ranked as in
+  ``words.compositions_of``, zeros included.  A composition of n is a
+  subset of {1, ..., n - 1} (Gelfand et al. 1995; Gessel 1984), read as
+  the bits of its rank, so rank(u v) = rank(u) * 2^|v| + rank(v).  A
+  product is then slice arithmetic: ``mul_word_blocks_into`` and
+  ``mul_tensor_blocks_into`` add the other factor's block, for each
+  nonzero of one factor, in runs of ``out[s:e:step] = map(add, ...)``.
+  ``to_word_blocks``, ``to_tensor_blocks``, ``from_word_blocks`` and
+  ``from_tensor_blocks`` convert, and ``tensor_block_key`` decodes one
+  slot.
 
 This is the package's one kernel module (``nsymm._backend.kernels``);
 tests/test_rational_kernels.py holds it to a ``fractions.Fraction``
 model.  The ``*_into`` kernels add their result to an accumulator in
-place and leave their operands untouched.  The products' outer loop
-runs over the shorter factor, and the inner loop over the longer one;
-an integer product folds its multiplier into each term of the shorter
-factor, and each key is still the left factor's key followed by the
-right factor's.
+place and leave their operands untouched.  The term-map products' outer
+loop runs over the shorter factor, and the inner loop over the longer
+one; an integer product folds its multiplier into each term of the
+shorter factor, and each key is still the left factor's key followed by
+the right factor's.  A block product loops over the nonzeros of the
+block whose loop costs less.
 ``add_scaled_into`` is the one loop that merges a term map into another:
 the sum, difference, negation and scaling kernels are each one call of
 it on a fresh dict, but scaling by one copies the map.  Only the
@@ -34,7 +50,11 @@ its arithmetic.  Everything here is exact integer arithmetic — no
 floats.
 """
 
+from itertools import compress, count, product, repeat
 from math import gcd
+from operator import add, mul, ne, sub
+
+from .words import compositions_of
 
 
 def rat_norm(num, den):
@@ -371,6 +391,195 @@ def mul_tensor_ints_into(acc, a, b, m):
                 acc[k] = n
             else:
                 del acc[k]
+
+
+def scale_int_map(ints, n):
+    """A fresh integer map n * ints."""
+    return dict(ints) if n == 1 else {k: n * v for k, v in ints.items()}
+
+
+# --- dense blocks --------------------------------------------------------------
+
+
+def block_length(weight):
+    """The number of compositions of a weight: 2^(weight - 1), and 1 for weight 0."""
+    return 1 << (weight - 1) if weight else 1
+
+
+def nonzero_entries(block):
+    """(index, value) of each nonzero entry of a block, in order."""
+    return zip(compress(count(), block), filter(None, block))
+
+
+def to_word_blocks(terms):
+    """A word-keyed term map as dense blocks ``(blocks, den)``.
+
+    ``blocks`` maps each weight to one list of integer numerators over the
+    lcm ``den`` of the denominators, one per composition of that weight, in
+    the order of ``compositions_of``.
+    """
+    ints, den = to_int_map(terms)
+    weights = sorted({sum(word) for word in ints})
+    return {w: list(map(ints.get, compositions_of(w), repeat(0))) for w in weights}, den
+
+
+def to_tensor_blocks(terms):
+    """A pair-keyed term map as dense blocks ``(blocks, den)``.
+
+    ``blocks`` maps each (left weight, right weight) to one row-major list
+    of integer numerators over ``den``: a row per left word and a column per
+    right word, each in the order of ``compositions_of``.
+    """
+    ints, den = to_int_map(terms)
+    shapes = sorted({(sum(left), sum(right)) for left, right in ints})
+    return {
+        (i, j): list(map(ints.get, product(compositions_of(i), compositions_of(j)), repeat(0)))
+        for i, j in shapes
+    }, den
+
+
+def tensor_block_key(shape, k):
+    """The pair of words at entry k of the tensor block of weights ``shape``."""
+    i, j = shape
+    rights = compositions_of(j)
+    row, col = divmod(k, len(rights))
+    return compositions_of(i)[row], rights[col]
+
+
+def from_word_blocks(blocks, den):
+    """The term map blocks / den, reduced with one gcd per nonzero entry."""
+    ints = {}
+    for weight, block in blocks.items():
+        words = compositions_of(weight)
+        ints.update((words[k], value) for k, value in nonzero_entries(block))
+    return from_int_map(ints, den)
+
+
+def from_tensor_blocks(blocks, den):
+    """The term map blocks / den on pair keys, reduced with one gcd per nonzero entry."""
+    ints = {}
+    for shape, block in blocks.items():
+        ints.update((tensor_block_key(shape, k), value) for k, value in nonzero_entries(block))
+    return from_int_map(ints, den)
+
+
+def block_mismatches(have, have_scale, want, want_scale):
+    """The indices k, in order, at which have[k] * have_scale != want[k] * want_scale."""
+    return compress(
+        count(), map(ne, map(mul, have, repeat(have_scale)), map(mul, want, repeat(want_scale)))
+    )
+
+
+def scale_blocks(blocks, n):
+    """Fresh dense blocks n * blocks."""
+    return {key: list(map(mul, block, repeat(n))) for key, block in blocks.items()}
+
+
+def drop_zero_blocks(blocks):
+    """Delete, in place, each block whose entries are all zero."""
+    for key in [key for key, block in blocks.items() if not any(block)]:
+        del blocks[key]
+
+
+# A run (one slice multiply-add) costs about as much as this many of its entries.
+_RUN_COST = 16
+
+
+def _add_run(out, start, step, src, v):
+    # out[start + t * step] += v * src[t] for every t, in one slice assignment
+    stop = start + (len(src) - 1) * step + 1
+    segment = out[start:stop:step]
+    if v == 1:
+        out[start:stop:step] = map(add, segment, src)
+    elif v == -1:
+        out[start:stop:step] = map(sub, segment, src)
+    else:
+        out[start:stop:step] = map(add, segment, map(mul, src, repeat(v)))
+
+
+def _runs(rows, cols, row_stride, col_stride):
+    # the number of runs in which _add_grid adds such a grid
+    if rows == 1 or cols == 1 or row_stride == cols * col_stride:
+        return 1
+    return min(rows, cols)
+
+
+def _add_grid(out, base, src, cols, row_stride, col_stride, v):
+    """out[base + r * row_stride + c * col_stride] += v * src[r * cols + c], in runs.
+
+    A grid whose rows follow one another at its column stride, and a grid
+    of one row or one column, is one run; any other is added row by row
+    or column by column, whichever is fewer.
+    """
+    rows = len(src) // cols
+    if rows == 1 or row_stride == cols * col_stride:
+        _add_run(out, base, col_stride, src, v)
+    elif cols == 1:
+        _add_run(out, base, row_stride, src, v)
+    elif rows <= cols:
+        for r in range(rows):
+            _add_run(out, base + r * row_stride, col_stride, src[r * cols : (r + 1) * cols], v)
+    else:
+        for c in range(cols):
+            _add_run(out, base + c * col_stride, row_stride, src[c::cols], v)
+
+
+def _mul_block_into(out, x, x_cols, y, y_cols, k, l, out_cols, m):
+    """out += m * x * y for the blocks x of weights (i, j) and y of weights (k, l).
+
+    out is the block of (i + k, j + l), with out_cols columns.  By the rank
+    identity rank(u v) = rank(u) * 2^|v| + rank(v), entry (p, q) of x and
+    entry (r, s) of y land on ((p << k) + r) * out_cols + (q << l) + s.
+    The loop runs over the nonzeros of one factor, and adds the other
+    factor's block as a grid for each; it takes the factor whose loop
+    costs less, counting a run as _RUN_COST entries.
+    """
+    x_rows, y_rows = len(x) // x_cols, len(y) // y_cols
+    row_stride, col_stride = out_cols << k, 1 << l
+    over_x = (len(x) - x.count(0)) * (len(y) + _RUN_COST * _runs(y_rows, y_cols, out_cols, 1))
+    over_y = (len(y) - y.count(0)) * (
+        len(x) + _RUN_COST * _runs(x_rows, x_cols, row_stride, col_stride)
+    )
+    if over_x <= over_y:
+        for e, v in nonzero_entries(x):
+            p, q = divmod(e, x_cols)
+            _add_grid(out, (p << k) * out_cols + (q << l), y, y_cols, out_cols, 1, v * m)
+    else:
+        for e, v in nonzero_entries(y):
+            r, s = divmod(e, y_cols)
+            _add_grid(out, r * out_cols + s, x, x_cols, row_stride, col_stride, v * m)
+
+
+def mul_word_blocks_into(acc, a, b, m):
+    """acc += m * a * b under concatenation, on dense word blocks, in place.
+
+    acc, a and b map a weight to its block (:func:`to_word_blocks`) and m
+    is a nonzero int, so no gcd is taken; acc gets a zero block for each
+    weight it lacks.  A word block is a grid of one column, so each pair of
+    blocks is multiplied as a pair of tensor blocks with empty right words.
+    """
+    for i, x in a.items():
+        for k, y in b.items():
+            out = acc.get(i + k)
+            if out is None:
+                out = acc[i + k] = [0] * block_length(i + k)
+            _mul_block_into(out, x, 1, y, 1, k, 0, 1, m)
+
+
+def mul_tensor_blocks_into(acc, a, b, m):
+    """acc += m * a * b componentwise, on dense tensor blocks, in place.
+
+    As :func:`mul_word_blocks_into`, on blocks keyed by (left weight,
+    right weight) (:func:`to_tensor_blocks`).
+    """
+    for (i, j), x in a.items():
+        x_cols = block_length(j)
+        for (k, l), y in b.items():
+            out_cols = block_length(j + l)
+            out = acc.get((i + k, j + l))
+            if out is None:
+                out = acc[i + k, j + l] = [0] * (block_length(i + k) * out_cols)
+            _mul_block_into(out, x, x_cols, y, block_length(l), k, l, out_cols, m)
 
 
 def quasi_shuffle_words(u, v):

@@ -16,22 +16,26 @@ shared across n, are the nodes of the quotient graph that
 n <= 12 it has 90 nodes, and the 12 with r = 1 are multiples of one
 another, so each of iso's three evaluations takes 353 products, where
 one evaluation per degree takes 1,024, and walks no word.  The
-evaluator keeps each image as an integer map with one denominator, so
-the round trips, which cancel to Z_n, take no gcd but one per term of
-each root, and the coalgebra check reads the coproducts unreduced.  The
-term maps are built straight from their coefficient pairs, which are in
+evaluator runs it over dense blocks with one denominator (see "Image
+forms" in ``poly._evaluate``), so no product takes a gcd; the letter
+images are built straight from the length coefficients, n!/m! over n!
+and (-1)^(m+1) lcm(1..n)/m over lcm(1, ..., n), and the coalgebra check
+reads the coproducts as blocks, against the outer products of those
+blocks.  The term maps z_of_u(n) and u_of_z(n), which iso does not
+build, are built straight from their coefficient pairs, which are in
 lowest terms, and stay the independent closed forms of the graphs.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
+from itertools import chain, repeat
+from math import comb, factorial, lcm
+from operator import mul
 
-from ._backend import kernels as _k
 from .config import check_index
-from .hopf import HopfFamily, _graph_int_coproducts
-from .poly import NCPoly, Tensor2, _graph_substitutions
+from .hopf import HopfFamily, _block_residue, _graph_coproducts
+from .poly import NCPoly, Tensor2, _block_substitutions
 from .reports import Report
 from .words import compositions_of
 
@@ -114,6 +118,20 @@ def expand_u_in_z(p: NCPoly, max_degree=None) -> NCPoly:
     return p.substitute(lambda k: u_of_z(k, bound))
 
 
+def _blocks_by_length(n: int, coefficient):
+    """The expansion of degree n with coefficient(m) on each word of length m, as dense blocks.
+
+    ``(blocks, den)`` in word blocks (``kernels.to_word_blocks``), built
+    from the m coefficients over the lcm of their denominators: n!/m! over
+    n! for z_of_u, and (-1)^(m+1) lcm(1..n)/m over lcm(1, ..., n) for
+    u_of_z.
+    """
+    pairs = [coefficient(m) for m in range(1, n + 1)]
+    den = lcm(*(d for _, d in pairs))
+    nums = [0] + [num * (den // d) for num, d in pairs]
+    return {n: list(map(nums.__getitem__, map(len, compositions_of(n))))}, den
+
+
 def verify_iso(max_degree: int) -> Report:
     """Check, degree by degree, that the change of generators is a Hopf iso.
 
@@ -127,73 +145,56 @@ def verify_iso(max_degree: int) -> Report:
     is evaluated in one shared evaluation over every n <= max_degree,
     from the quotient graph of the expansions, so the record of degree n
     times only the quotients that degree n is the first to need.  The
-    letter images and the factors of the binomial coproduct are built
-    before the evaluations start.  The round trips are reduced to term
-    maps as they are yielded; the coproducts stay integer maps
-    ``(ints, den)``, which :func:`_coalgebra_defect` compares with the
-    image term by term, without a gcd.  At degree 15, in a fresh
-    process, ``nsymm verify iso`` takes about 1.2-1.6 s and 86.2-86.5 MB
-    of own peak (``VmHWM``), against 1.8-2.6 s and 96.5-96.9 MB when every
-    product reduced its terms; at 16 it takes 3.0-3.2 s and 166 MB.
+    evaluations run over dense blocks, with the letter images built from
+    the length coefficients (:func:`_blocks_by_length`), so no term map of
+    an expansion is built.  The round trips are decoded to term maps as
+    they are yielded, which costs one term each when they hold; the
+    coproducts stay in blocks, which :func:`_coalgebra_defect` compares
+    with the image block by block.  At degree 16, in a fresh process,
+    ``nsymm verify iso`` takes 0.7-1.0 s and 49 MB of own peak
+    (``VmHWM``), against 3.0-4.3 s and 166 MB over integer maps.
     """
     check_index(max_degree, max_degree, what="max_degree")
     report = Report(suite="iso", max_degree=max_degree)
     degrees = range(1, max_degree + 1)
-    zs = [z_of_u(n, max_degree) for n in degrees]
-    us = [u_of_z(n, max_degree) for n in degrees]
-    z_round_trips = _graph_substitutions(_z_of_u_graph(max_degree), lambda k: us[k - 1])
-    u_round_trips = _graph_substitutions(_u_of_z_graph(max_degree), lambda k: zs[k - 1])
-    lhs = _graph_int_coproducts(_z_of_u_graph(max_degree), HopfFamily.LIEHOPF)
+    exps = {k: _blocks_by_length(k, _exp_coefficient) for k in degrees}
+    logs = {k: _blocks_by_length(k, _log_coefficient) for k in degrees}
+    z_round_trips = _block_substitutions(_z_of_u_graph(max_degree), logs.__getitem__)
+    u_round_trips = _block_substitutions(_u_of_z_graph(max_degree), exps.__getitem__)
+    lhs = _graph_coproducts(_z_of_u_graph(max_degree), HopfFamily.LIEHOPF)
     for n in degrees:
         report.timed(
-            "round-trip Z->U->Z", n, lambda: next(z_round_trips) - NCPoly.generator(n)
+            "round-trip Z->U->Z",
+            n,
+            lambda: NCPoly._from_blocks(next(z_round_trips)) - NCPoly.generator(n),
         )
         report.timed(
-            "round-trip U->Z->U", n, lambda: next(u_round_trips) - NCPoly.generator(n)
+            "round-trip U->Z->U",
+            n,
+            lambda: NCPoly._from_blocks(next(u_round_trips)) - NCPoly.generator(n),
         )
-        report.timed(
-            "coalgebra morphism", n, lambda: _coalgebra_defect(n, next(lhs), max_degree)
-        )
+        report.timed("coalgebra morphism", n, lambda: _coalgebra_defect(n, next(lhs)))
     return report
 
 
-def _coalgebra_defect(n: int, lhs, max_degree: int) -> Tensor2:
+def _coalgebra_defect(n: int, lhs) -> Tensor2:
     """lhs minus the image of the binomial coproduct of Z_n.
 
-    lhs is the primitive-generator coproduct of z_of_u(n) as an integer
-    map with one denominator, ``(ints, den)``; the image is the sum over
-    i of z_of_u(i) (x) z_of_u(n - i), with z_of_u(0) = 1, whose terms
-    have disjoint keys, since their left weights i differ.  A term of the
-    image with coefficient num / d matches its lhs term ``have`` when
-    have * d == den * num, which takes no gcd; num is 1 and d = a! b! on
-    a key of words of lengths a and b.  Only a mismatch is reduced, into
-    the residue, which is a normalized term map.  When every key of lhs is
-    matched, the residue holds only the mismatched coefficients;
-    otherwise the unmatched keys are found in a second walk of the image.
+    lhs is the primitive-generator coproduct of z_of_u(n) in dense tensor
+    blocks, ``(blocks, den)``.  The image is the sum over i of
+    z_of_u(i) (x) z_of_u(n - i), with z_of_u(0) = 1.  Over n! it has one
+    block per i, of weights (i, n - i), with n!/(a! b!) on a pair of words
+    of lengths a and b: the outer product of the blocks of the two factors
+    over i! and (n - i)!, times C(n, i).  ``hopf._block_residue`` compares
+    the two block by block and decodes only the mismatches.
     """
-    ints, den = lhs
-    factors = [NCPoly.one()] + [z_of_u(i, max_degree) for i in range(1, n + 1)]
+    factors = [[1]] + [_blocks_by_length(i, _exp_coefficient)[0][i] for i in range(1, n + 1)]
 
     def expected():
         for i in range(n + 1):
-            right = factors[n - i]._terms
-            for left_word, (left_num, left_den) in factors[i]._terms.items():
-                for right_word, (right_num, right_den) in right.items():
-                    yield (left_word, right_word), left_num * right_num, left_den * right_den
+            left, right = factors[i], factors[n - i]
+            # entry (p, q) is comb(n, i) * left[p] * right[q], row by row
+            column = map(repeat, map(mul, left, repeat(comb(n, i))), repeat(len(right)))
+            yield (i, n - i), list(map(mul, chain.from_iterable(column), right * len(left)))
 
-    residue: dict = {}
-    matched = 0
-    for key, num, d in expected():
-        have = ints.get(key)
-        if have is None:
-            residue[key] = _k.rat_norm(-num, d)
-        else:
-            matched += 1
-            if have * d != den * num:
-                residue[key] = _k.rat_norm(have * d - den * num, den * d)
-    if matched < len(ints):
-        keys = {key for key, _, _ in expected()}
-        residue.update(
-            (key, _k.rat_norm(have, den)) for key, have in ints.items() if key not in keys
-        )
-    return Tensor2._raw(residue)
+    return _block_residue(lhs, expected(), factorial(n))

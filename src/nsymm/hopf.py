@@ -13,15 +13,16 @@ for each P_k with k <= 12, where the trie has 4,095 edges.  The
 coproducts of a whole family can be taken at once (``_coproducts``), so
 the quotients are shared across degrees too: the left primitives of
 every n <= 12 take those 78 products in all, against 364 one degree at
-a time, and so do the right ones, walked from the suffix.  The suites
-hand the evaluator the quotient graph of a family's recursion instead
-(``_graph_coproducts``), which takes the same products and walks no
-word.  The evaluation keeps each image as an integer map with one
-denominator, so its products take no gcd; ``_graph_int_coproducts``
-yields the coproducts in that form, which iso's coalgebra check reads,
-and the other entries reduce them to term maps.  A primitivity defect
-looks each term of p (x) 1 + 1 (x) p up in the coproduct instead of
-building those tensors and subtracting.
+a time, and so do the right ones, walked from the suffix.  The
+evaluation keeps each image over one denominator, so its products take
+no gcd: as an integer map for a polynomial given as a term map, and as
+dense blocks for the quotient graph of a family's recursion, which the
+suites hand over (``_graph_coproducts``), which takes the same products
+and walks no word.  A primitivity defect looks each term of
+p (x) 1 + 1 (x) p up in the coproduct instead of building those tensors
+and subtracting; on blocks (``_primitive_block_residue``), p's block of
+weight n is itself the block (n, 0) of p (x) 1 and (0, n) of 1 (x) p, so
+the check compares whole blocks and decodes only a mismatch.
 The word-by-word coproduct ``_word_coproduct`` serves the
 coassociativity check and the quasi-shuffle duality.
 """
@@ -73,9 +74,21 @@ def _check_degree(p: NCPoly, max_degree):
 
 
 def _tensor_morphism(family: HopfFamily):
-    # (image, combine, finish) of the coproduct of the family
+    # (image, combine, finish) of the coproduct of the family, over integer maps
     return _int_morphism(
-        lambda letter: _generator_coproduct(letter, family), _k.mul_tensor_ints_into, ((), ())
+        lambda letter: _k.to_int_map(_generator_coproduct(letter, family)),
+        _k.mul_tensor_ints_into,
+        ((), ()),
+    )
+
+
+def _tensor_block_morphism(family: HopfFamily):
+    # (image, combine, finish) of the coproduct of the family, over dense blocks
+    return _int_morphism(
+        lambda letter: _k.to_tensor_blocks(_generator_coproduct(letter, family)),
+        _k.mul_tensor_blocks_into,
+        (0, 0),
+        dense=True,
     )
 
 
@@ -97,20 +110,15 @@ def _coproducts(polys, family: HopfFamily, max_degree=None):
     )
 
 
-def _graph_int_coproducts(graph, family: HopfFamily):
-    """The coproducts of the roots of a quotient graph, in order, as integer maps.
+def _graph_coproducts(graph, family: HopfFamily):
+    """The coproducts of the roots of a quotient graph, in order, as dense blocks.
 
     ``graph`` is in the format of ``poly._evaluate``, built by a family
     from its recursion up to a degree it has checked; no word is walked.
-    Each coproduct is yielded as pass 2 forms it, ``(ints, den)``, the
-    term map ints / den, not reduced.
+    Each coproduct is yielded as pass 2 forms it, ``(blocks, den)``
+    (``kernels.to_tensor_blocks``); ``Tensor2._from_blocks`` decodes one.
     """
-    return _evaluate_graph(graph, *_tensor_morphism(family))
-
-
-def _graph_coproducts(graph, family: HopfFamily):
-    """The coproducts of the roots of a quotient graph, in order, as tensors."""
-    return map(Tensor2._from_int_map, _graph_int_coproducts(graph, family))
+    return _evaluate_graph(graph, *_tensor_block_morphism(family))
 
 
 def coproduct(p: NCPoly, family: HopfFamily, max_degree=None) -> Tensor2:
@@ -162,6 +170,55 @@ def _primitive_residue(p: NCPoly, delta: Tensor2) -> Tensor2:
                 yield ((), ()), _k.rat_add(pair, pair)
 
     return _tensor_residue(delta._terms, expected)
+
+
+def _block_residue(delta, expected, expected_den) -> Tensor2:
+    """delta minus the term map that ``expected`` gives over ``expected_den``.
+
+    delta is ``(blocks, den)`` in dense tensor blocks, and ``expected``
+    yields (shape, block) pairs in the same form, each shape once.  The
+    blocks of a shape are compared entry by entry by cross-multiplying,
+    so no gcd is taken, and only a mismatched entry is decoded to its pair
+    of words and reduced, into the residue, a normalized term map.  A
+    shape of delta that ``expected`` lacks is residue as it is.
+    """
+    blocks, den = delta
+    residue: dict = {}
+    shapes = set()
+    for shape, want in expected:
+        shapes.add(shape)
+        have = blocks.get(shape) or [0] * len(want)
+        for k in _k.block_mismatches(have, expected_den, want, den):
+            residue[_k.tensor_block_key(shape, k)] = _k.rat_norm(
+                have[k] * expected_den - want[k] * den, den * expected_den
+            )
+    for shape, have in blocks.items():
+        if shape not in shapes:
+            residue.update(
+                (_k.tensor_block_key(shape, k), _k.rat_norm(value, den))
+                for k, value in _k.nonzero_entries(have)
+            )
+    return Tensor2._raw(residue)
+
+
+def _primitive_block_residue(p, delta) -> Tensor2:
+    """delta - p (x) 1 - 1 (x) p, for delta the coproduct of p, both in dense blocks.
+
+    p is ``(blocks, den)`` in word blocks.  Its block of weight g > 0 is
+    also the block of p (x) 1 of weights (g, 0), one column, and the block
+    of 1 (x) p of weights (0, g), one row; its constant term counts twice.
+    """
+    words, den = p
+
+    def expected():
+        for weight, block in words.items():
+            if weight:
+                yield (weight, 0), block
+                yield (0, weight), block
+            else:
+                yield (0, 0), [2 * block[0]]
+
+    return _block_residue(delta, expected(), den)
 
 
 def primitivity_defect(p: NCPoly, family: HopfFamily, max_degree=None) -> Tensor2:

@@ -18,7 +18,9 @@ and that of z_in_pprime(n) below i < n is z_in_pprime(n - i) / n.  The
 suites hand these graphs to the evaluator, which then runs the
 recursion's n(n + 1)/2 products without walking the 2^(n-1) words of a
 degree.  The term maps read the same steps off the graph, node by node,
-with each letter as itself; the closed forms stay independent of both.
+with each letter as itself; the closed forms stay independent of both,
+and the primitivity suite checks the coproducts of the graphs against
+the closed form of P_n as a dense block (:func:`_explicit_blocks`).
 
 Outputs of the two ``z_in_pprime`` operations are plain NCPoly whose
 words are read in the P' alphabet (PBasisPoly); everything else is in
@@ -138,6 +140,17 @@ def newton_p_explicit(n: int, max_degree=None) -> NCPoly:
         sign = 1 if len(word) % 2 else -1
         terms[word] = (sign * word[-1], 1)
     return NCPoly._raw(terms)
+
+
+def _explicit_blocks(n: int, from_suffix: bool = False):
+    """The closed form of a primitive of degree n as dense word blocks ``(blocks, 1)``.
+
+    On each composition w of n, in the order of ``compositions_of``, the
+    left primitive has (-1)^(m+1) times the last part of w, m its length,
+    and the right one, its reversal, the same times the first part.
+    """
+    end = 0 if from_suffix else -1
+    return {n: [(1 if len(w) % 2 else -1) * w[end] for w in compositions_of(n)]}, 1
 
 
 def c_coeff(word) -> Fraction:

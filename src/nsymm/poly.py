@@ -171,6 +171,11 @@ class NCPoly(_TermMap):
         return cls._raw({(): (1, 1)})
 
     @classmethod
+    def _from_blocks(cls, image):
+        # dense word blocks (blocks, den) of pass 2, decoded and reduced
+        return cls._raw(_k.from_word_blocks(*image))
+
+    @classmethod
     def scalar(cls, value):
         pair = coeff_pair(value)
         return cls._raw({(): pair} if pair[0] else {})
@@ -228,26 +233,41 @@ class NCPoly(_TermMap):
         return result
 
 
+def _lookup(images):
+    # a letter's image under ``images``, a mapping or a callable
+    return images.__getitem__ if isinstance(images, Mapping) else images
+
+
 def _word_morphism(images):
-    # (image, combine, finish) of the substitution of ``images`` into words
-    lookup = images.__getitem__ if isinstance(images, Mapping) else images
-    return _int_morphism(lambda letter: lookup(letter)._terms, _k.mul_word_ints_into, ())
+    # (image, combine, finish) of the substitution of ``images`` into words, over integer maps
+    lookup = _lookup(images)
+    return _int_morphism(
+        lambda letter: _k.to_int_map(lookup(letter)._terms), _k.mul_word_ints_into, ()
+    )
 
 
-def _int_morphism(image, product_into, one):
-    """(image, combine, finish) of a morphism into term maps, over integer maps.
+def _word_block_morphism(letter_image):
+    # (image, combine, finish) of a substitution into words, over dense blocks
+    return _int_morphism(letter_image, _k.mul_word_blocks_into, 0, dense=True)
 
-    ``image(letter)`` gives a letter's term map, converted here once per
-    letter; ``product_into(acc, x, y, m)`` adds m * x * y to an integer
-    map, and ``one`` is the key of the unit.  See "Image forms" in
-    :func:`_evaluate`.
+
+def _int_morphism(letter_image, product_into, one, dense=False):
+    """(image, combine, finish) of a morphism into term maps, over integer numerators.
+
+    ``letter_image(letter)`` gives a letter's image in the form of the
+    morphism, called here once per letter; ``product_into(acc, x, y, m)``
+    adds m * x * y to an accumulator, and ``one`` is the key of the unit.
+    Each image is ``(ints, den)``, with one denominator: ints is an integer
+    map, or with ``dense`` a dict of dense blocks, in which the unit is a
+    block of one entry and the blocks that cancel to zero are dropped once
+    a node's products are done.  See "Image forms" in :func:`_evaluate`.
     """
     letters: dict = {}
 
-    def letter_image(letter):
+    def image(letter):
         found = letters.get(letter)
         if found is None:
-            found = letters[letter] = _k.to_int_map(image(letter))
+            found = letters[letter] = letter_image(letter)
         return found
 
     def combine(constant, factors):
@@ -257,24 +277,27 @@ def _int_morphism(image, product_into, one):
                 d = dx * dy * r
                 if den % d:
                     den = den // gcd(den, d) * d
-        acc = {one: constant[0] * (den // constant[1])} if constant else {}
+        acc = {}
+        if constant:
+            n = constant[0] * (den // constant[1])
+            acc[one] = [n] if dense else n
         # pop each factor, so an image read for the last time goes with its product
         factors.reverse()
         while factors:
             (x, dx), (y, dy), (rn, rd) = factors.pop()
             if x and y:
                 product_into(acc, x, y, rn * (den // (dx * dy * rd)))
+        if dense:
+            _k.drop_zero_blocks(acc)
         return acc, den
 
     def finish(node_image, ratio, shared):
         if ratio == _ONE and not shared:
             return node_image
         (ints, den), (rn, rd) = node_image, ratio
-        if rn == 1:
-            return dict(ints), den * rd
-        return {key: rn * value for key, value in ints.items()}, den * rd
+        return (_k.scale_blocks if dense else _k.scale_int_map)(ints, rn), den * rd
 
-    return letter_image, combine, finish
+    return image, combine, finish
 
 
 def _pair_morphism(image, product_into, unit):
@@ -317,14 +340,31 @@ def _substitutions(polys, images):
     )
 
 
+def _block_substitutions(graph, letter_image):
+    """The images of the roots of a quotient graph under one substitution, as dense blocks.
+
+    ``graph`` is in the format of :func:`_evaluate`; no word is walked.
+    ``letter_image(letter)`` gives the image of a letter as dense word
+    blocks ``(blocks, den)`` (``kernels.to_word_blocks``), and each root's
+    image is yielded in that form, in order.
+    """
+    return _evaluate_graph(graph, *_word_block_morphism(letter_image))
+
+
 def _graph_substitutions(graph, images):
     """The images of the roots of a quotient graph under one substitution, in order.
 
-    ``graph`` is in the format of :func:`_evaluate`; no word is walked.
-    Under the identity substitution (``NCPoly.generator``) the images are
-    the roots' own term maps, the expansion of the graph.
+    ``images`` maps a letter to an NCPoly; the evaluation runs over dense
+    blocks (:func:`_block_substitutions`) and each image is decoded to a
+    term map as it is yielded.  Under the identity substitution
+    (``NCPoly.generator``) the images are the roots' own term maps, the
+    expansion of the graph.
     """
-    return map(NCPoly._from_int_map, _evaluate_graph(graph, *_word_morphism(images)))
+    lookup = _lookup(images)
+    return map(
+        NCPoly._from_blocks,
+        _block_substitutions(graph, lambda letter: _k.to_word_blocks(lookup(letter)._terms)),
+    )
 
 
 def _walks_from_suffix(roots) -> bool:
@@ -362,8 +402,9 @@ def _evaluate(roots, image, product_into, unit):
     ``kernels.scale_terms``; a lone root never is.  This is a generator:
     it yields the image of each root in order, as soon as that image is
     formed.  This pair form serves the ``hsops`` bridge; the word and
-    tensor morphisms (``substitute``, ``coproduct`` and the suites) run
-    the same two passes over integer maps (below).
+    tensor morphisms run the same two passes over integer maps
+    (``substitute`` and ``coproduct``) or dense blocks (the suites), see
+    "Image forms" below.
 
     Writing Q_w for the quotient of a root below the prefix w (the terms
     c_{wv} v), the image is computed by the Horner rule
@@ -429,12 +470,15 @@ def _evaluate(roots, image, product_into, unit):
     its constant term and one factor ``(x, y, ratio)`` per edge, x the
     left factor of its product, and ``finish(image, ratio, shared)``
     hands a root over, scaled by ratio, and copied when ``shared`` says
-    that a later root still reads it.  Two forms exist:
+    that a later root still reads it.  Three forms exist, and the entry
+    point chooses one by what it is given:
 
     - the pair form (``_pair_morphism``) of this function's arguments:
       one ``product_into(acc, x, y, ratio)`` per edge into ``unit(c)``,
-      and ``kernels.scale_terms`` for a scaled or shared root;
-    - integer maps (``_int_morphism``), for word and for tensor keys:
+      and ``kernels.scale_terms`` for a scaled or shared root.  The
+      ``hsops`` bridge uses it, with lists of map columns as images.
+    - integer maps (``_int_morphism``), for term maps given as input, to
+      ``substitute`` and ``coproduct`` (and so the samples of hopf-laws):
       each image is ``(ints, den)``, the term map ints / den with no
       zero in ints.  A letter's image is converted once per evaluation
       (``kernels.to_int_map``).  A node's den is fixed before its
@@ -443,11 +487,31 @@ def _evaluate(roots, image, product_into, unit):
       with the integer m = num(ratio) * den / (den(x) den(y) den(ratio))
       and takes no gcd (``kernels.mul_word_ints_into``,
       ``mul_tensor_ints_into``); entries that cancel are deleted in
-      place.  A root is yielded in this form; ``_TermMap._from_int_map``
-      reduces it in place, one gcd per term, for ``substitute``,
-      ``coproduct`` and the suites, and iso's coalgebra check reads it
-      as it is.  No node is reduced, so a den may exceed the reduced
-      one: at most 30 bits in iso at 12 and 45 at 15.
+      place.  A root is yielded in this form, and
+      ``_TermMap._from_int_map`` reduces it in place, one gcd per term.
+      The input is sparse, so its images stay sparse: a word of weight
+      20 is one term here, where a block would hold 2^19 slots.
+    - dense blocks, the same ``_int_morphism`` with ``dense``, for a
+      quotient graph given as input, the families of the suites
+      (:func:`_block_substitutions`, ``hopf._graph_coproducts``): the
+      same ``(ints, den)`` and the same den, but ints maps each weight
+      (a pair of weights for tensors) to one list of numerators, a slot
+      per composition in the order of ``words.compositions_of``, and a
+      tensor block row-major, a row per left word.  The rank of u v is
+      rank(u) * 2^|v| + rank(v), so a product adds the other factor's
+      block for each nonzero of one factor in a few slice
+      multiply-adds, which run in C (``kernels.mul_word_blocks_into``,
+      ``mul_tensor_blocks_into``), where an integer map makes a dict
+      probe per pair of terms.  The blocks that cancel to zero are
+      dropped as each node finishes.  The families are dense, so their
+      blocks hold few zeros: the coproduct of z_of_u(16), (n + 3) *
+      2^(n-2) = 311,296 terms, is 17 blocks of 311,296 slots in all.
+      The suites read the blocks as they are, against dense closed
+      forms, and decode only a mismatch to its words;
+      ``_TermMap._from_blocks`` decodes a whole image.
+
+    No node is reduced, so a den may exceed the reduced one: at most 30
+    bits in iso at 12 and 45 at 15.
 
     Keeping the first quotient of a class as its node, instead of
     normalizing every quotient, leaves a ratio other than 1 only on the
@@ -674,6 +738,11 @@ class Tensor2(_TermMap):
     @classmethod
     def one(cls):
         return cls._raw({((), ()): (1, 1)})
+
+    @classmethod
+    def _from_blocks(cls, image):
+        # dense tensor blocks (blocks, den) of pass 2, decoded and reduced
+        return cls._raw(_k.from_tensor_blocks(*image))
 
     @classmethod
     def outer(cls, left: NCPoly, right: NCPoly):

@@ -15,9 +15,12 @@ are equal up to a scalar: over n <= 12 each side of primitivity and the
 substitution of newton-consistency take 78 products, 1 + 2 + ... + 12,
 against 364 one degree at a time (and 5,266 for newton-consistency when
 only equal quotients were shared); each family of iso takes 353, against
-1,024.  Primitivity runs its left side to its end before its right one,
-so the two families' images are never alive at once, and files the
-records interleaved by degree.
+1,024.  The evaluations on a graph run over dense blocks indexed by
+composition rank (see "Image forms" in ``poly._evaluate``), and
+primitivity and iso compare them block by block with dense closed
+forms, decoding only a mismatch to words.  Primitivity runs its left
+side to its end before its right one, so the two families' images are
+never alive at once, and files the records interleaved by degree.
 """
 
 from __future__ import annotations
@@ -29,12 +32,13 @@ from .explog import verify_iso
 from .hopf import (
     HopfFamily,
     _graph_coproducts,
-    _primitive_residue,
+    _primitive_block_residue,
     coassociativity_defect,
     coproduct,
     counit_law_defects,
 )
 from .newton import (
+    _explicit_blocks,
     _p_left_graph,
     _p_right_graph,
     _z_in_pprime_graph,
@@ -58,23 +62,32 @@ def primitivity_suite(max_degree: int) -> Report:
     The left primitives over every n <= max_degree share one evaluation of
     their coproducts, from the graph of their recursion, and the right
     ones another, so the record of degree n times only the quotients that
-    degree n is the first to need.  The left side runs to its end before
-    the right one starts, which keeps the peak at 16 under 100 MB; the
+    degree n is the first to need.  Each coproduct, in dense blocks, is
+    checked against the closed form of P_n (``newton._explicit_blocks``).
+    The left side runs to its end before the right one starts; the
     records are filed by degree, left then right.
     """
     check_index(max_degree, max_degree, what="max_degree")
     report = Report(suite="primitivity", max_degree=max_degree)
     degrees = range(1, max_degree + 1)
     sides = []
-    for label, primitive, graph in (
-        ("left Newton primitive", newton_p_left, _p_left_graph),
-        ("right Newton primitive", newton_p_right, _p_right_graph),
+    for label, graph, from_suffix in (
+        ("left Newton primitive", _p_left_graph, False),
+        ("right Newton primitive", _p_right_graph, True),
     ):
-        polys = [primitive(n, max_degree) for n in degrees]
-        pairs = zip(polys, _graph_coproducts(graph(max_degree), HopfFamily.NSYMM))
+        coproducts = _graph_coproducts(graph(max_degree), HopfFamily.NSYMM)
         law = f"{label} is primitive"
         sides.append(
-            [timed_check(law, n, lambda: _primitive_residue(*next(pairs))) for n in degrees]
+            [
+                timed_check(
+                    law,
+                    n,
+                    lambda: _primitive_block_residue(
+                        _explicit_blocks(n, from_suffix), next(coproducts)
+                    ),
+                )
+                for n in degrees
+            ]
         )
     for checks in zip(*sides):
         for check in checks:
@@ -193,22 +206,22 @@ SUITES = {
 }
 
 
-# The largest degree `nsymm verify` accepts for each suite: the highest
-# degree at which one run took under 5 s and 100 MB peak RSS in process
-# (Python 3.11.7, pure-Python kernels, 2 vCPUs).  Measured there:
-# primitivity, which runs its left side to its end before its right one,
-# 0.9 s and 89 MB at 16, 2.0 s and 166 MB at 17 (fresh processes, own
-# peak VmHWM); iso, whose evaluations take no gcd per product, 1.2-1.6 s
-# and 86.2-86.5 MB at 15, 3.0-3.2 s and 166 MB at 16 (fresh processes, own
-# peak VmHWM); newton-consistency 4.5 s at 16,
-# 9.4 s and 142 MB at 17; qsymm-hs, which walks only the Lyndon left
-# factors, 1.5-1.9 s and 34 MB at 13, 4.6-5.1 s and 60 MB at 14 (three
-# fresh processes each, own peak VmHWM); hopf-laws, which samples, 0.9 s
-# and 85 MB at 20, where the compositions it samples from double per degree.
+# The largest degree `nsymm verify` accepts for each suite: a degree at
+# which one run took under 5 s and 100 MB of own peak (VmHWM) in a fresh
+# process (Python 3.11.7, pure-Python kernels, 2 vCPUs), raised one
+# measured step at a time.  Measured there, three fresh processes each:
+# primitivity and iso, whose graphs are evaluated over dense blocks,
+# 0.3-0.4 s and 30 MB, and 0.7-1.0 s and 49 MB, at 16; one degree above,
+# 0.6-0.9 s and 46 MB, and 1.4-2.1 s and 87 MB, so both pass the rule at
+# 17 too and are the candidates for the next step; newton-consistency
+# 0.36-0.55 s and 72 MB at 16, 0.75-1.16 s and 131 MB at 17; qsymm-hs,
+# which walks only the Lyndon left factors, 1.6-2.2 s and 35 MB at 13,
+# 4.6-5.1 s and 60 MB at 14; hopf-laws, which samples, 0.9 s and 85 MB at
+# 20, where the compositions it samples from double per degree.
 CEILINGS = {
     "primitivity": 16,
     "newton-consistency": 16,
-    "iso": 15,
+    "iso": 16,
     "qsymm-hs": 13,
     "hopf-laws": 20,
 }

@@ -16,8 +16,15 @@ from nsymm import (
 )
 from nsymm import Tensor2, coproduct
 from nsymm import _core_py as _k
-from nsymm.explog import _coalgebra_defect, _u_of_z_graph, _z_of_u_graph
-from nsymm.hopf import _graph_int_coproducts
+from nsymm.explog import (
+    _blocks_by_length,
+    _coalgebra_defect,
+    _exp_coefficient,
+    _log_coefficient,
+    _u_of_z_graph,
+    _z_of_u_graph,
+)
+from nsymm.hopf import _graph_coproducts
 from nsymm.poly import _graph_substitutions
 from nsymm.words import compositions_of
 
@@ -131,9 +138,9 @@ def test_coalgebra_residue_matches_the_tensor_subtraction(n):
     both[((), (n + 1,))] = (-1, 3)
     for variant in (terms, changed, missing, extra, both):
         delta = Tensor2._raw(variant)
-        got = _coalgebra_defect(n, _k.to_int_map(variant), n)
+        got = _coalgebra_defect(n, _k.to_tensor_blocks(variant))
         assert got == _old_coalgebra_defect(n, delta)
-    assert not _coalgebra_defect(n, _k.to_int_map(terms), n)
+    assert not _coalgebra_defect(n, _k.to_tensor_blocks(terms))
 
 
 def _canonical(terms):
@@ -142,31 +149,43 @@ def _canonical(terms):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_coalgebra_check_on_a_perturbed_integer_map(n):
-    # the integer map that pass 2 yields, put over 7 * den, with one
-    # coefficient off by 1/7, one key missing and one extra key, each alone
-    # and all together
-    *_, (ints, den) = _graph_int_coproducts(_z_of_u_graph(n), HopfFamily.LIEHOPF)
-    assert not _coalgebra_defect(n, (ints, den), n)
-    keys = list(ints)
-    off, gone, extra = keys[0], keys[-1], ((n,), (n,))
+    # the dense blocks that pass 2 yields, put over 7 * den, with one entry
+    # off by 1/7, one entry zeroed, and one entry in a block of the wrong
+    # weights, each alone and all together
+    *_, (blocks, den) = _graph_coproducts(_z_of_u_graph(n), HopfFamily.LIEHOPF)
+    assert not _coalgebra_defect(n, (blocks, den))
+    first, last = min(blocks), max(blocks)
+    gone_at = len(blocks[last]) - 1
+    off, gone = _k.tensor_block_key(first, 0), _k.tensor_block_key(last, gone_at)
+    extra = ((n,), (n,))
     for parts in ({"off"}, {"gone"}, {"extra"}, {"off", "gone", "extra"}):
-        lhs = {key: 7 * value for key, value in ints.items()}
+        lhs = _k.scale_blocks(blocks, 7)
         if "off" in parts:
-            lhs[off] += den
+            lhs[first][0] += den
         if "gone" in parts:
-            del lhs[gone]
+            lhs[last][gone_at] = 0
         if "extra" in parts:
-            lhs[extra] = -3 * den
-        got = _coalgebra_defect(n, (lhs, 7 * den), n)
-        delta = Tensor2({key: Fraction(value, 7 * den) for key, value in lhs.items()})
-        assert got == _old_coalgebra_defect(n, delta)
+            lhs[n, n] = [0] * (len(compositions_of(n)) ** 2 - 1) + [-3 * den]
+        got = _coalgebra_defect(n, (lhs, 7 * den))
+        assert got == _old_coalgebra_defect(n, Tensor2._from_blocks((lhs, 7 * den)))
         assert _canonical(got._terms)
         expected = {
             "off": (off, (1, 7)),
-            "gone": (gone, _k.rat_norm(-ints[gone], den)),
+            "gone": (gone, _k.rat_norm(-blocks[last][gone_at], den)),
             "extra": (extra, (-3, 7)),
         }
         assert got._terms == dict(expected[part] for part in parts)
+
+
+def test_letter_blocks_follow_the_length_coefficients():
+    # each dense letter image holds coefficient(len(w)) on the w of rank k
+    for n in range(1, 11):
+        for member, coefficient in ((z_of_u, _exp_coefficient), (u_of_z, _log_coefficient)):
+            blocks, den = _blocks_by_length(n, coefficient)
+            assert list(blocks) == [n]
+            assert NCPoly._from_blocks((blocks, den)) == member(n, max_degree=10)
+    assert _blocks_by_length(12, _exp_coefficient)[1] == factorial(12)
+    assert _blocks_by_length(12, _log_coefficient)[1] == lcm(*range(1, 13))
 
 
 # --- the expansions as one shared quotient graph ------------------------------

@@ -1,7 +1,7 @@
 import sys
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +17,7 @@ from nsymm import (
     counit_law_defects,
     degree_limit,
     is_primitive,
+    newton_p_explicit,
     newton_p_left,
     newton_p_right,
     primitivity_defect,
@@ -27,8 +28,14 @@ from nsymm import (
 from nsymm import _core_py as _k
 from nsymm import hopf, poly
 from nsymm.explog import _u_of_z_graph, _z_of_u_graph
-from nsymm.hopf import _coproducts, _graph_coproducts, _primitive_residue, _word_coproduct
-from nsymm.newton import _p_left_graph, _p_right_graph
+from nsymm.hopf import (
+    _coproducts,
+    _graph_coproducts,
+    _primitive_block_residue,
+    _primitive_residue,
+    _word_coproduct,
+)
+from nsymm.newton import _explicit_blocks, _p_left_graph, _p_right_graph
 from nsymm.poly import _graph_substitutions, _walks_from_suffix
 
 NS, LH = HopfFamily.NSYMM, HopfFamily.LIEHOPF
@@ -395,6 +402,51 @@ def test_primitive_residue_matches_the_tensor_subtraction(family, n):
         assert primitivity_defect(p, family) == _old_primitivity_defect(p, coproduct(p, family))
 
 
+@pytest.mark.parametrize("family", [NS, LH])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_primitive_block_residue_matches_the_tensor_subtraction(family, n):
+    # the block check of primitivity: p and delta in dense blocks, mismatches
+    # decoded; p may have a constant term and a denominator
+    for p in (newton_p_left(n), u_of_z(n), newton_p_right(n) + NCPoly.scalar(3), NCPoly.scalar("-1/2")):
+        blocks = _k.to_word_blocks(p._terms)
+        for delta in _perturbed(coproduct(p, family)):
+            got = _primitive_block_residue(blocks, _k.to_tensor_blocks(delta._terms))
+            assert got == _old_primitivity_defect(p, delta)
+            assert all(gcd(*pair) == 1 and pair[1] >= 1 for pair in got._terms.values())
+
+
+@pytest.mark.parametrize("from_suffix", [False, True])
+def test_explicit_blocks_are_the_closed_form(from_suffix):
+    for n in range(1, 11):
+        expected = newton_p_explicit(n, max_degree=10)
+        if from_suffix:
+            expected = expected.reverse_words()
+        assert NCPoly._from_blocks(_explicit_blocks(n, from_suffix)) == expected
+
+
+@pytest.mark.parametrize("graph", [_p_left_graph, _p_right_graph])
+def test_primitive_coproducts_keep_no_mixed_block(monkeypatch, graph):
+    # the products of each member of the graph form mixed blocks (i, n - i),
+    # which cancel to zero and are dropped as the member finishes, so each
+    # member keeps only (n, 0) and (0, n), and each constant its unit block
+    formed, kept = [], []
+    real = _k.drop_zero_blocks
+
+    def drop_zero_blocks(blocks):
+        formed.append(sorted(blocks))
+        real(blocks)
+        kept.append(sorted(blocks))
+
+    monkeypatch.setattr(_k, "drop_zero_blocks", drop_zero_blocks)
+    for n, (blocks, den) in enumerate(_graph_coproducts(graph(12), NS), 1):
+        assert sorted(blocks) == [(0, n), (n, 0)]
+        assert den == 1
+    members = [shapes for shapes in kept if shapes != [(0, 0)]]
+    assert members == [[(0, n), (n, 0)] for n in range(1, 13)]
+    mixed = [shapes for shapes in formed if any(i and j for i, j in shapes)]
+    assert len(mixed) == 11
+
+
 # --- the graphs of the families' recursions -----------------------------------
 
 # products of the graph path over n <= 12, with no word walked: the same as
@@ -412,14 +464,14 @@ def test_graph_coproducts_products_count(monkeypatch, name):
     roots = list(_graph_substitutions(graph(12), NCPoly.generator))
     expected = list(_coproducts(roots, family, max_degree=12))
     calls = []
-    real = _k.mul_tensor_ints_into
-    monkeypatch.setattr(_k, "mul_tensor_ints_into", lambda *args: (calls.append(1), real(*args))[1])
+    real = _k.mul_tensor_blocks_into
+    monkeypatch.setattr(_k, "mul_tensor_blocks_into", lambda *args: (calls.append(1), real(*args))[1])
 
     def no_walk(roots):
         raise AssertionError("the graph path walked the words")
 
     monkeypatch.setattr(poly, "_quotient_graph", no_walk)
-    got = list(_graph_coproducts(graph(12), family))
+    got = list(map(Tensor2._from_blocks, _graph_coproducts(graph(12), family)))
     assert len(calls) == products
     assert got == expected
 
@@ -428,5 +480,5 @@ def test_graph_coproducts_products_count(monkeypatch, name):
 @pytest.mark.parametrize("graph", [_p_left_graph, _p_right_graph, _z_of_u_graph, _u_of_z_graph])
 def test_graph_coproducts_match_the_oracle(family, graph):
     roots = list(_graph_substitutions(graph(7), NCPoly.generator))
-    got = list(_graph_coproducts(graph(7), family))
+    got = list(map(Tensor2._from_blocks, _graph_coproducts(graph(7), family)))
     assert got == [_coproduct_oracle(p, family) for p in roots]

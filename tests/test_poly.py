@@ -26,7 +26,7 @@ from nsymm import HopfFamily
 from nsymm import _core_py as _k
 from nsymm import hopf, poly
 from nsymm.explog import _u_of_z_graph, _z_of_u_graph
-from nsymm.newton import _z_in_pprime_graph
+from nsymm.newton import _p_left_graph, _z_in_pprime_graph
 from nsymm.poly import _evaluate, _graph_substitutions, _substitutions, _walks_from_suffix
 
 Z1 = NCPoly.generator(1)
@@ -466,19 +466,24 @@ def _held_by(stream):
 
 
 def _holds(held, terms):
-    # the term map itself, or an integer map (ints, den) around it
-    return any(
-        value is terms or (type(value) is tuple and len(value) == 2 and value[0] is terms)
-        for value in held
-    )
+    # the term map itself, or an image (ints, den) around it; for dense blocks,
+    # also any image that shares one of its block lists
+    lists = {id(block) for block in terms.values() if type(block) is list}
+    for value in held:
+        inner = value[0] if type(value) is tuple and len(value) == 2 else value
+        if inner is terms:
+            return True
+        if lists and isinstance(inner, dict) and any(id(b) in lists for b in inner.values()):
+            return True
+    return False
 
 
 def test_paused_evaluation_keeps_no_yielded_image():
     # z_of_u(n) has no constant term and every quotient below a nonempty
     # prefix has one, so no root of its graph reads another; a root that a
     # later root does read is yielded as a copy.  Once a root's image is
-    # yielded, only the caller holds it: in the pair form, in the integer
-    # form that pass 2 yields and iso's coalgebra check reads, and reduced
+    # yielded, only the caller holds it: in the pair form, in the dense
+    # blocks that pass 2 yields on a graph and the suites read, and reduced
     # to a term map, for word and for tensor keys.
     roots = [z_of_u(n)._terms for n in range(1, 8)]
     images = IMAGE_FAMILIES["affine"]
@@ -487,36 +492,60 @@ def test_paused_evaluation_keeps_no_yielded_image():
         "pair form": _evaluate(roots, lambda k: images(k)._terms, _scaled_word_into, _word_unit),
         "words": _substitutions([z_of_u(n) for n in range(1, 8)], images),
         "graph words": _graph_substitutions(graph, images),
+        "word blocks": poly._block_substitutions(graph, lambda k: _k.to_word_blocks(images(k)._terms)),
         "tensors": hopf._coproducts([z_of_u(n) for n in range(1, 8)], HopfFamily.LIEHOPF),
-        "graph tensors": hopf._graph_coproducts(graph, HopfFamily.NSYMM),
-        "integer maps": hopf._graph_int_coproducts(graph, HopfFamily.LIEHOPF),
+        "graph tensors": map(Tensor2._from_blocks, hopf._graph_coproducts(graph, HopfFamily.NSYMM)),
+        "tensor blocks": hopf._graph_coproducts(graph, HopfFamily.LIEHOPF),
     }
     for name, stream in streams.items():
         count = 0
         for image in stream:
-            terms = image[0] if name == "integer maps" else getattr(image, "_terms", image)
+            terms = image[0] if name.endswith("blocks") else getattr(image, "_terms", image)
             assert terms, name
             assert not _holds(_held_by(stream), terms), name
             count += 1
         assert count == 7, name
 
 
+def test_paused_evaluation_keeps_no_shared_block():
+    # in the graph of the left primitives, P_n reads P_(n-1), ..., P_1, so
+    # each root but the last is yielded as a copy, and no list of its blocks
+    # stays with the generator
+    graph = _p_left_graph(7)
+    streams = {
+        "word blocks": poly._block_substitutions(graph, lambda k: _k.to_word_blocks(u_of_z(k)._terms)),
+        "tensor blocks": hopf._graph_coproducts(graph, HopfFamily.NSYMM),
+    }
+    for name, stream in streams.items():
+        for blocks, _ in stream:
+            assert blocks, name
+            assert not _holds(_held_by(stream), blocks), name
+
+
 def test_paused_evaluation_drops_the_letter_images_before_its_last_root(monkeypatch):
-    # pass 2 converts each letter image to an integer map once; once every
-    # node is evaluated, before the last root is yielded, nothing holds them
+    # pass 2 converts each letter image to its form once; once every node
+    # is evaluated, before the last root is yielded, nothing holds them: as
+    # integer maps and as dense blocks
     converted = []
-    real = _k.to_int_map
 
-    def to_int_map(terms):
-        converted.append(real(terms))
-        return converted[-1]
+    def recording(name):
+        real = getattr(_k, name)
 
-    monkeypatch.setattr(_k, "to_int_map", to_int_map)
+        def convert(terms):
+            converted.append(real(terms))
+            return converted[-1]
+
+        monkeypatch.setattr(_k, name, convert)
+
+    for name in ("to_int_map", "to_word_blocks", "to_tensor_blocks"):
+        recording(name)
     images = IMAGE_FAMILIES["affine"]
     graph = _z_of_u_graph(7)
     for make in (
+        lambda: _substitutions([z_of_u(n) for n in range(1, 8)], images),
         lambda: _graph_substitutions(graph, images),
-        lambda: hopf._graph_int_coproducts(graph, HopfFamily.LIEHOPF),
+        lambda: hopf._coproducts([z_of_u(n) for n in range(1, 8)], HopfFamily.LIEHOPF),
+        lambda: hopf._graph_coproducts(graph, HopfFamily.LIEHOPF),
     ):
         converted.clear()
         stream = make()
@@ -630,7 +659,7 @@ def test_graph_substitutions_match_the_oracle_on_scaled_edges(
     # a node whose edges are all scaled joins the class of the node it copies
     images = IMAGE_FAMILIES[family]
     rng = random.Random(20121)
-    scalars = record_ratios(poly, "_word_morphism")
+    scalars = record_ratios(poly, "_word_block_morphism")
     kinds, merged = set(), 0
     for _ in range(10):
         graph = _random_graph(rng, from_suffix)
@@ -667,7 +696,9 @@ def test_node_denominator_is_the_lcm_of_its_edges():
     # its constant's 7, 2 * 4 * 1 on the first edge and 3 * 1 * 6 on the
     # second; an edge into a zero image adds no product and no factor
     letters = {1: {(1,): (1, 2)}, 2: {(2,): (1, 3), (): (1, 1)}}
-    image, combine, _ = poly._int_morphism(letters.__getitem__, _k.mul_word_ints_into, ())
+    image, combine, _ = poly._int_morphism(
+        lambda k: _k.to_int_map(letters[k]), _k.mul_word_ints_into, ()
+    )
     first = {(3,): (1, 4), (): (3, 2)}
     second = {(1,): (2, 1)}
     factors = [
@@ -693,10 +724,11 @@ def test_round_trips_yield_canonical_maps(graph, letter):
     # denominators far above the reduced ones; every yielded map is
     # canonical: lowest terms, den >= 1 and no zero
     images = {k: letter(k, max_degree=12) for k in range(1, 13)}
-    raw = list(poly._evaluate_graph(graph(12), *poly._word_morphism(images)))
+    raw = list(poly._block_substitutions(graph(12), lambda k: _k.to_word_blocks(images[k]._terms)))
     assert max(den for _, den in raw) > 1
     for n, (p, image) in enumerate(zip(_graph_substitutions(graph(12), images), raw), 1):
-        for got in (p, NCPoly._from_int_map(image)):
+        assert list(image[0]) == [n]
+        for got in (p, NCPoly._from_blocks(image)):
             assert got == NCPoly.generator(n)
             assert all(num and den >= 1 and gcd(num, den) == 1 for num, den in got._terms.values())
 
@@ -716,7 +748,7 @@ def test_graph_substitutions_products_count(monkeypatch, name):
     images = {k: letter_image(k, max_degree=12) for k in range(1, 13)}
     roots = list(_graph_substitutions(graph(12), NCPoly.generator))
     expected = list(_substitutions(roots, images))
-    calls = _count_calls(monkeypatch, "mul_word_ints_into")
+    calls = _count_calls(monkeypatch, "mul_word_blocks_into")
 
     def no_walk(roots):
         raise AssertionError("the graph path walked the words")

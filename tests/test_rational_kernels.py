@@ -1,6 +1,7 @@
 """The kernel module against a fractions.Fraction model."""
 
 from fractions import Fraction
+from itertools import product as cartesian
 from math import lcm
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 from nsymm import HopfFamily, NCPoly, coproduct, newton_p_right, u_of_z, z_in_pprime, z_of_u
 from nsymm._backend import kernels as K
 from nsymm.hopf import _generator_coproduct
+from nsymm.words import compositions_of
 
 pairs = st.tuples(
     st.integers(min_value=-(10**18), max_value=10**18),
@@ -532,3 +534,227 @@ def test_from_int_map_reduces_in_place_and_shares_denominators():
     assert got[(1,)][1] is got[(3,)][1]
     assert K.from_int_map({(): -3}, 1) == {(): (-3, 1)}
     assert K.from_int_map({}, 5) == {}
+
+
+# --- the dense block kernels of pass 2 on a graph ----------------------------
+
+
+def test_rank_identity():
+    # rank(u v) = rank(u) * 2^|v| + rank(v) for every u and v up to weight 8
+    words = [w for n in range(9) for w in compositions_of(n)]
+    ranks = {w: i for n in range(17) for i, w in enumerate(compositions_of(n))}
+    for u, v in cartesian(words, words):
+        assert ranks[u + v] == ranks[u] * 2 ** sum(v) + ranks[v]
+    assert [K.block_length(n) for n in range(6)] == [len(compositions_of(n)) for n in range(6)]
+
+
+def test_decoding_follows_compositions_of():
+    for n in range(7):
+        words = compositions_of(n)
+        blocks = {n: list(range(1, len(words) + 1))}
+        assert K.from_word_blocks(blocks, 1) == {w: (k + 1, 1) for k, w in enumerate(words)}
+        assert K.to_word_blocks({w: (k + 1, 1) for k, w in enumerate(words)}) == (blocks, 1)
+        for j in range(4):
+            rights = compositions_of(j)
+            pairs = list(cartesian(words, rights))
+            shape = (n, j)
+            assert [K.tensor_block_key(shape, k) for k in range(len(pairs))] == pairs
+            terms = {pair: K.rat_norm(k + 1, 3) for k, pair in enumerate(pairs)}
+            assert K.to_tensor_blocks(terms) == ({shape: list(range(1, len(pairs) + 1))}, 3)
+            assert K.from_tensor_blocks(*K.to_tensor_blocks(terms)) == terms
+
+
+def word_blocks(ints):
+    """An integer map on words as dense blocks, over den 1."""
+    return K.to_word_blocks({k: (v, 1) for k, v in ints.items()})[0]
+
+
+def tensor_blocks(ints):
+    """An integer map on pairs of words as dense blocks, over den 1."""
+    return K.to_tensor_blocks({k: (v, 1) for k, v in ints.items()})[0]
+
+
+def decoded(blocks, decode):
+    """The integer map of dense blocks, over den 1."""
+    return {k: n for k, (n, _) in decode(blocks, 1).items()}
+
+
+BLOCK_KERNELS = {
+    "words": (K.mul_word_blocks_into, K.mul_word_ints_into, word_blocks, K.from_word_blocks),
+    "tensors": (K.mul_tensor_blocks_into, K.mul_tensor_ints_into, tensor_blocks, K.from_tensor_blocks),
+}
+
+
+def check_blocks_into(kind, acc, a, b, m):
+    """The block kernel, decoded, against the integer kernel; a and b stay untouched.
+
+    Every block the kernel writes has the length of its weights, and a and
+    b, the factors, are not written.
+    """
+    kernel, ints_kernel, to_blocks, decode = BLOCK_KERNELS[kind]
+    expected = dict(acc)
+    if a and b:
+        ints_kernel(expected, a, b, m)
+    x, y = to_blocks(a), to_blocks(b)
+    x_before, y_before = {k: list(v) for k, v in x.items()}, {k: list(v) for k, v in y.items()}
+    got = to_blocks(acc)
+    assert kernel(got, x, y, m) is None
+    for key, block in got.items():
+        i, j = (key, 0) if kind == "words" else key
+        assert len(block) == K.block_length(i) * K.block_length(j)
+        assert all(type(v) is int for v in block)
+    assert x == x_before and y == y_before
+    assert decoded(got, decode) == expected
+    K.drop_zero_blocks(got)
+    assert all(any(block) for block in got.values())
+    return got
+
+
+def record_runs(monkeypatch):
+    """Record, per grid that a product adds, the factor it comes from and its runs.
+
+    Each entry is (side, runs): side "right" when the loop ran over the
+    left factor's nonzeros and added blocks of the right one, and each run
+    (step, length) of one slice multiply-add.
+    """
+    grids = []
+    real_grid, real_run = K._add_grid, K._add_run
+
+    def _add_grid(out, base, src, *rest):
+        grids.append((src, []))
+        return real_grid(out, base, src, *rest)
+
+    def _add_run(out, start, step, src, v):
+        grids[-1][1].append((step, len(src)))
+        return real_run(out, start, step, src, v)
+
+    monkeypatch.setattr(K, "_add_grid", _add_grid)
+    monkeypatch.setattr(K, "_add_run", _add_run)
+    return grids
+
+
+def dense(shape, start=1):
+    """Every pair of words of the weights, with distinct nonzero values."""
+    i, j = shape
+    return {pair: start + k for k, pair in enumerate(cartesian(compositions_of(i), compositions_of(j)))}
+
+
+# (left factor, right factor, the factor whose nonzeros the loop runs over,
+# the runs of each grid: (step, length) each), one case per branch of
+# _add_grid in each loop
+BLOCK_BRANCHES = {
+    # the left factor's right word is empty: the right block is one contiguous run
+    "left loop, whole run": ({((2,), ()): 3}, dense((2, 2)), "left", [(1, 4)]),
+    # one column: the right block, of weights (2, 0), is one run at the row stride C(2 + 0)
+    "left loop, one column": ({((1,), (2,)): 3}, dense((2, 0)), "left", [(2, 2)]),
+    # C(2) = 2 rows of C(3) = 4 columns: two contiguous runs
+    "left loop, rows": ({((1,), (1,)): 3}, dense((2, 3)), "left", [(1, 4)] * 2),
+    # C(3) = 4 rows of C(2) = 2 columns: two runs at the row stride C(1 + 2)
+    "left loop, columns": ({((1,), (1,)): 3}, dense((3, 2)), "left", [(4, 4)] * 2),
+    # the right factor's left word is empty: the left block is one run at 2^l
+    "right loop, whole run": (dense((2, 2)), {((), (2,)): 3}, "right", [(4, 4)]),
+    # C(2) rows of C(3) columns, right factor of weights (1, 1): two runs at 2^1
+    "right loop, rows": (dense((2, 3)), {((1,), (1,)): 3}, "right", [(2, 4)] * 2),
+    # C(3) rows of C(2) columns: two runs at the row stride C(2 + 1) << 1
+    "right loop, columns": (dense((3, 2)), {((1,), (1,)): 3}, "right", [(8, 4)] * 2),
+    # blocks of weight 0 on either side
+    "left loop, weight 0": ({((), ()): 3}, dense((2, 1)), "left", [(1, 2)]),
+    "right loop, weight 0": (dense((2, 1)), {((), ()): 3}, "right", [(1, 2)]),
+}
+BLOCK_MULTIPLIERS = [1, -1, 10**20 + 1, -(10**20 + 1)]
+
+
+@pytest.mark.parametrize("m", BLOCK_MULTIPLIERS)
+@pytest.mark.parametrize("case", sorted(BLOCK_BRANCHES))
+def test_tensor_block_products_on_each_branch(monkeypatch, case, m):
+    a, b, loop, runs = BLOCK_BRANCHES[case]
+    grids = record_runs(monkeypatch)
+    acc = {((), (9,)): 7}
+    check_blocks_into("tensors", acc, a, b, m)
+    ((src, got_runs),) = grids
+    assert src in tensor_blocks(b if loop == "left" else a).values()
+    assert got_runs == runs
+
+
+# word blocks: the left factor sparse, the right dense, and the reverse, with
+# blocks of weight 0
+WORD_BRANCHES = {
+    "left loop": ({(3,): 2}, {w: k + 1 for k, w in enumerate(compositions_of(3))}, "left", [(1, 4)]),
+    "right loop": ({w: k + 1 for k, w in enumerate(compositions_of(3))}, {(3,): 2}, "right", [(8, 4)]),
+    "left loop, weight 0": ({(): 2}, {w: k + 1 for k, w in enumerate(compositions_of(3))}, "left", [(1, 4)]),
+    "right loop, weight 0": ({w: k + 1 for k, w in enumerate(compositions_of(3))}, {(): 2}, "right", [(1, 4)]),
+}
+
+
+@pytest.mark.parametrize("m", BLOCK_MULTIPLIERS)
+@pytest.mark.parametrize("case", sorted(WORD_BRANCHES))
+def test_word_block_products_on_each_branch(monkeypatch, case, m):
+    a, b, loop, runs = WORD_BRANCHES[case]
+    grids = record_runs(monkeypatch)
+    check_blocks_into("words", {(1,): 5, (3, 3): -1}, a, b, m)
+    ((src, got_runs),) = grids
+    factor = word_blocks(b if loop == "left" else a)
+    assert src in factor.values()
+    assert got_runs == runs
+
+
+def test_block_product_that_cancels_is_dropped():
+    a = {((1,), ()): 1, ((), (1,)): 1}
+    acc = {((1, 1), ()): 2, ((1,), (1,)): 4, ((), (1, 1)): 2}
+    got = check_blocks_into("tensors", acc, a, a, -2)
+    assert got == {}
+
+
+# words up to weight 6, and pairs of words up to weight 3, so that no product
+# block has more than 2^11 or 2^10 entries
+block_words = st.lists(st.integers(1, 3), max_size=3).map(tuple).filter(lambda w: sum(w) <= 6)
+block_pairs = st.tuples(*[st.sampled_from([w for n in range(4) for w in compositions_of(n)])] * 2)
+block_ints = st.integers(-3, 3).filter(bool)
+
+
+@given(
+    st.dictionaries(block_words, block_ints, max_size=6),
+    st.dictionaries(block_words, block_ints, max_size=12),
+    st.dictionaries(block_words, block_ints, max_size=12),
+    multipliers,
+)
+def test_mul_word_blocks_into_model(acc, a, b, m):
+    check_blocks_into("words", acc, a, b, m)
+
+
+@given(
+    st.dictionaries(block_pairs, block_ints, max_size=6),
+    st.dictionaries(block_pairs, block_ints, max_size=12),
+    st.dictionaries(block_pairs, block_ints, max_size=12),
+    multipliers,
+)
+def test_mul_tensor_blocks_into_model(acc, a, b, m):
+    check_blocks_into("tensors", acc, a, b, m)
+
+
+@given(small_maps(block_words), small_maps(block_words), small_maps(block_pairs), small_maps(block_pairs))
+def test_block_products_match_the_fraction_model(a, b, s, t):
+    # rational factors over their dens: the product's den is the product of theirs
+    for kind, x, y, concat in (("words", a, b, concat_words), ("tensors", s, t, concat_pairs)):
+        kernel, _, _, decode = BLOCK_KERNELS[kind]
+        to_blocks = K.to_word_blocks if kind == "words" else K.to_tensor_blocks
+        (bx, dx), (by, dy) = to_blocks(x), to_blocks(y)
+        acc = {}
+        if bx and by:
+            kernel(acc, bx, by, 1)
+        check_same(decode(acc, dx * dy), into_model({}, x, y, concat))
+
+
+@given(st.dictionaries(block_pairs, small_pairs, max_size=8), st.integers(-5, 5).filter(bool))
+def test_block_helpers(terms, n):
+    blocks, den = K.to_tensor_blocks(terms)
+    check_same(K.from_tensor_blocks(blocks, den), model(terms))
+    scaled = K.scale_blocks(blocks, n)
+    assert all(scaled[k] is not blocks[k] for k in blocks)
+    check_same(K.from_tensor_blocks(scaled, den), {k: n * v for k, v in model(terms).items()})
+    for shape, block in blocks.items():
+        assert list(K.nonzero_entries(block)) == [(k, v) for k, v in enumerate(block) if v]
+        other = list(block)
+        other[0] += 1
+        assert list(K.block_mismatches(block, 2, other, 2)) == [0]
+        assert list(K.block_mismatches(block, 3, [3 * v for v in block], 1)) == []

@@ -95,17 +95,18 @@ def test_poly_defect_record(monkeypatch):
 
 def test_iso_poly_defect_record(monkeypatch):
     def fake(real):
-        def _graph_substitutions(graph, images):
+        def _block_substitutions(graph, letter_image):
             # only the Z->U->Z round trip of degree 3 starts from z_of_u(3); the
-            # identity substitution expands the graph's roots
-            polys = real(graph, NCPoly.generator)
-            for p, image in zip(polys, real(graph, images)):
+            # identity substitution expands the graph's roots; iso reads the
+            # round trips as dense blocks (blocks, den)
+            polys = _graph_substitutions(graph, NCPoly.generator)
+            for p, image in zip(polys, real(graph, letter_image)):
                 extra = NCPoly.word((1, 1, 1), -2) if p == explog.z_of_u(3) else NCPoly.zero()
-                yield image + extra
+                yield _k.to_word_blocks((NCPoly._from_blocks(image) + extra)._terms)
 
-        return _graph_substitutions
+        return _block_substitutions
 
-    failing = failure_records(monkeypatch, "iso", 5, explog, "_graph_substitutions", fake)
+    failing = failure_records(monkeypatch, "iso", 5, explog, "_block_substitutions", fake)
     assert failing == [
         {
             "degree": 3,
@@ -118,15 +119,18 @@ def test_iso_poly_defect_record(monkeypatch):
 
 def test_tensor_defect_record(monkeypatch):
     def fake(real):
-        def _primitive_residue(p, delta):
+        def _primitive_block_residue(p, delta):
+            # p and delta are dense blocks; p is homogeneous
             defect = real(p, delta)
-            if p.degree == 4:
+            if list(p[0]) == [4]:
                 defect = defect + Tensor2.outer(NCPoly.word((2,)), NCPoly.word((1,)))
             return defect
 
-        return _primitive_residue
+        return _primitive_block_residue
 
-    failing = failure_records(monkeypatch, "primitivity", 5, suites, "_primitive_residue", fake)
+    failing = failure_records(
+        monkeypatch, "primitivity", 5, suites, "_primitive_block_residue", fake
+    )
     witness = {"left_word": [2], "right_word": [1], "coeff": coeff(1)}
     assert failing == [
         {
@@ -141,18 +145,18 @@ def test_tensor_defect_record(monkeypatch):
 
 def test_iso_tensor_defect_record(monkeypatch):
     def fake(real):
-        def _graph_int_coproducts(graph, family):
-            # iso reads the coproducts as integer maps (ints, den)
+        def _graph_coproducts(graph, family):
+            # iso reads the coproducts as dense blocks (blocks, den)
             polys = _graph_substitutions(graph, NCPoly.generator)
             for p, out in zip(polys, real(graph, family)):
                 if p.degree == 3:
                     extra = Tensor2.outer(NCPoly.word((1,)), NCPoly.word((1, 1), "1/4"))
-                    out = _k.to_int_map((Tensor2._from_int_map(out) + extra)._terms)
+                    out = _k.to_tensor_blocks((Tensor2._from_blocks(out) + extra)._terms)
                 yield out
 
-        return _graph_int_coproducts
+        return _graph_coproducts
 
-    failing = failure_records(monkeypatch, "iso", 5, explog, "_graph_int_coproducts", fake)
+    failing = failure_records(monkeypatch, "iso", 5, explog, "_graph_coproducts", fake)
     assert failing == [
         {
             "degree": 3,
@@ -224,12 +228,18 @@ def graph_and_term_map_records(monkeypatch, suite, degree, module, builder, path
     return graph_path, records(run_suite(suite, degree))
 
 
-# the graph entry points as the term-map path on the graph's expansion
+# the graph entry points as the term-map path on the graph's expansion, each
+# image converted to the form that the entry point yields
 TERM_MAP_PATHS = {
-    "_graph_coproducts": lambda graph, family: hopf._coproducts(_expansion(graph), family),
+    "_graph_coproducts": lambda graph, family: (
+        _k.to_tensor_blocks(delta._terms) for delta in hopf._coproducts(_expansion(graph), family)
+    ),
     "_graph_substitutions": lambda graph, images: poly._substitutions(_expansion(graph), images),
-    "_graph_int_coproducts": lambda graph, family: (
-        _k.to_int_map(delta._terms) for delta in hopf._coproducts(_expansion(graph), family)
+    "_block_substitutions": lambda graph, letter_image: (
+        _k.to_word_blocks(p._terms)
+        for p in poly._substitutions(
+            _expansion(graph), lambda k: NCPoly._from_blocks(letter_image(k))
+        )
     ),
 }
 
@@ -242,8 +252,8 @@ GRAPH_SUITES = {
         "_z_in_pprime_graph",
         ["_graph_substitutions"],
     ),
-    "iso, exp": ("iso", explog, "_z_of_u_graph", ["_graph_substitutions", "_graph_int_coproducts"]),
-    "iso, log": ("iso", explog, "_u_of_z_graph", ["_graph_substitutions", "_graph_int_coproducts"]),
+    "iso, exp": ("iso", explog, "_z_of_u_graph", ["_block_substitutions", "_graph_coproducts"]),
+    "iso, log": ("iso", explog, "_u_of_z_graph", ["_block_substitutions", "_graph_coproducts"]),
 }
 
 
