@@ -3,28 +3,23 @@
 NSYMM sends the degree-n generator to sum_{i+j=n} Z_i (x) Z_j (index 0
 meaning the unit); LIEHOPF makes every generator primitive.  Both
 extend to words multiplicatively and to polynomials linearly.
-:func:`coproduct` evaluates that morphism on the trie of the support
-(``poly._evaluate``), so words that share a prefix share its work and
-the quotients below prefixes that are equal up to a scalar are evaluated
-once.  For the left Newton primitive the quotient below the prefix (a)
-is -P_{n-a}, so the evaluation runs the Newton recursion
-P_n = n Z_n - sum Z_{n-k} P_k on its own: 78 products at degree 12, k
-for each P_k with k <= 12, where the trie has 4,095 edges.  The
-coproducts of a whole family can be taken at once (``_coproducts``), so
-the quotients are shared across degrees too: the left primitives of
-every n <= 12 take those 78 products in all, against 364 one degree at
-a time, and so do the right ones, walked from the suffix.  The
-evaluation keeps each image over one denominator, so its products take
-no gcd: as an integer map for a polynomial given as a term map, and as
-dense blocks for the quotient graph of a family's recursion, which the
-suites hand over (``_graph_coproducts``), which takes the same products
-and walks no word.  A primitivity defect looks each term of
-p (x) 1 + 1 (x) p up in the coproduct instead of building those tensors
-and subtracting; on blocks (``_primitive_block_residue``), p's block of
-weight n is itself the block (n, 0) of p (x) 1 and (0, n) of 1 (x) p, so
-the check compares whole blocks and decodes only a mismatch.
-The word-by-word coproduct ``_word_coproduct`` serves the
-coassociativity check and the quasi-shuffle duality.
+:func:`coproduct` evaluates that morphism with ``poly._evaluate``: its
+first pass finds the quotient graph of the support, read from the
+prefix, so words that share a prefix share its work and the quotients
+below prefixes that are equal up to a scalar are evaluated once, and
+its second pass keeps each image as an integer map over one
+denominator, so its products take no gcd.  The coproducts of several
+polynomials can be taken in one evaluation (``_coproducts``), so the
+quotients are shared across them too.  The suites hand over the quotient
+graph of a family's recursion instead (``_graph_coproducts``), which
+walks no word and keeps each image as dense blocks indexed by
+composition rank.  :func:`primitivity_defect` subtracts
+p (x) 1 + 1 (x) p from a fresh coproduct in place.  On blocks
+(``_primitive_block_residue``), p's block of weight n is itself the
+block (n, 0) of p (x) 1 and (0, n) of 1 (x) p, so the suites compare
+whole blocks and decode only a mismatch.  The word-by-word coproduct
+``_word_coproduct`` serves the coassociativity check and the
+quasi-shuffle duality.
 """
 
 from __future__ import annotations
@@ -132,46 +127,6 @@ def counit(p: NCPoly) -> Fraction:
     return p.constant_term()
 
 
-def _tensor_residue(terms: dict, expected) -> Tensor2:
-    """``terms`` minus the term map that ``expected()`` yields.
-
-    ``expected()`` yields (key, pair) terms, each key once.  Each one is
-    looked up in ``terms`` instead of building the expected tensor and a
-    copy of ``terms`` to subtract it from.  When every key of ``terms`` is
-    matched, the residue holds only the mismatched coefficients; otherwise
-    the unmatched keys are found in a second walk of ``expected()``.
-    """
-    residue: dict = {}
-    matched = 0
-    for key, pair in expected():
-        have = terms.get(key)
-        if have is None:
-            residue[key] = (-pair[0], pair[1])
-        else:
-            matched += 1
-            if have != pair:
-                # both pairs are normalized, so they differ by a nonzero
-                residue[key] = _k.rat_add(have, (-pair[0], pair[1]))
-    if matched < len(terms):
-        keys = {key for key, _ in expected()}
-        residue.update((key, pair) for key, pair in terms.items() if key not in keys)
-    return Tensor2._raw(residue)
-
-
-def _primitive_residue(p: NCPoly, delta: Tensor2) -> Tensor2:
-    """delta - p (x) 1 - 1 (x) p, for delta the coproduct of p."""
-
-    def expected():
-        for word, pair in p._terms.items():
-            if word:
-                yield (word, ()), pair
-                yield ((), word), pair
-            else:
-                yield ((), ()), _k.rat_add(pair, pair)
-
-    return _tensor_residue(delta._terms, expected)
-
-
 def _block_residue(delta, expected, expected_den) -> Tensor2:
     """delta minus the term map that ``expected`` gives over ``expected_den``.
 
@@ -222,8 +177,20 @@ def _primitive_block_residue(p, delta) -> Tensor2:
 
 
 def primitivity_defect(p: NCPoly, family: HopfFamily, max_degree=None) -> Tensor2:
-    """coproduct(p) - p (x) 1 - 1 (x) p; zero exactly when p is primitive."""
-    return _primitive_residue(p, coproduct(p, family, max_degree))
+    """coproduct(p) - p (x) 1 - 1 (x) p; zero exactly when p is primitive.
+
+    The coproduct is fresh, so p (x) 1 + 1 (x) p, in which p's constant
+    term counts twice, is subtracted from it in place.
+    """
+    delta = coproduct(p, family, max_degree)
+    expected: dict = {}
+    for word, pair in p._terms.items():
+        if word:
+            expected[(word, ())] = expected[((), word)] = pair
+        else:
+            expected[((), ())] = _k.rat_add(pair, pair)
+    _k.add_scaled_into(delta._terms, expected, (-1, 1))
+    return delta
 
 
 def is_primitive(p: NCPoly, family: HopfFamily, max_degree=None) -> bool:

@@ -37,11 +37,19 @@ instead of sums over the 2^(n-1) compositions of n:
   quotients that are equal up to a scalar, and the quotient of
   z_in_pprime(n) below its first letter i is z_in_pprime(n - i) / n, so
   on z_in_pprime(n) it runs the Newton inversion in n(n + 1)/2 map
-  products, where the trie has 2^n - 1 edges.  partial_from_d and
-  d_from_partial are the morphisms of u_of_z(n) and z_of_u(n), but those
-  intern all 2^(n-1) words of each degree; on the Taylor family that
-  doubled time and memory with each order (0.34 s and 47 MB against
-  0.017 s and 16 MB at order 16), so they keep _length_graded.
+  products, where the trie has 2^n - 1 edges.
+* partial_from_d and d_from_partial are the morphisms of u_of_z(n) and
+  z_of_u(n), and d_from_delta that of z_in_pprime(n), so the graphs of
+  those families (explog, newton) would evaluate them without walking a
+  word.  They keep _length_graded and the Newton recursions because on a
+  graph the coefficients enter at the leaves, so every map product
+  carries a rational ratio, where the recursions add unit-weight
+  products and scale each sum once.  Evaluated through the graphs with
+  _compose_into as the product, the results were exact but slower (in
+  process, best of 3 or 7, Python 3.11.7, 2 vCPUs): partial_from_d on
+  taylor_hs(40, 40) 127-144 ms by hand against 329-363 ms, d_from_partial
+  there 64 ms against 208-211 ms, and on the benchmark's free(5) family
+  partial_from_d 6.3 against 8.7 ms and d_from_delta 5.4 against 7.1 ms.
 
 A word of derivations acts with its rightmost factor applied first,
 matching the module convention (Z_i Z_j) . a = Z_i (Z_j . a); the exact

@@ -367,28 +367,6 @@ def _graph_substitutions(graph, images):
     )
 
 
-def _walks_from_suffix(roots) -> bool:
-    """Whether the roots have fewer distinct one-letter suffix than prefix quotients.
-
-    Each quotient is compared by the sum of ``hash((tail, pair))`` over its
-    terms, not by the set of its terms, so no sliced word outlives its
-    hash.  A collision can only pick the slower end, never a wrong image.
-    """
-    below_first: set = set()
-    below_last: set = set()
-    for terms in roots:
-        firsts: dict = {}
-        lasts: dict = {}
-        for word, pair in terms.items():
-            if word:
-                a, z = word[0], word[-1]
-                firsts[a] = firsts.get(a, 0) + hash((word[1:], pair))
-                lasts[z] = lasts.get(z, 0) + hash((word[:-1], pair))
-        below_first.update(firsts.values())
-        below_last.update(lasts.values())
-    return len(below_last) < len(below_first)
-
-
 def _evaluate(roots, image, product_into, unit):
     """Images of word-keyed term maps under one algebra morphism, in order.
 
@@ -427,16 +405,16 @@ def _evaluate(roots, image, product_into, unit):
 
     1. :func:`_quotient_graph` finds the graph of arbitrary term maps,
        the input of ``coproduct``, ``substitute`` and the ``hsops``
-       bridge.  It walks the words of each root in lexicographic order,
-       so that the subtree of each trie node is contiguous; ``path``
-       holds the letters from the root to the current trie node and
-       ``frames[d]`` the node below ``path[:d]`` built so far.  Each
-       closed node is interned by that key, children first, in one
-       table for all the roots, so two trie nodes get one node exactly
-       when their quotients are equal, and every edge has ratio 1.  A
-       family whose recursion is known hands its graph over directly
-       (``newton`` and ``explog``), and this pass, which walks all
-       2^(n-1) words of a root of weight n, is skipped.
+       bridge, read from the prefix.  It walks the words of each root in
+       lexicographic order, so that the subtree of each trie node is
+       contiguous; ``path`` holds the letters from the root to the
+       current trie node and ``frames[d]`` the node below ``path[:d]``
+       built so far.  Each closed node is interned by that key, children
+       first, in one table for all the roots, so two trie nodes get one
+       node exactly when their quotients are equal, and every edge has
+       ratio 1.  A family whose recursion is known hands its graph over
+       directly (``newton`` and ``explog``), and this pass, which walks
+       all 2^(n-1) words of a root of weight n, is skipped.
     2. :func:`_evaluate_graph` places each node in turn: ``where[id] =
        (node, ratio)`` says that its quotient is ratio times that of a
        node to evaluate, read through the ``where`` of its children
@@ -526,39 +504,22 @@ def _evaluate(roots, image, product_into, unit):
         image(R_w) = unit(c_w) + sum_a image(R_{aw}) * image(a).
 
     A graph read from the suffix is evaluated with the child as the left
-    factor and the letter as the right one.  Pass 1 takes the suffix end
-    only when the roots' one-letter suffix quotients (the R_a) take fewer
-    distinct values than their one-letter prefix quotients (the Q_a),
-    and the prefix end on a tie; it then walks the reversed words.  A lone
-    homogeneous root of weight n whose words start and end with every
-    letter up to n ties (n quotients at each end), so a single
-    ``coproduct`` or ``substitute`` of the Newton primitives or the
-    exp/log expansions walks from the prefix.
-
-    The families that the suites evaluate take, over n <= 12 in one
-    evaluation each, these numbers of products from pass 1 at each end
-    (exact sharing only, as before, in brackets), the end pass 1 walks,
-    and the products and nodes of the graph that the family's recursion
-    gives, which the suites evaluate:
-
-        family, evaluation         prefix       suffix       pass 1  graph path
-        newton_p_left, coproducts    78  (144)   143   (583)  prefix   78, 24 nodes
-        newton_p_right, coproducts  143  (583)    78   (144)  suffix   78, 24 nodes
-        z_of_u, coproducts          353  (364)   353   (364)  prefix  353, 90 nodes
-        z_in_pprime under P'         78 (5,266)  353 (2,972)  prefix   78, 24 nodes
-        z_of_u, u_of_z under the
-          other's images            353  (364)   353   (364)  prefix  353, 90 nodes
+    factor and the letter as the right one.  Pass 1 always reads from the
+    prefix; the graph of the right Newton primitives' recursion is read
+    from the suffix (``newton._p_right_graph``).
 
     The Newton families run their recursions: the quotient of P_n below
-    its first letter a is -P_{n-a}, and that of z_in_pprime(n) below i is
-    z_in_pprime(n - i) / n, so each is a multiple of an earlier root and
-    root n takes n products, 1 + 2 + ... + 12 = 78 in all.  Few
-    quotients of the exp/log expansions are multiples of one another, so
-    sharing up to a scalar saves them 11 of 364 products.  In each case
-    pass 1 walks the end with fewer products.  The graph of a recursion
-    has the same classes as the graph that pass 1 finds, so it takes the
-    same products; pass 1 walks the 4,095 trie edges of each degree-12
-    root to find them.
+    its first letter a is -P_{n-a} (above its last letter, for P'_n), and
+    that of z_in_pprime(n) below i is z_in_pprime(n - i) / n, so each is a
+    multiple of an earlier root and root n takes n products,
+    1 + 2 + ... + 12 = 78 over n <= 12.  Few quotients of the exp/log
+    expansions are multiples of one another, so an evaluation of either
+    over n <= 12 takes 353 products, against 364 one degree at a time.
+    The graph of a recursion has the same classes as the graph that pass 1
+    finds when it reads the words from the same end, so it takes the same
+    products without walking the 4,095 trie edges of each root of degree
+    12.  Read from the prefix, the right primitives share fewer
+    quotients: pass 1 gives their coproducts over n <= 12 143 products.
 
     Only the fresh accumulators of ``combine`` are written to; the letter
     images (often cached) and the images of shared quotients are only
@@ -572,12 +533,7 @@ def _evaluate(roots, image, product_into, unit):
 
 
 def _quotient_graph(roots):
-    """Pass 1 of :func:`_evaluate`: the quotient graph of word-keyed term maps."""
-    roots = list(roots)
-    from_suffix = _walks_from_suffix(roots)
-    if from_suffix:
-        roots = [{word[::-1]: pair for word, pair in terms.items()} for terms in roots]
-
+    """Pass 1 of :func:`_evaluate`: the quotient graph of term maps, read from the prefix."""
     ids: dict = {}
     path: list = []
     frames: list = [[None]]
@@ -612,7 +568,7 @@ def _quotient_graph(roots):
         return root
 
     root_ids = list(map(intern_root, roots))
-    return from_suffix, list(ids), root_ids
+    return False, list(ids), root_ids
 
 
 def _evaluate_graph(graph, image, combine, finish):

@@ -297,7 +297,12 @@ def verify_hs_qsymm(max_degree: int) -> Report:
     The argument rests on the kernel being associative, as used above,
     and commutative, so that the generators' products need no fixed
     order.  The tests hold the kernel to the product defined by duality,
-    which has both properties.
+    which has both properties, on every pair of total weight <= 8
+    (test_duality_oracle_agrees); they check commutativity directly on
+    every pair, and associativity on every triple, of total weight <= 6,
+    and that the Lyndon M's generate every M_w of weight <= 8
+    (test_lyndon_monomials_generate).  The suite runs to 13 (its verify
+    ceiling), so above those weights the premises are untested.
 
     So the walk over the generators decides every n below n0, its first
     failing n, and those n pass; it stops every n at or above a failing n

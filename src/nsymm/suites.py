@@ -51,7 +51,7 @@ from .newton import (
 from .poly import NCPoly, _graph_substitutions
 from .qsymm import verify_hs_qsymm
 from .reports import Report, timed_check
-from .words import compositions_of
+from .words import composition_of_rank
 
 _SEED = 0x5EED
 
@@ -153,7 +153,8 @@ def _random_poly(rng: random.Random, max_weight: int) -> NCPoly:
     terms = {}
     for _ in range(rng.randint(1, 3)):
         w = rng.randint(0, max_weight)
-        word = rng.choice(compositions_of(w))
+        # the draw that rng.choice(compositions_of(w)) makes, without the list
+        word = composition_of_rank(w, rng.randrange(1 << (w - 1) if w else 1))
         c = rng.choice([-3, -2, -1, 1, 2, 3])
         terms[word] = terms.get(word, 0) + c
     return NCPoly(terms)
@@ -210,16 +211,17 @@ SUITES = {
 # which one run took under 5 s and 100 MB of own peak (VmHWM) in a fresh
 # process (Python 3.11.7, pure-Python kernels, 2 vCPUs), raised one
 # measured step at a time.  Measured there, three fresh processes each:
-# primitivity and iso, whose graphs are evaluated over dense blocks,
-# 0.3-0.4 s and 30 MB, and 0.7-1.0 s and 49 MB, at 16; one degree above,
-# 0.6-0.9 s and 46 MB, and 1.4-2.1 s and 87 MB, so both pass the rule at
-# 17 too and are the candidates for the next step; newton-consistency
-# 0.36-0.55 s and 72 MB at 16, 0.75-1.16 s and 131 MB at 17; qsymm-hs,
-# which walks only the Lyndon left factors, 1.6-2.2 s and 35 MB at 13,
-# 4.6-5.1 s and 60 MB at 14; hopf-laws, which samples, 0.9 s and 85 MB at
-# 20, where the compositions it samples from double per degree.
+# primitivity, whose graphs are evaluated over dense blocks, 0.6-0.9 s
+# and 47 MB at 17, and 1.3 s and 80 MB at 18 in one run; iso 0.7-1.0 s
+# and 49 MB at 16, 1.4-2.1 s and 87 MB at 17, which passes the rule but
+# keeps a 13% memory margin that is unmeasured on Python 3.10 and 3.12;
+# newton-consistency 0.36-0.55 s and 72 MB at 16, 0.75-1.16 s and 131 MB
+# at 17; qsymm-hs, which walks only the Lyndon left factors, 1.6-2.2 s
+# and 35 MB at 13, 4.6-5.1 s and 60 MB at 14; hopf-laws, which samples
+# each word by its rank without listing the compositions of its weight,
+# 0.3 s and 55 MB at 20.
 CEILINGS = {
-    "primitivity": 16,
+    "primitivity": 17,
     "newton-consistency": 16,
     "iso": 16,
     "qsymm-hs": 13,

@@ -61,6 +61,29 @@ def compositions_of(n: int) -> tuple[Composition, ...]:
     )
 
 
+def composition_of_rank(n: int, rank: int) -> Composition:
+    """``compositions_of(n)[rank]``, without listing the others.
+
+    A composition of n is the subset of {1, ..., n-1} of the positions
+    after which it is cut (Gelfand et al. 1995; Gessel 1984), and in
+    lexicographic order it is cut after position s exactly when bit
+    n-1-s of 2^(n-1) - 1 - rank is set.
+    """
+    count = 1 << (n - 1) if n else 1
+    if not 0 <= rank < count:
+        raise IndexError(f"rank {rank} outside the {count} compositions of {n}")
+    if n == 0:
+        return ()
+    cuts = count - 1 - rank
+    word, start = [], 0
+    for s in range(1, n):
+        if cuts >> (n - 1 - s) & 1:
+            word.append(s - start)
+            start = s
+    word.append(n - start)
+    return tuple(word)
+
+
 def compositions_up_to(n: int) -> tuple[Composition, ...]:
     """All compositions of weight 0..n, in (weight, lex) order."""
     return tuple(chain.from_iterable(compositions_of(k) for k in range(n + 1)))

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from nsymm import NCPoly
+from nsymm.poly import _quotient_graph
 
 _COEFFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3))
 
@@ -103,6 +104,24 @@ def scaled_twin_roots():
     """Eight seeded root lists for one shared evaluation each (see _scaled_twins)."""
     rng = random.Random(20118)
     return [_scaled_twins(rng) for _ in range(8)]
+
+
+@pytest.fixture
+def suffix_graph():
+    """The quotient graph of term maps read from the suffix, for pass 2.
+
+    Pass 1 reads words from the prefix; this hands it the reversed words
+    and flags its graph ``from_suffix``, so pass 2 evaluates the roots
+    themselves with each child as the left factor of its product.
+    """
+
+    def graph(roots):
+        _, nodes, root_ids = _quotient_graph(
+            {word[::-1]: pair for word, pair in terms.items()} for terms in roots
+        )
+        return True, nodes, root_ids
+
+    return graph
 
 
 @pytest.fixture

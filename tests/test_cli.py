@@ -1,7 +1,9 @@
 import gc
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -170,15 +172,17 @@ def no_suite_runs(monkeypatch):
 def test_verify_rejects_degree_30(no_suite_runs, capsys):
     code, out, err = run_cli(capsys, "verify", "primitivity", "--max-degree", "30")
     assert code == 2 and out == ""
-    assert "exceeds the suite's ceiling 16" in err
+    assert "exceeds the suite's ceiling 17" in err
 
 
 def test_verify_ceilings_cover_every_suite():
     assert set(CEILINGS) == set(SUITES)
     assert min(CEILINGS[s] for s in ("primitivity", "iso", "newton-consistency")) >= 12
     assert CEILINGS["qsymm-hs"] >= 13
-    # iso's dense blocks hold its degree-16 coproducts under 100 MB
+    # iso's dense blocks hold its degree-16 coproducts under 100 MB, and
+    # primitivity's its degree-17 ones
     assert CEILINGS["iso"] >= 16
+    assert CEILINGS["primitivity"] >= 17
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
@@ -694,3 +698,17 @@ def test_cli_import_loads_no_dataclasses():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_benchmark_tracer_installs():
+    # the benchmark's traced mode rebinds names across nsymm and reads its
+    # caches; a change that removes one of them fails here, not in a traced run
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
+    result = subprocess.run(
+        [sys.executable, "-c", "import nsymm.cli; import tracer; tracer.install().read_caches()"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert result.returncode == 0, result.stderr

@@ -30,13 +30,13 @@ from nsymm import hopf, poly
 from nsymm.explog import _u_of_z_graph, _z_of_u_graph
 from nsymm.hopf import (
     _coproducts,
+    _generator_coproduct,
     _graph_coproducts,
     _primitive_block_residue,
-    _primitive_residue,
     _word_coproduct,
 )
 from nsymm.newton import _explicit_blocks, _p_left_graph, _p_right_graph
-from nsymm.poly import _graph_substitutions, _walks_from_suffix
+from nsymm.poly import _evaluate_graph, _graph_substitutions
 
 NS, LH = HopfFamily.NSYMM, HopfFamily.LIEHOPF
 
@@ -259,37 +259,33 @@ def test_coproduct_products_count_distinct_quotients(monkeypatch, name):
 
 
 @pytest.mark.parametrize("family", [NS, LH])
-def test_shared_coproducts_match_oracle_on_near_twin_quotients(family, near_twin_polys):
+def test_shared_coproducts_match_oracle_on_near_twin_quotients(family, near_twin_polys, suffix_graph):
     twins = near_twin_polys
     for roots in (twins, twins[::-1], twins[:3] + twins[1:2] + twins[3:]):
         got = list(_coproducts(roots, family))
         assert got == [_coproduct_oracle(p, family) for p in roots]
+    # near twins above suffixes, with the right primitives, read from the suffix
+    roots = [newton_p_right(n) for n in range(1, 9)] + [p.reverse_words() for p in twins]
+    graph = suffix_graph([p._terms for p in roots])
+    got = list(map(Tensor2._from_int_map, _evaluate_graph(graph, *hopf._tensor_morphism(family))))
+    assert got == [_coproduct_oracle(p, family) for p in roots]
 
 
-@pytest.mark.parametrize("family", [NS, LH])
-def test_shared_coproducts_walked_from_the_suffix(family, near_twin_polys):
-    roots = [newton_p_right(n) for n in range(1, 9)]
-    roots += [p.reverse_words() for p in near_twin_polys]
-    assert _walks_from_suffix([p._terms for p in roots])
-    assert list(_coproducts(roots, family)) == [_coproduct_oracle(p, family) for p in roots]
-
-
-# products for the coproducts of every n <= 12 in one evaluation, and the end
-# walked: the right primitives repeat their one-letter suffix quotients.  The
-# quotients of each primitive are multiples of the primitives before it, so
-# the family takes the 78 products of its top degree alone
+# products for the coproducts of every n <= 12 in one evaluation, read from
+# the prefix.  The quotients of each left primitive are multiples of the
+# primitives before it, so the family takes the 78 products of its top degree
+# alone; the right primitives repeat their quotients above a suffix instead
 SHARED_PRODUCT_COUNTS = {
-    "newton_p_left": (newton_p_left, NS, 78, False),
-    "newton_p_right": (newton_p_right, NS, 78, True),
-    "z_of_u": (z_of_u, LH, 353, False),
+    "newton_p_left": (newton_p_left, NS, 78),
+    "newton_p_right": (newton_p_right, NS, 143),
+    "z_of_u": (z_of_u, LH, 353),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SHARED_PRODUCT_COUNTS))
 def test_shared_coproducts_products_count(monkeypatch, name):
-    make, family, products, from_suffix = SHARED_PRODUCT_COUNTS[name]
+    make, family, products = SHARED_PRODUCT_COUNTS[name]
     roots = [make(n, max_degree=12) for n in range(1, 13)]
-    assert _walks_from_suffix([p._terms for p in roots]) is from_suffix
     calls = []
     real = _k.mul_tensor_ints_into
     monkeypatch.setattr(_k, "mul_tensor_ints_into", lambda *args: (calls.append(1), real(*args))[1])
@@ -301,12 +297,17 @@ def test_shared_coproducts_products_count(monkeypatch, name):
 @pytest.mark.parametrize("from_suffix", [False, True])
 @pytest.mark.parametrize("family", [NS, LH])
 def test_shared_coproducts_match_oracle_on_scaled_quotients(
-    monkeypatch, record_ratios, scalar_kinds, from_suffix, family, scaled_twin_roots
+    record_ratios, scalar_kinds, suffix_graph, from_suffix, family, scaled_twin_roots
 ):
-    monkeypatch.setattr(poly, "_walks_from_suffix", lambda roots: from_suffix)
     scalars = record_ratios(hopf, "_tensor_morphism")
     for roots in scaled_twin_roots:
-        got = list(_coproducts(roots, family))
+        if from_suffix:
+            graph = suffix_graph([p._terms for p in roots])
+            got = list(
+                map(Tensor2._from_int_map, _evaluate_graph(graph, *hopf._tensor_morphism(family)))
+            )
+        else:
+            got = list(_coproducts(roots, family))
         assert got == [_coproduct_oracle(p, family) for p in roots]
         assert len({id(image._terms) for image in got}) == len(got)
     assert scalar_kinds(scalars) == {"negative", "integer", "fraction"}
@@ -357,7 +358,6 @@ def _scaled_edges_oracle(roots):
 @pytest.mark.parametrize("make", [z_of_u, u_of_z])
 def test_exp_log_products_scale_only_where_quotients_merge(record_ratios, make):
     roots = [make(n, max_degree=10) for n in range(1, 11)]
-    assert not _walks_from_suffix([p._terms for p in roots])
     scalars = record_ratios(hopf, "_tensor_morphism")
     list(_coproducts(roots, LH, max_degree=10))
     merged = _scaled_edges_oracle(roots)
@@ -395,17 +395,40 @@ def _perturbed(delta):
 
 @pytest.mark.parametrize("family", [NS, LH])
 @pytest.mark.parametrize("n", range(1, 7))
-def test_primitive_residue_matches_the_tensor_subtraction(family, n):
-    # on term maps and on dense blocks, where only mismatches are decoded;
-    # p may have a constant term and a denominator
+def test_primitive_residue_matches_the_tensor_subtraction(monkeypatch, family, n):
+    # on term maps, through primitivity_defect with each perturbed coproduct
+    # handed over fresh, and on dense blocks, where only mismatches are
+    # decoded; p may have a constant term and a denominator
     for p in (newton_p_left(n), u_of_z(n), newton_p_right(n) + NCPoly.scalar(3), NCPoly.scalar("-1/2")):
         blocks = _k.to_word_blocks(p._terms)
         for delta in _perturbed(coproduct(p, family)):
-            assert _primitive_residue(p, delta) == _old_primitivity_defect(p, delta)
+            with monkeypatch.context() as patch:
+                patch.setattr(hopf, "coproduct", lambda *args: Tensor2._raw(dict(delta._terms)))
+                got = primitivity_defect(p, family)
+            assert got == _old_primitivity_defect(p, delta)
+            assert all(gcd(*pair) == 1 and pair[1] >= 1 for pair in got._terms.values())
             got = _primitive_block_residue(blocks, _k.to_tensor_blocks(delta._terms))
             assert got == _old_primitivity_defect(p, delta)
             assert all(gcd(*pair) == 1 and pair[1] >= 1 for pair in got._terms.values())
         assert primitivity_defect(p, family) == _old_primitivity_defect(p, coproduct(p, family))
+
+
+@pytest.mark.parametrize("family", [NS, LH])
+@pytest.mark.parametrize("make", [newton_p_left, u_of_z])
+def test_primitivity_defect_writes_only_its_own_coproduct(family, make):
+    # the defect is subtracted in place from a fresh coproduct: a cached
+    # member of a family is read, never written, and no call hands out a
+    # map that p, the other call or a cache holds
+    p = make(6)
+    before = dict(p._terms)
+    first = primitivity_defect(p, family)
+    second = primitivity_defect(p, family)
+    assert first == second == _old_primitivity_defect(p, coproduct(p, family))
+    assert make(6) is p and p._terms == before
+    held = [make(k)._terms for k in range(1, 7)]
+    held += [_generator_coproduct(k, family) for k in range(1, 7)]
+    for defect, other in ((first, second), (second, first)):
+        assert all(defect._terms is not terms for terms in [other._terms, *held])
 
 
 @pytest.mark.parametrize("from_suffix", [False, True])
@@ -443,7 +466,8 @@ def test_primitive_coproducts_keep_no_mixed_block(monkeypatch, graph):
 # --- the graphs of the families' recursions -----------------------------------
 
 # products of the graph path over n <= 12, with no word walked: the same as
-# pass 1 takes on the expanded maps (SHARED_PRODUCT_COUNTS)
+# pass 1 takes on the expanded maps (SHARED_PRODUCT_COUNTS), but for the right
+# primitives, whose graph is read from the suffix
 GRAPH_PRODUCT_COUNTS = {
     "newton_p_left": (_p_left_graph, NS, 78),
     "newton_p_right": (_p_right_graph, NS, 78),

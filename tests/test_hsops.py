@@ -34,7 +34,6 @@ from nsymm import (
 from nsymm import hsops, poly
 from nsymm.hsops import ddx_matrix
 from nsymm.newton import c_coeff
-from nsymm.poly import _walks_from_suffix
 from nsymm.words import compositions_of
 
 F = Fraction
@@ -936,12 +935,23 @@ def test_right_primitives_act_like_delta_extraction(bridge_family):
         assert operator_from_word_poly(newton_p_right(n), bridge_family.maps, dim) == deltas[n - 1]
 
 
-def test_operator_walked_from_the_suffix_composes_in_order():
+def _evaluate_from_the_suffix(monkeypatch, suffix_graph):
+    """Make the bridge hand pass 2 the graph of its root read from the suffix."""
+
+    def evaluate(roots, image, product_into, unit):
+        return poly._evaluate_graph(
+            suffix_graph(roots), *poly._pair_morphism(image, product_into, unit)
+        )
+
+    monkeypatch.setattr(hsops, "_evaluate", evaluate)
+
+
+def test_operator_walked_from_the_suffix_composes_in_order(monkeypatch, suffix_graph):
     # one distinct one-letter suffix quotient against two prefix ones, on
     # maps that do not commute
     A, seq = inner_sequence(3)
     p = NCPoly({(): 2, (1, 3): 1, (2, 2, 3): "-1/2"})
-    assert _walks_from_suffix([p._terms])
+    _evaluate_from_the_suffix(monkeypatch, suffix_graph)
     got = operator_from_word_poly(p, seq, A.dim)
     assert got != oracle_operator_from_word_poly(p.reverse_words(), seq, A.dim)
     assert got == oracle_operator_from_word_poly(p, seq, A.dim)
@@ -949,10 +959,11 @@ def test_operator_walked_from_the_suffix_composes_in_order():
 
 @pytest.mark.parametrize("from_suffix", [False, True])
 def test_operator_matches_oracle_on_scaled_quotients(
-    monkeypatch, record_scalars, scalar_kinds, from_suffix, scaled_twin_roots
+    monkeypatch, record_scalars, scalar_kinds, suffix_graph, from_suffix, scaled_twin_roots
 ):
     A, seq = inner_sequence(3)
-    monkeypatch.setattr(poly, "_walks_from_suffix", lambda roots: from_suffix)
+    if from_suffix:
+        _evaluate_from_the_suffix(monkeypatch, suffix_graph)
     scalars = record_scalars(hsops, "_compose_into")
     for roots in scaled_twin_roots:
         for p in roots:

@@ -27,7 +27,7 @@ from nsymm import _core_py as _k
 from nsymm import hopf, poly
 from nsymm.explog import _u_of_z_graph, _z_of_u_graph
 from nsymm.newton import _p_left_graph, _z_in_pprime_graph
-from nsymm.poly import _evaluate, _graph_substitutions, _substitutions, _walks_from_suffix
+from nsymm.poly import _evaluate, _evaluate_graph, _graph_substitutions, _substitutions
 
 Z1 = NCPoly.generator(1)
 Z2 = NCPoly.generator(2)
@@ -336,27 +336,21 @@ def _count_calls(monkeypatch, name):
 
 
 @pytest.mark.parametrize("family", sorted(IMAGE_FAMILIES))
-def test_shared_substitution_matches_oracle_on_near_twin_quotients(family, near_twin_polys):
+def test_shared_substitution_matches_oracle_on_near_twin_quotients(
+    family, near_twin_polys, suffix_graph
+):
     images = IMAGE_FAMILIES[family]
     twins = near_twin_polys
     for roots in (twins, twins[::-1], twins[:3] + twins[1:2] + twins[3:]):
         got = list(_substitutions(roots, images))
         assert got == [_substitute_oracle(p, images) for p in roots]
-
-
-@pytest.mark.parametrize("family", ["affine", "z_of_u", "u_of_z"])
-def test_suffix_walk_equals_prefix_walk(family, near_twin_polys):
-    images = IMAGE_FAMILIES[family]
-    # the right primitives share suffixes; each alone ties, so its own
-    # substitution walks from the prefix
-    primitives = [newton_p_right(n) for n in range(1, 9)]
-    assert _walks_from_suffix([p._terms for p in primitives])
-    assert not any(_walks_from_suffix([p._terms]) for p in primitives)
-    assert list(_substitutions(primitives, images)) == [p.substitute(images) for p in primitives]
-    # near-twin quotients below suffixes, walked from the suffix
-    roots = primitives + [p.reverse_words() for p in near_twin_polys]
-    assert _walks_from_suffix([p._terms for p in roots])
-    assert list(_substitutions(roots, images)) == [_substitute_oracle(p, images) for p in roots]
+    # near twins above suffixes, with the right primitives on the letters that
+    # have images, read from the suffix
+    top = max(images) if isinstance(images, Mapping) else 8
+    roots = [newton_p_right(n) for n in range(1, top + 1)] + [p.reverse_words() for p in twins]
+    graph = suffix_graph([p._terms for p in roots])
+    got = list(map(NCPoly._from_int_map, _evaluate_graph(graph, *poly._word_morphism(images))))
+    assert got == [_substitute_oracle(p, images) for p in roots]
 
 
 def test_shared_substitution_products_count(monkeypatch):
@@ -366,7 +360,6 @@ def test_shared_substitution_products_count(monkeypatch):
     # the family 1 + 2 + ... + 12 = 78
     roots = [z_in_pprime(n, max_degree=12) for n in range(1, 13)]
     images = {k: newton_p_right(k, max_degree=12) for k in range(1, 13)}
-    assert not _walks_from_suffix([p._terms for p in roots])
     calls = _count_calls(monkeypatch, "mul_word_ints_into")
     got = list(_substitutions(roots, images))
     assert len(calls) == 78
@@ -376,13 +369,18 @@ def test_shared_substitution_products_count(monkeypatch):
 @pytest.mark.parametrize("from_suffix", [False, True])
 @pytest.mark.parametrize("family", ["affine", "z_of_u", "newton_p_right"])
 def test_shared_substitution_matches_oracle_on_scaled_quotients(
-    monkeypatch, record_ratios, scalar_kinds, from_suffix, family, scaled_twin_roots
+    record_ratios, scalar_kinds, suffix_graph, from_suffix, family, scaled_twin_roots
 ):
     images = IMAGE_FAMILIES[family]
-    monkeypatch.setattr(poly, "_walks_from_suffix", lambda roots: from_suffix)
     scalars = record_ratios(poly, "_word_morphism")
     for roots in scaled_twin_roots:
-        got = list(_substitutions(roots, images))
+        if from_suffix:
+            graph = suffix_graph([p._terms for p in roots])
+            got = list(
+                map(NCPoly._from_int_map, _evaluate_graph(graph, *poly._word_morphism(images)))
+            )
+        else:
+            got = list(_substitutions(roots, images))
         assert got == [_substitute_oracle(p, images) for p in roots]
         # every yielded image is a map of its own
         assert len({id(image._terms) for image in got}) == len(got)
@@ -397,11 +395,10 @@ class _ReadEvenIfEmpty(dict):
 
 
 @pytest.mark.parametrize("from_suffix", [False, True])
-def test_every_evaluated_image_is_read(monkeypatch, from_suffix, scaled_twin_roots):
+def test_every_evaluated_image_is_read(monkeypatch, suffix_graph, from_suffix, scaled_twin_roots):
     # a constant below a quotient that joins an earlier class is read by no
     # node, so it is skipped: every accumulator from unit is read by a
     # product, scaled at release or yielded
-    monkeypatch.setattr(poly, "_walks_from_suffix", lambda roots: from_suffix)
     made, read = [], {}
     real_scale = _k.scale_terms
 
@@ -424,7 +421,11 @@ def test_every_evaluated_image_is_read(monkeypatch, from_suffix, scaled_twin_roo
         made.clear()
         read.clear()
         terms = [p._terms for p in roots]
-        got = list(_evaluate(terms, lambda k: images(k)._terms, product_into, unit))
+        morphism = (lambda k: images(k)._terms, product_into, unit)
+        if from_suffix:
+            got = list(_evaluate_graph(suffix_graph(terms), *poly._pair_morphism(*morphism)))
+        else:
+            got = list(_evaluate(terms, *morphism))
         assert [NCPoly._raw(dict(g)) for g in got] == [_substitute_oracle(p, images) for p in roots]
         read.update((id(g), g) for g in got)
         assert all(read.get(id(acc)) is acc for acc in made)
@@ -565,7 +566,6 @@ def test_each_root_is_yielded_before_later_work(monkeypatch, make):
     calls = _count_calls(monkeypatch, "mul_word_ints_into")
     alone = []
     for k in range(1, len(roots) + 1):
-        assert not _walks_from_suffix([p._terms for p in roots[:k]])
         before = len(calls)
         list(_substitutions(roots[:k], images))
         alone.append(len(calls) - before)

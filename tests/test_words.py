@@ -2,6 +2,7 @@ import pytest
 
 from nsymm.words import (
     check_composition,
+    composition_of_rank,
     compositions_of,
     compositions_up_to,
     term_order_key,
@@ -38,6 +39,15 @@ def test_compositions_negative_rejected():
         compositions_of(-1)
     with pytest.raises(ValueError):
         compositions_of("3")
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_composition_of_rank_is_the_listed_one(n):
+    comps = compositions_of(n)
+    assert [composition_of_rank(n, r) for r in range(len(comps))] == list(comps)
+    for rank in (-1, len(comps)):
+        with pytest.raises(IndexError):
+            composition_of_rank(n, rank)
 
 
 def test_compositions_up_to():
