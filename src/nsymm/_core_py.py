@@ -7,37 +7,30 @@ pair ``(num, den)``: arbitrary-precision ints, ``den >= 1``,
 the form at every API edge: every value that enters or leaves a
 polynomial, a tensor or an evaluation is one.
 
-Inside pass 2 of the evaluator (``poly._evaluate``), the word and tensor
-morphisms keep each image over one common denominator instead, in one
-of two forms, with no gcd in a product:
-
-- an integer map ``(ints, den)``, a dict from key to nonzero int, the
-  term map ints / den, not reduced, for term maps given as input.
-  ``to_int_map`` converts a term map once, ``from_int_map`` reduces an
-  integer map back in place, one gcd per term, and
-  ``mul_word_ints_into`` and ``mul_tensor_ints_into`` add an integer
-  multiple of a product.
-- dense blocks ``(blocks, den)``, for the quotient graphs of the suite
-  families: one list of numerators per weight of word (per pair of
-  weights for a tensor, row-major), a slot per composition, ranked as in
-  ``words.compositions_of``, zeros included.  A composition of n is a
-  subset of {1, ..., n - 1} (Gelfand et al. 1995; Gessel 1984), read as
-  the bits of its rank, so rank(u v) = rank(u) * 2^|v| + rank(v).  A
-  product is then slice arithmetic: ``mul_word_blocks_into`` and
-  ``mul_tensor_blocks_into`` add the other factor's block, for each
-  nonzero of one factor, in runs of ``out[s:e:step] = map(add, ...)``.
-  ``to_word_blocks``, ``to_tensor_blocks``, ``from_word_blocks`` and
-  ``from_tensor_blocks`` convert, and ``tensor_block_key`` decodes one
-  slot.
+The term maps given to ``substitute`` and ``coproduct`` are evaluated
+in this form, through ``mul_word_into`` and ``mul_tensor_into``.  Only
+the quotient graphs of the suite families are evaluated in another
+form: dense blocks ``(blocks, den)``, one list of integer numerators
+over one common denominator per weight of word (per pair of weights for
+a tensor, row-major), a slot per composition, ranked as in
+``words.compositions_of``, zeros included.  A composition of n is a
+subset of {1, ..., n - 1} (Gelfand et al. 1995; Gessel 1984), read as
+the bits of its rank, so rank(u v) = rank(u) * 2^|v| + rank(v).  A
+product is then slice arithmetic with no gcd: ``mul_word_blocks_into``
+and ``mul_tensor_blocks_into`` add the other factor's block, for each
+nonzero of one factor, in runs of ``out[s:e:step] = map(add, ...)``.
+``to_word_blocks``, ``to_tensor_blocks``, ``from_word_blocks`` and
+``from_tensor_blocks`` convert, through the integer map ``(ints, den)``
+of ``to_int_map`` and ``from_int_map``, and ``tensor_block_key``
+decodes one slot.
 
 This is the package's one kernel module (``nsymm._backend.kernels``);
 tests/test_rational_kernels.py holds it to a ``fractions.Fraction``
 model.  The ``*_into`` kernels add their result to an accumulator in
 place and leave their operands untouched.  The term-map products' outer
 loop runs over the shorter factor, and the inner loop over the longer
-one; an integer product folds its multiplier into each term of the
-shorter factor, and each key is still the left factor's key followed by
-the right factor's.  A block product loops over the nonzeros of the
+one; each key is still the left factor's key followed by the right
+factor's.  A block product loops over the nonzeros of the
 block whose loop costs less.
 ``add_scaled_into`` is the one loop that merges a term map into another:
 the sum, difference, negation and scaling kernels are each one call of
@@ -334,68 +327,6 @@ def from_int_map(ints, den):
             d = reduced[g] = den // g
         ints[k] = (v // g, d)
     return ints
-
-
-def mul_word_ints_into(acc, a, b, m):
-    """acc += m * a * b under concatenation, on integer maps, in place.
-
-    acc, a and b map keys to nonzero ints and m is a nonzero int, so no
-    gcd is taken; a sum that cancels is deleted.  m is folded into each
-    term of the shorter factor, which the outer loop runs over; the key
-    stays the left one's plus the right one's.
-    """
-    if len(a) > len(b):
-        for kb, vb in b.items():
-            vb *= m
-            for ka, va in a.items():
-                k = ka + kb
-                n = acc.get(k, 0) + va * vb
-                if n:
-                    acc[k] = n
-                else:
-                    del acc[k]
-        return
-    for ka, va in a.items():
-        va *= m
-        for kb, vb in b.items():
-            k = ka + kb
-            n = acc.get(k, 0) + va * vb
-            if n:
-                acc[k] = n
-            else:
-                del acc[k]
-
-
-def mul_tensor_ints_into(acc, a, b, m):
-    """acc += m * a * b componentwise on pair keys, on integer maps, in place.
-
-    As :func:`mul_word_ints_into`, with the key (la + lb, ra + rb).
-    """
-    if len(a) > len(b):
-        for (lb, rb), vb in b.items():
-            vb *= m
-            for (la, ra), va in a.items():
-                k = (la + lb, ra + rb)
-                n = acc.get(k, 0) + va * vb
-                if n:
-                    acc[k] = n
-                else:
-                    del acc[k]
-        return
-    for (la, ra), va in a.items():
-        va *= m
-        for (lb, rb), vb in b.items():
-            k = (la + lb, ra + rb)
-            n = acc.get(k, 0) + va * vb
-            if n:
-                acc[k] = n
-            else:
-                del acc[k]
-
-
-def scale_int_map(ints, n):
-    """A fresh integer map n * ints."""
-    return dict(ints) if n == 1 else {k: n * v for k, v in ints.items()}
 
 
 # --- dense blocks --------------------------------------------------------------

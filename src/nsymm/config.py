@@ -26,7 +26,7 @@ def max_degree():
 
 
 def _checked_limit(n):
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"max degree must be an integer >= 1, got {n!r}")
     return n
 
@@ -53,7 +53,7 @@ def resolve_limit(limit=None):
 
 def check_index(n, limit=None, what="generator index"):
     """Validate a degree-indexed request: 1 <= n <= limit."""
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"{what} must be an integer >= 1, got {n!r}")
     bound = resolve_limit(limit)
     if n > bound:

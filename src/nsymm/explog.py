@@ -152,7 +152,7 @@ def verify_iso(max_degree: int) -> Report:
     coproducts stay in blocks, which :func:`_coalgebra_defect` compares
     with the image block by block.  At degree 16, in a fresh process,
     ``nsymm verify iso`` takes 0.7-1.0 s and 49 MB of own peak
-    (``VmHWM``), against 3.0-4.3 s and 166 MB over integer maps.
+    (``VmHWM``).
     """
     check_index(max_degree, max_degree, what="max_degree")
     report = Report(suite="iso", max_degree=max_degree)

@@ -7,8 +7,8 @@ extend to words multiplicatively and to polynomials linearly.
 first pass finds the quotient graph of the support, read from the
 prefix, so words that share a prefix share its work and the quotients
 below prefixes that are equal up to a scalar are evaluated once, and
-its second pass keeps each image as an integer map over one
-denominator, so its products take no gcd.  The coproducts of several
+its second pass keeps each image as a term map of (num, den) pairs,
+multiplied by ``kernels.mul_tensor_into``.  The coproducts of several
 polynomials can be taken in one evaluation (``_coproducts``), so the
 quotients are shared across them too.  The suites hand over the quotient
 graph of a family's recursion instead (``_graph_coproducts``), which
@@ -30,7 +30,7 @@ from functools import lru_cache
 
 from ._backend import kernels as _k
 from .config import resolve_limit, DegreeOverflowError
-from .poly import NCPoly, Tensor2, _evaluate_graph, _int_morphism, _quotient_graph
+from .poly import NCPoly, Tensor2, _block_morphism, _evaluate, _evaluate_graph, _scaled_product
 
 
 class HopfFamily(enum.Enum):
@@ -68,22 +68,17 @@ def _check_degree(p: NCPoly, max_degree):
         )
 
 
-def _tensor_morphism(family: HopfFamily):
-    # (image, combine, finish) of the coproduct of the family, over integer maps
-    return _int_morphism(
-        lambda letter: _k.to_int_map(_generator_coproduct(letter, family)),
-        _k.mul_tensor_ints_into,
-        ((), ()),
-    )
+def _tensor_unit(c):
+    # the unit of the pair form on tensors: c times the empty pair of words
+    return {((), ()): c} if c else {}
 
 
 def _tensor_block_morphism(family: HopfFamily):
     # (image, combine, finish) of the coproduct of the family, over dense blocks
-    return _int_morphism(
+    return _block_morphism(
         lambda letter: _k.to_tensor_blocks(_generator_coproduct(letter, family)),
         _k.mul_tensor_blocks_into,
         (0, 0),
-        dense=True,
     )
 
 
@@ -100,8 +95,13 @@ def _coproducts(polys, family: HopfFamily, max_degree=None):
             yield p._terms
 
     yield from map(
-        Tensor2._from_int_map,
-        _evaluate_graph(_quotient_graph(checked()), *_tensor_morphism(family)),
+        Tensor2._raw,
+        _evaluate(
+            checked(),
+            lambda letter: _generator_coproduct(letter, family),
+            _scaled_product(_k.mul_tensor_into),
+            _tensor_unit,
+        ),
     )
 
 

@@ -71,11 +71,6 @@ class _TermMap:
         return self
 
     @classmethod
-    def _from_int_map(cls, image):
-        # an integer map (ints, den) of pass 2, reduced in place
-        return cls._raw(_k.from_int_map(*image))
-
-    @classmethod
     def zero(cls):
         return cls._raw({})
 
@@ -238,29 +233,43 @@ def _lookup(images):
     return images.__getitem__ if isinstance(images, Mapping) else images
 
 
-def _word_morphism(images):
-    # (image, combine, finish) of the substitution of ``images`` into words, over integer maps
-    lookup = _lookup(images)
-    return _int_morphism(
-        lambda letter: _k.to_int_map(lookup(letter)._terms), _k.mul_word_ints_into, ()
-    )
+def _word_unit(c):
+    # the unit of the pair form on words: c times the empty word
+    return {(): c} if c else {}
+
+
+def _scaled_product(mul_into):
+    """The ``product_into`` of the pair form, from a term-map product ``mul_into(acc, x, y)``.
+
+    An edge whose ratio is not 1 scales the shorter factor
+    (``kernels.scale_terms``) and then multiplies.
+    """
+
+    def product_into(acc, x, y, ratio):
+        if ratio != _ONE:
+            if len(x) <= len(y):
+                x = _k.scale_terms(x, ratio)
+            else:
+                y = _k.scale_terms(y, ratio)
+        mul_into(acc, x, y)
+
+    return product_into
 
 
 def _word_block_morphism(letter_image):
     # (image, combine, finish) of a substitution into words, over dense blocks
-    return _int_morphism(letter_image, _k.mul_word_blocks_into, 0, dense=True)
+    return _block_morphism(letter_image, _k.mul_word_blocks_into, 0)
 
 
-def _int_morphism(letter_image, product_into, one, dense=False):
-    """(image, combine, finish) of a morphism into term maps, over integer numerators.
+def _block_morphism(letter_image, product_into, one):
+    """(image, combine, finish) of a morphism into term maps, over dense blocks.
 
-    ``letter_image(letter)`` gives a letter's image in the form of the
-    morphism, called here once per letter; ``product_into(acc, x, y, m)``
-    adds m * x * y to an accumulator, and ``one`` is the key of the unit.
-    Each image is ``(ints, den)``, with one denominator: ints is an integer
-    map, or with ``dense`` a dict of dense blocks, in which the unit is a
-    block of one entry and the blocks that cancel to zero are dropped once
-    a node's products are done.  See "Image forms" in :func:`_evaluate`.
+    ``letter_image(letter)`` gives a letter's image as dense blocks
+    ``(blocks, den)``, called here once per letter;
+    ``product_into(acc, x, y, m)`` adds m * x * y to an accumulator, with
+    m an int, and ``one`` is the key of the unit's block, of one entry.
+    The blocks that cancel to zero are dropped once a node's products are
+    done.  See "Image forms" in :func:`_evaluate`.
     """
     letters: dict = {}
 
@@ -279,23 +288,21 @@ def _int_morphism(letter_image, product_into, one, dense=False):
                     den = den // gcd(den, d) * d
         acc = {}
         if constant:
-            n = constant[0] * (den // constant[1])
-            acc[one] = [n] if dense else n
+            acc[one] = [constant[0] * (den // constant[1])]
         # pop each factor, so an image read for the last time goes with its product
         factors.reverse()
         while factors:
             (x, dx), (y, dy), (rn, rd) = factors.pop()
             if x and y:
                 product_into(acc, x, y, rn * (den // (dx * dy * rd)))
-        if dense:
-            _k.drop_zero_blocks(acc)
+        _k.drop_zero_blocks(acc)
         return acc, den
 
     def finish(node_image, ratio, shared):
         if ratio == _ONE and not shared:
             return node_image
-        (ints, den), (rn, rd) = node_image, ratio
-        return (_k.scale_blocks if dense else _k.scale_int_map)(ints, rn), den * rd
+        (blocks, den), (rn, rd) = node_image, ratio
+        return _k.scale_blocks(blocks, rn), den * rd
 
     return image, combine, finish
 
@@ -334,9 +341,15 @@ def _substitutions(polys, images):
     quotient that several of them share, up to a scalar, is evaluated
     once; each image is yielded as soon as it is formed.
     """
+    lookup = _lookup(images)
     yield from map(
-        NCPoly._from_int_map,
-        _evaluate_graph(_quotient_graph(p._terms for p in polys), *_word_morphism(images)),
+        NCPoly._raw,
+        _evaluate(
+            (p._terms for p in polys),
+            lambda letter: lookup(letter)._terms,
+            _scaled_product(_k.mul_word_into),
+            _word_unit,
+        ),
     )
 
 
@@ -379,9 +392,8 @@ def _evaluate(roots, image, product_into, unit):
     read by a later root, since such a root is yielded through
     ``kernels.scale_terms``; a lone root never is.  This is a generator:
     it yields the image of each root in order, as soon as that image is
-    formed.  This pair form serves the ``hsops`` bridge; the word and
-    tensor morphisms run the same two passes over integer maps
-    (``substitute`` and ``coproduct``) or dense blocks (the suites), see
+    formed.  This pair form serves ``substitute``, ``coproduct`` and the
+    ``hsops`` bridge; the suites run pass 2 alone over dense blocks, see
     "Image forms" below.
 
     Writing Q_w for the quotient of a root below the prefix w (the terms
@@ -448,45 +460,45 @@ def _evaluate(roots, image, product_into, unit):
     its constant term and one factor ``(x, y, ratio)`` per edge, x the
     left factor of its product, and ``finish(image, ratio, shared)``
     hands a root over, scaled by ratio, and copied when ``shared`` says
-    that a later root still reads it.  Three forms exist, and the entry
+    that a later root still reads it.  Two forms exist, and the entry
     point chooses one by what it is given:
 
-    - the pair form (``_pair_morphism``) of this function's arguments:
-      one ``product_into(acc, x, y, ratio)`` per edge into ``unit(c)``,
-      and ``kernels.scale_terms`` for a scaled or shared root.  The
-      ``hsops`` bridge uses it, with lists of map columns as images.
-    - integer maps (``_int_morphism``), for term maps given as input, to
-      ``substitute`` and ``coproduct`` (and so the samples of hopf-laws):
-      each image is ``(ints, den)``, the term map ints / den with no
-      zero in ints.  A letter's image is converted once per evaluation
-      (``kernels.to_int_map``).  A node's den is fixed before its
-      products, as the lcm over its edges of den(x) * den(y) *
-      den(ratio) and its constant's den, so a product adds m * x * y
-      with the integer m = num(ratio) * den / (den(x) den(y) den(ratio))
-      and takes no gcd (``kernels.mul_word_ints_into``,
-      ``mul_tensor_ints_into``); entries that cancel are deleted in
-      place.  A root is yielded in this form, and
-      ``_TermMap._from_int_map`` reduces it in place, one gcd per term.
-      The input is sparse, so its images stay sparse: a word of weight
-      20 is one term here, where a block would hold 2^19 slots.
-    - dense blocks, the same ``_int_morphism`` with ``dense``, for a
-      quotient graph given as input, the families of the suites
-      (:func:`_block_substitutions`, ``hopf._graph_coproducts``): the
-      same ``(ints, den)`` and the same den, but ints maps each weight
-      (a pair of weights for tensors) to one list of numerators, a slot
-      per composition in the order of ``words.compositions_of``, and a
-      tensor block row-major, a row per left word.  The rank of u v is
-      rank(u) * 2^|v| + rank(v), so a product adds the other factor's
-      block for each nonzero of one factor in a few slice
-      multiply-adds, which run in C (``kernels.mul_word_blocks_into``,
-      ``mul_tensor_blocks_into``), where an integer map makes a dict
-      probe per pair of terms.  The blocks that cancel to zero are
-      dropped as each node finishes.  The families are dense, so their
-      blocks hold few zeros: the coproduct of z_of_u(16), (n + 3) *
-      2^(n-2) = 311,296 terms, is 17 blocks of 311,296 slots in all.
-      The suites read the blocks as they are, against dense closed
-      forms, and decode only a mismatch to its words;
-      ``_TermMap._from_blocks`` decodes a whole image.
+    - the pair form (``_pair_morphism``) of this function's arguments,
+      for term maps given as input: one ``product_into(acc, x, y,
+      ratio)`` per edge into ``unit(c)``, and ``kernels.scale_terms`` for
+      a scaled or shared root.  ``substitute`` and ``coproduct`` (and so
+      the samples of hopf-laws) take each letter's image as its term
+      map, and ``kernels.mul_word_into`` or ``mul_tensor_into`` as the
+      product, through ``_scaled_product``, which scales the shorter
+      factor first when the ratio is not 1; each root comes out a
+      canonical term map.  The input is sparse, so its images stay
+      sparse: a word of weight 20 is one term here, where a block would
+      hold 2^19 slots.  The ``hsops`` bridge uses lists of map columns as
+      images.
+    - dense blocks (``_block_morphism``), for a quotient graph given as
+      input, the families of the suites (:func:`_block_substitutions`,
+      ``hopf._graph_coproducts``): each image is ``(blocks, den)``, one
+      denominator for the whole image, and blocks maps each weight (a
+      pair of weights for tensors) to one list of integer numerators, a
+      slot per composition in the order of ``words.compositions_of``,
+      and a tensor block row-major, a row per left word.  A letter's
+      image is converted once per evaluation
+      (``kernels.to_word_blocks``, ``to_tensor_blocks``).  A node's den
+      is fixed before its products, as the lcm over its edges of
+      den(x) * den(y) * den(ratio) and its constant's den, so a product
+      adds m * x * y with the integer
+      m = num(ratio) * den / (den(x) den(y) den(ratio)) and takes no gcd.
+      The rank of u v is rank(u) * 2^|v| + rank(v), so a product adds the
+      other factor's block for each nonzero of one factor in a few slice
+      multiply-adds, which run in C
+      (``kernels.mul_word_blocks_into``, ``mul_tensor_blocks_into``),
+      where a term map makes a dict probe per pair of terms.  The blocks
+      that cancel to zero are dropped as each node finishes.  The
+      families are dense, so their blocks hold few zeros: the coproduct
+      of z_of_u(16), (n + 3) * 2^(n-2) = 311,296 terms, is 17 blocks of
+      311,296 slots in all.  The suites read the blocks as they are,
+      against dense closed forms, and decode only a mismatch to its
+      words; ``_TermMap._from_blocks`` decodes a whole image.
 
     No node is reduced, so a den may exceed the reduced one: at most 30
     bits in iso at 12 and 45 at 15.

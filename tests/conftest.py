@@ -144,13 +144,17 @@ def record_scalars(monkeypatch):
 
 @pytest.fixture
 def record_ratios(monkeypatch):
-    """Patch module.name, a morphism of pass 2 over integer maps, to record each product's ratio.
+    """Patch module.name, a morphism of pass 2, to record each product's ratio.
 
-    ``module.name(...)`` returns ``(image, combine, finish)``; pass 2 folds
-    the ratio of each edge into the integer multiplier of its product in
-    ``combine``.  The wrapper records the ratio of each factor whose two
-    images, ``(ints, den)``, are nonzero: one per product.
+    ``module.name(...)`` returns ``(image, combine, finish)``, and
+    ``combine`` takes one factor ``(x, y, ratio)`` per edge.  The wrapper
+    records the ratio of each factor whose two images are nonzero: one per
+    product.  An image is a term map in the pair form and ``(blocks, den)``
+    over dense blocks.
     """
+
+    def nonzero(image):
+        return bool(image[0] if type(image) is tuple else image)
 
     def record(module, name):
         ratios = []
@@ -160,7 +164,7 @@ def record_ratios(monkeypatch):
             image, combine, finish = real(*args)
 
             def recording(constant, factors):
-                ratios.extend(ratio for x, y, ratio in factors if x[0] and y[0])
+                ratios.extend(ratio for x, y, ratio in factors if nonzero(x) and nonzero(y))
                 return combine(constant, factors)
 
             return image, recording, finish

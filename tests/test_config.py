@@ -2,7 +2,7 @@ import threading
 
 import pytest
 
-from nsymm import DegreeOverflowError, degree_limit, max_degree, set_max_degree
+from nsymm import DegreeOverflowError, degree_limit, max_degree, newton_p_left, set_max_degree
 from nsymm.config import DEFAULT_MAX_DEGREE, check_index
 
 
@@ -25,12 +25,17 @@ def test_degree_limit_is_lexical():
 
 
 def test_degree_limit_rejects_bad_values():
-    for bad in (0, -1, 2.0, "3", None):
+    # a bool is an int to isinstance, but neither a degree nor a limit
+    for bad in (0, -1, 2.0, "3", None, True, False):
         with pytest.raises(ValueError):
             with degree_limit(bad):
                 pass
         with pytest.raises(ValueError):
             set_max_degree(bad)
+        with pytest.raises(ValueError, match="integer >= 1"):
+            check_index(bad)
+        with pytest.raises(ValueError, match="integer >= 1"):
+            newton_p_left(bad)
     assert max_degree() == DEFAULT_MAX_DEGREE
 
 

@@ -245,8 +245,8 @@ def test_coproduct_products_count_distinct_quotients(monkeypatch, name):
     make, family, products = PRODUCT_COUNTS[name]
     p = make(12, max_degree=12)
     calls = []
-    real = _k.mul_tensor_ints_into
-    monkeypatch.setattr(_k, "mul_tensor_ints_into", lambda *args: (calls.append(1), real(*args))[1])
+    real = _k.mul_tensor_into
+    monkeypatch.setattr(_k, "mul_tensor_into", lambda *args: (calls.append(1), real(*args))[1])
     got = coproduct(p, family, max_degree=12)
     assert len(calls) == products
     if family is LH:
@@ -258,6 +258,15 @@ def test_coproduct_products_count_distinct_quotients(monkeypatch, name):
 # --- many roots in one evaluation --------------------------------------------
 
 
+def _tensor_pair_morphism(family):
+    # the morphism of pass 2 that _coproducts evaluates, in the pair form
+    return poly._pair_morphism(
+        lambda k: _generator_coproduct(k, family),
+        poly._scaled_product(_k.mul_tensor_into),
+        hopf._tensor_unit,
+    )
+
+
 @pytest.mark.parametrize("family", [NS, LH])
 def test_shared_coproducts_match_oracle_on_near_twin_quotients(family, near_twin_polys, suffix_graph):
     twins = near_twin_polys
@@ -267,7 +276,7 @@ def test_shared_coproducts_match_oracle_on_near_twin_quotients(family, near_twin
     # near twins above suffixes, with the right primitives, read from the suffix
     roots = [newton_p_right(n) for n in range(1, 9)] + [p.reverse_words() for p in twins]
     graph = suffix_graph([p._terms for p in roots])
-    got = list(map(Tensor2._from_int_map, _evaluate_graph(graph, *hopf._tensor_morphism(family))))
+    got = list(map(Tensor2._raw, _evaluate_graph(graph, *_tensor_pair_morphism(family))))
     assert got == [_coproduct_oracle(p, family) for p in roots]
 
 
@@ -287,8 +296,8 @@ def test_shared_coproducts_products_count(monkeypatch, name):
     make, family, products = SHARED_PRODUCT_COUNTS[name]
     roots = [make(n, max_degree=12) for n in range(1, 13)]
     calls = []
-    real = _k.mul_tensor_ints_into
-    monkeypatch.setattr(_k, "mul_tensor_ints_into", lambda *args: (calls.append(1), real(*args))[1])
+    real = _k.mul_tensor_into
+    monkeypatch.setattr(_k, "mul_tensor_into", lambda *args: (calls.append(1), real(*args))[1])
     got = list(_coproducts(roots, family, max_degree=12))
     assert len(calls) == products
     assert got == [coproduct(p, family, max_degree=12) for p in roots]
@@ -299,13 +308,11 @@ def test_shared_coproducts_products_count(monkeypatch, name):
 def test_shared_coproducts_match_oracle_on_scaled_quotients(
     record_ratios, scalar_kinds, suffix_graph, from_suffix, family, scaled_twin_roots
 ):
-    scalars = record_ratios(hopf, "_tensor_morphism")
+    scalars = record_ratios(poly, "_pair_morphism")
     for roots in scaled_twin_roots:
         if from_suffix:
             graph = suffix_graph([p._terms for p in roots])
-            got = list(
-                map(Tensor2._from_int_map, _evaluate_graph(graph, *hopf._tensor_morphism(family)))
-            )
+            got = list(map(Tensor2._raw, _evaluate_graph(graph, *_tensor_pair_morphism(family))))
         else:
             got = list(_coproducts(roots, family))
         assert got == [_coproduct_oracle(p, family) for p in roots]
@@ -358,7 +365,7 @@ def _scaled_edges_oracle(roots):
 @pytest.mark.parametrize("make", [z_of_u, u_of_z])
 def test_exp_log_products_scale_only_where_quotients_merge(record_ratios, make):
     roots = [make(n, max_degree=10) for n in range(1, 11)]
-    scalars = record_ratios(hopf, "_tensor_morphism")
+    scalars = record_ratios(poly, "_pair_morphism")
     list(_coproducts(roots, LH, max_degree=10))
     merged = _scaled_edges_oracle(roots)
     assert merged > 0

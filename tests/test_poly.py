@@ -27,7 +27,13 @@ from nsymm import _core_py as _k
 from nsymm import hopf, poly
 from nsymm.explog import _u_of_z_graph, _z_of_u_graph
 from nsymm.newton import _p_left_graph, _z_in_pprime_graph
-from nsymm.poly import _evaluate, _evaluate_graph, _graph_substitutions, _substitutions
+from nsymm.poly import (
+    _evaluate,
+    _evaluate_graph,
+    _graph_substitutions,
+    _substitutions,
+    _word_unit,
+)
 
 Z1 = NCPoly.generator(1)
 Z2 = NCPoly.generator(2)
@@ -282,10 +288,6 @@ def test_substitute_matches_oracle_on_near_twin_quotients(family, near_twin_poly
         assert p.substitute(images) == _substitute_oracle(p, images)
 
 
-def _word_unit(c):
-    return {(): c} if c else {}
-
-
 def _scaled_word_into(acc, x, y, c):
     # the product_into of the pair form: acc += c * x * y
     _k.add_scaled_into(acc, _k.mul_word_terms(x, y), c)
@@ -316,8 +318,8 @@ def test_shared_quotient_is_evaluated_once_and_only_read():
 
 def test_substitute_products_count_distinct_quotients(monkeypatch):
     calls = []
-    real = _k.mul_word_ints_into
-    monkeypatch.setattr(_k, "mul_word_ints_into", lambda *args: (calls.append(1), real(*args))[1])
+    real = _k.mul_word_into
+    monkeypatch.setattr(_k, "mul_word_into", lambda *args: (calls.append(1), real(*args))[1])
     # the quotients below (1,), (2,) and (3,) are all Z1*Z1, evaluated once:
     # two products down that chain and three at the root, against nine trie edges
     p = NCPoly({(1, 1, 1): 1, (2, 1, 1): 1, (3, 1, 1): 1})
@@ -335,6 +337,14 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _word_pair_morphism(images):
+    # the morphism of pass 2 that _substitutions evaluates, in the pair form
+    lookup = poly._lookup(images)
+    return poly._pair_morphism(
+        lambda k: lookup(k)._terms, poly._scaled_product(_k.mul_word_into), _word_unit
+    )
+
+
 @pytest.mark.parametrize("family", sorted(IMAGE_FAMILIES))
 def test_shared_substitution_matches_oracle_on_near_twin_quotients(
     family, near_twin_polys, suffix_graph
@@ -349,7 +359,7 @@ def test_shared_substitution_matches_oracle_on_near_twin_quotients(
     top = max(images) if isinstance(images, Mapping) else 8
     roots = [newton_p_right(n) for n in range(1, top + 1)] + [p.reverse_words() for p in twins]
     graph = suffix_graph([p._terms for p in roots])
-    got = list(map(NCPoly._from_int_map, _evaluate_graph(graph, *poly._word_morphism(images))))
+    got = list(map(NCPoly._raw, _evaluate_graph(graph, *_word_pair_morphism(images))))
     assert got == [_substitute_oracle(p, images) for p in roots]
 
 
@@ -360,7 +370,7 @@ def test_shared_substitution_products_count(monkeypatch):
     # the family 1 + 2 + ... + 12 = 78
     roots = [z_in_pprime(n, max_degree=12) for n in range(1, 13)]
     images = {k: newton_p_right(k, max_degree=12) for k in range(1, 13)}
-    calls = _count_calls(monkeypatch, "mul_word_ints_into")
+    calls = _count_calls(monkeypatch, "mul_word_into")
     got = list(_substitutions(roots, images))
     assert len(calls) == 78
     assert got == [NCPoly.generator(n) for n in range(1, 13)]
@@ -372,13 +382,11 @@ def test_shared_substitution_matches_oracle_on_scaled_quotients(
     record_ratios, scalar_kinds, suffix_graph, from_suffix, family, scaled_twin_roots
 ):
     images = IMAGE_FAMILIES[family]
-    scalars = record_ratios(poly, "_word_morphism")
+    scalars = record_ratios(poly, "_pair_morphism")
     for roots in scaled_twin_roots:
         if from_suffix:
             graph = suffix_graph([p._terms for p in roots])
-            got = list(
-                map(NCPoly._from_int_map, _evaluate_graph(graph, *poly._word_morphism(images)))
-            )
+            got = list(map(NCPoly._raw, _evaluate_graph(graph, *_word_pair_morphism(images))))
         else:
             got = list(_substitutions(roots, images))
         assert got == [_substitute_oracle(p, images) for p in roots]
@@ -467,8 +475,8 @@ def _held_by(stream):
 
 
 def _holds(held, terms):
-    # the term map itself, or an image (ints, den) around it; for dense blocks,
-    # also any image that shares one of its block lists
+    # the term map itself, or an image (blocks, den) around it; for dense
+    # blocks, also any image that shares one of its block lists
     lists = {id(block) for block in terms.values() if type(block) is list}
     for value in held:
         inner = value[0] if type(value) is tuple and len(value) == 2 else value
@@ -524,9 +532,11 @@ def test_paused_evaluation_keeps_no_shared_block():
 
 
 def test_paused_evaluation_drops_the_letter_images_before_its_last_root(monkeypatch):
-    # pass 2 converts each letter image to its form once; once every node
-    # is evaluated, before the last root is yielded, nothing holds them: as
-    # integer maps and as dense blocks
+    # over dense blocks, pass 2 converts each letter image once; once every
+    # node is evaluated, before the last root is yielded, nothing holds the
+    # converted images.  Term maps given as input (substitute, coproduct)
+    # are evaluated in the pair form, which converts no letter image: it
+    # reads the caller's term maps as they are
     converted = []
 
     def recording(name):
@@ -538,14 +548,12 @@ def test_paused_evaluation_drops_the_letter_images_before_its_last_root(monkeypa
 
         monkeypatch.setattr(_k, name, convert)
 
-    for name in ("to_int_map", "to_word_blocks", "to_tensor_blocks"):
+    for name in ("to_word_blocks", "to_tensor_blocks"):
         recording(name)
     images = IMAGE_FAMILIES["affine"]
     graph = _z_of_u_graph(7)
     for make in (
-        lambda: _substitutions([z_of_u(n) for n in range(1, 8)], images),
         lambda: _graph_substitutions(graph, images),
-        lambda: hopf._coproducts([z_of_u(n) for n in range(1, 8)], HopfFamily.LIEHOPF),
         lambda: hopf._graph_coproducts(graph, HopfFamily.LIEHOPF),
     ):
         converted.clear()
@@ -563,7 +571,7 @@ def test_paused_evaluation_drops_the_letter_images_before_its_last_root(monkeypa
 def test_each_root_is_yielded_before_later_work(monkeypatch, make):
     roots = [make(n, max_degree=10) for n in range(1, 11)]
     images = {k: u_of_z(k, max_degree=10) for k in range(1, 11)}
-    calls = _count_calls(monkeypatch, "mul_word_ints_into")
+    calls = _count_calls(monkeypatch, "mul_word_into")
     alone = []
     for k in range(1, len(roots) + 1):
         before = len(calls)
@@ -692,30 +700,31 @@ def test_pass_one_finds_the_graph_of_the_expansion(from_suffix):
 
 
 def test_node_denominator_is_the_lcm_of_its_edges():
-    # pass 2 fixes a node's denominator before its products: here the lcm of
-    # its constant's 7, 2 * 4 * 1 on the first edge and 3 * 1 * 6 on the
-    # second; an edge into a zero image adds no product and no factor
+    # over dense blocks, pass 2 fixes a node's denominator before its
+    # products: here the lcm of its constant's 7, 2 * 4 * 1 on the first
+    # edge and 3 * 1 * 6 on the second; an edge into a zero image adds no
+    # product and no factor.  The pair form fixes no denominator: each
+    # product reduces its own sums
     letters = {1: {(1,): (1, 2)}, 2: {(2,): (1, 3), (): (1, 1)}}
-    image, combine, _ = poly._int_morphism(
-        lambda k: _k.to_int_map(letters[k]), _k.mul_word_ints_into, ()
-    )
+    image, combine, _ = poly._word_block_morphism(lambda k: _k.to_word_blocks(letters[k]))
     first = {(3,): (1, 4), (): (3, 2)}
     second = {(1,): (2, 1)}
     factors = [
-        (image(1), _k.to_int_map(first), (1, 1)),
+        (image(1), _k.to_word_blocks(first), (1, 1)),
         (image(1), ({}, 11), (1, 13)),
-        (image(2), _k.to_int_map(second), (-5, 6)),
+        (image(2), _k.to_word_blocks(second), (-5, 6)),
     ]
-    ints, den = combine((1, 7), factors)
+    blocks, den = combine((1, 7), factors)
     assert den == 504 == lcm(7, 2 * 4, 3 * 6)
-    assert all(type(value) is int and value for value in ints.values())
+    assert all(type(value) is int for block in blocks.values() for value in block)
+    assert all(any(block) for block in blocks.values())
     word = NCPoly._raw
     expected = (
         NCPoly.scalar(Fraction(1, 7))
         + word(letters[1]) * word(first)
         + (word(letters[2]) * word(second)).scale(Fraction(-5, 6))
     )
-    assert NCPoly._from_int_map((ints, den)) == expected
+    assert NCPoly._from_blocks((blocks, den)) == expected
 
 
 @pytest.mark.parametrize("graph, letter", [(_z_of_u_graph, u_of_z), (_u_of_z_graph, z_of_u)])

@@ -2,7 +2,6 @@
 
 from fractions import Fraction
 from itertools import product as cartesian
-from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +9,7 @@ from hypothesis import given, strategies as st
 from nsymm import HopfFamily, NCPoly, coproduct, newton_p_right, u_of_z, z_in_pprime, z_of_u
 from nsymm._backend import kernels as K
 from nsymm.hopf import _generator_coproduct
+from nsymm.poly import _scaled_product
 from nsymm.words import compositions_of
 
 pairs = st.tuples(
@@ -203,28 +203,19 @@ def check_into(kernel, acc, a, b, concat):
     assert a == a_before and b == b_before
 
 
-def scaled_into_ints(kernel, acc, a, b, c):
-    """acc + c * a * b as pass 2 forms it, through an integer kernel, as a term map.
+def check_scaled_into(mul_into, acc, a, b, concat, c):
+    """acc + c * a * b through the pair form's product against the model.
 
-    The three maps go over to integer maps, the denominator of the sum is
-    fixed first, as the lcm of acc's and den(a) * den(b) * den(c), and the
-    kernel adds the product with the integer multiplier that c becomes.
+    The product is ``poly._scaled_product(mul_into)``, as the evaluator
+    forms it for ``substitute`` and ``coproduct``; a and b stay untouched,
+    also when the ratio scales one of them.
     """
-    (ia, da), (ib, db), (ints, d) = K.to_int_map(a), K.to_int_map(b), K.to_int_map(acc)
-    cn, cd = c
-    den = lcm(d, da * db * cd)
-    ints = {k: v * (den // d) for k, v in ints.items()}
-    ia_before, ib_before = dict(ia), dict(ib)
-    if ia and ib:
-        assert kernel(ints, ia, ib, cn * (den // (da * db * cd))) is None
-    assert all(type(v) is int and v for v in ints.values())
-    assert ia == ia_before and ib == ib_before
-    return K.from_int_map(ints, den)
-
-
-def check_scaled_into(kernel, acc, a, b, concat, c):
-    """acc + c * a * b through an integer kernel against the model."""
-    check_same(scaled_into_ints(kernel, acc, a, b, c), into_model(acc, a, b, concat, c))
+    expected = into_model(acc, a, b, concat, c)
+    a_before, b_before = dict(a), dict(b)
+    got = dict(acc)
+    assert _scaled_product(mul_into)(got, a, b, c) is None
+    check_same(got, expected)
+    assert a == a_before and b == b_before
 
 
 def concat_words(u, v):
@@ -249,21 +240,21 @@ def test_mul_tensor_into_model(acc, a, b):
 
 
 # the scalar of a scaled product: the unit, a sign, an integer and a
-# rational.  The pair products take none; pass 2 forms c * a * b over one
-# denominator through the integer kernels (scaled_into_ints)
+# rational.  The pair products take none; the evaluator's adapter
+# (poly._scaled_product) scales the shorter factor by it first
 SCALARS = [(1, 1), (-1, 1), (3, 1), (-2, 7)]
 
 
 @pytest.mark.parametrize("c", SCALARS)
 @given(small_maps(short_words, min_size=1), small_maps(short_words), small_maps(short_words))
 def test_mul_word_into_scaled_model(c, acc, a, b):
-    check_scaled_into(K.mul_word_ints_into, acc, a, b, concat_words, c)
+    check_scaled_into(K.mul_word_into, acc, a, b, concat_words, c)
 
 
 @pytest.mark.parametrize("c", SCALARS)
 @given(small_maps(short_pairs, min_size=1), small_maps(short_pairs), small_maps(short_pairs))
 def test_mul_tensor_into_scaled_model(c, acc, a, b):
-    check_scaled_into(K.mul_tensor_ints_into, acc, a, b, concat_pairs, c)
+    check_scaled_into(K.mul_tensor_into, acc, a, b, concat_pairs, c)
 
 
 @given(term_maps, term_maps)
@@ -322,10 +313,8 @@ def test_in_place_products_on_each_branch(case):
 @pytest.mark.parametrize("case", sorted(INTO_BRANCHES))
 def test_scaled_products_on_each_branch(case, c):
     acc, a, b, _ = INTO_BRANCHES[case]
-    check_scaled_into(K.mul_word_ints_into, acc, a, b, concat_words, c)
-    check_scaled_into(
-        K.mul_tensor_ints_into, doubled(acc), doubled(a), doubled(b), concat_pairs, c
-    )
+    check_scaled_into(K.mul_word_into, acc, a, b, concat_words, c)
+    check_scaled_into(K.mul_tensor_into, doubled(acc), doubled(a), doubled(b), concat_pairs, c)
 
 
 # (a, b) per shape of the two factors.  The products loop over the shorter
@@ -349,7 +338,7 @@ SHAPE_ACC = {(1, 2, 3): (-1, 1), (3, 1, 2): (-2, 1), (1, 2): (1, 3), (9,): (1, 1
 @pytest.mark.parametrize("c", SCALARS)
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_products_on_each_shape(shape, c):
-    # the pair products at c = 1; c * a * b, every c, through the integer kernels
+    # the pair products at c = 1; c * a * b, every c, through the evaluator's adapter
     a, b = SHAPES[shape]
     pa = {(k, k[::-1]): v for k, v in a.items()}
     pb = {(k[::-1], k): v for k, v in b.items()}
@@ -357,11 +346,33 @@ def test_products_on_each_shape(shape, c):
         check_into(K.mul_word_into, SHAPE_ACC, a, b, concat_words)
         check_into(K.mul_tensor_into, doubled(SHAPE_ACC), doubled(a), doubled(b), concat_pairs)
         check_into(K.mul_tensor_into, {}, pa, pb, concat_pairs)
-    check_scaled_into(K.mul_word_ints_into, SHAPE_ACC, a, b, concat_words, c)
-    check_scaled_into(
-        K.mul_tensor_ints_into, doubled(SHAPE_ACC), doubled(a), doubled(b), concat_pairs, c
-    )
-    check_scaled_into(K.mul_tensor_ints_into, {}, pa, pb, concat_pairs, c)
+    check_scaled_into(K.mul_word_into, SHAPE_ACC, a, b, concat_words, c)
+    check_scaled_into(K.mul_tensor_into, doubled(SHAPE_ACC), doubled(a), doubled(b), concat_pairs, c)
+    check_scaled_into(K.mul_tensor_into, {}, pa, pb, concat_pairs, c)
+
+
+@pytest.mark.parametrize("shorter", ["left", "right"])
+def test_scaled_product_scales_the_shorter_factor(monkeypatch, shorter):
+    # a ratio other than 1 scales the shorter factor alone, on the left or on
+    # the right, for word and for tensor keys; the unit scales nothing
+    scaled = []
+    real = K.scale_terms
+    monkeypatch.setattr(K, "scale_terms", lambda terms, c: (scaled.append(terms), real(terms, c))[1])
+    short = {(3,): (2, 1), (): (-1, 3)}
+    a, b = (short, LONG) if shorter == "left" else (LONG, short)
+    cases = [
+        (K.mul_word_into, SHAPE_ACC, a, b, concat_words),
+        (K.mul_tensor_into, doubled(SHAPE_ACC), doubled(a), doubled(b), concat_pairs),
+    ]
+    for mul_into, acc, x, y, concat in cases:
+        for c in SCALARS:
+            scaled.clear()
+            check_scaled_into(mul_into, acc, x, y, concat, c)
+            if c == (1, 1):
+                assert scaled == []
+            else:
+                (factor,) = scaled
+                assert factor is (x if shorter == "left" else y)
 
 
 @pytest.mark.parametrize("pad", ["none", "left", "right"])
@@ -404,10 +415,11 @@ def test_evaluator_leaves_cached_images_unchanged():
     assert {name: [dict(t) for t in terms] for name, terms in images.items()} == before
 
 
-# --- the integer kernels of pass 2 ------------------------------------------
+# --- the integer products of pass 2 ------------------------------------------
 
-# integer maps: (a, b) per shape, with the left factor longer, the right
-# longer, one-term and empty factors
+# integer maps, taken to dense blocks over den 1 (check_blocks_into): (a, b)
+# per shape, with the left factor longer, the right longer, one-term and
+# empty factors
 INT_LONG = {(1, 2): 1, (2,): -3, (1,): 2, (): 4}
 INT_SHAPES = {
     "left longer": (INT_LONG, {(3,): 2, (): -1}),
@@ -419,94 +431,57 @@ INT_SHAPES = {
 }
 # the multiplier: the unit, a sign, an integer and a large negative one
 MULTIPLIERS = [1, -1, 6, -(10**20 + 1)]
+multipliers = st.one_of(st.sampled_from(MULTIPLIERS), st.integers(-(10**30), 10**30).filter(bool))
 
 
-def int_model(acc, a, b, concat, m):
-    """acc + m * a * b over the integers, zeros dropped."""
-    expected = dict(acc)
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = concat(ka, kb)
-            expected[k] = expected.get(k, 0) + m * va * vb
-    return {k: v for k, v in expected.items() if v}
+def as_pairs(ints):
+    """An integer map as a term map."""
+    return {k: (v, 1) for k, v in ints.items()}
 
 
-def check_ints_into(kernel, acc, a, b, concat, m):
-    """kernel(acc, a, b, m) against the integer model; a and b stay untouched."""
-    expected = int_model(acc, a, b, concat, m)
-    a_before, b_before = dict(a), dict(b)
-    got = dict(acc)
-    assert kernel(got, a, b, m) is None
-    assert got == expected
-    assert all(type(v) is int and v for v in got.values())
-    assert a == a_before and b == b_before
-    return got
-
-
-def cancelling_acc(a, b, concat, m):
-    """An accumulator whose first product term cancels, with a term of its own."""
-    acc = {(9,): 7}
-    product = int_model({}, a, b, concat, m)
+def cancelling_acc(kind, a, b, m, own):
+    """An accumulator whose first product term cancels, with the term own of its own."""
+    acc = {own: 7}
+    product = into_model({}, as_pairs(a), as_pairs(b), BLOCK_KERNELS[kind][3], (m, 1))
+    product = [(k, v) for k, v in product.items() if v]
     if product:
-        first = next(iter(product))
-        acc[first] = -product[first]
+        first, value = product[0]
+        acc[first] = -int(value)
     return acc
 
 
 @pytest.mark.parametrize("m", MULTIPLIERS)
 @pytest.mark.parametrize("shape", sorted(INT_SHAPES))
 def test_integer_products_on_each_shape(shape, m):
+    # the block products, against the Fraction model
     a, b = INT_SHAPES[shape]
     pa = {(k, k[::-1]): v for k, v in a.items()}
     pb = {(k[::-1], k): v for k, v in b.items()}
     cases = [
-        (K.mul_word_ints_into, a, b, concat_words),
-        (K.mul_tensor_ints_into, doubled(a), doubled(b), concat_pairs),
-        (K.mul_tensor_ints_into, pa, pb, concat_pairs),
+        ("words", a, b, (5,)),
+        ("tensors", doubled(a), doubled(b), ((5,), ())),
+        ("tensors", pa, pb, ((5,), ())),
     ]
-    for kernel, x, y, concat in cases:
-        check_ints_into(kernel, {}, x, y, concat, m)
-        acc = cancelling_acc(x, y, concat, m)
-        got = check_ints_into(kernel, acc, x, y, concat, m)
-        # the cancelled term is removed, and acc's own term stays
-        assert len(acc) == 1 or not acc.keys() - {(9,)} & got.keys()
-        assert got[(9,)] == 7
+    for kind, x, y, own in cases:
+        check_blocks_into(kind, {}, x, y, m)
+        acc = cancelling_acc(kind, x, y, m, own)
+        got = BLOCK_KERNELS[kind][2](check_blocks_into(kind, acc, x, y, m), 1)
+        # the cancelled term is gone, and acc's own term stays
+        assert not acc.keys() - {own} & got.keys()
+        assert got[own] == (7, 1)
 
 
 @pytest.mark.parametrize("pad", ["none", "left", "right"])
 def test_integer_products_keep_the_factor_order(pad):
+    # the block products: (1, 2)(3,) and (3,)(1, 2) land on different ranks
     left, right = {(1, 2): 1}, {(3,): 2}
     if pad == "left":
         left[(4,)] = 1
     elif pad == "right":
         right[(4,)] = 1
     for x, y in ((left, right), (right, left)):
-        check_ints_into(K.mul_word_ints_into, {}, x, y, concat_words, -3)
-        check_ints_into(K.mul_tensor_ints_into, {}, doubled(x), doubled(y), concat_pairs, -3)
-
-
-small_ints = st.integers(-3, 3).filter(bool)
-multipliers = st.one_of(st.sampled_from(MULTIPLIERS), st.integers(-(10**30), 10**30).filter(bool))
-
-
-@given(
-    st.dictionaries(short_words, small_ints, max_size=5),
-    st.dictionaries(short_words, small_ints, max_size=5),
-    st.dictionaries(short_words, small_ints, max_size=5),
-    multipliers,
-)
-def test_mul_word_ints_into_model(acc, a, b, m):
-    check_ints_into(K.mul_word_ints_into, acc, a, b, concat_words, m)
-
-
-@given(
-    st.dictionaries(short_pairs, small_ints, max_size=5),
-    st.dictionaries(short_pairs, small_ints, max_size=5),
-    st.dictionaries(short_pairs, small_ints, max_size=5),
-    multipliers,
-)
-def test_mul_tensor_ints_into_model(acc, a, b, m):
-    check_ints_into(K.mul_tensor_ints_into, acc, a, b, concat_pairs, m)
+        check_blocks_into("words", {}, x, y, -3)
+        check_blocks_into("tensors", {}, doubled(x), doubled(y), -3)
 
 
 @given(term_maps)
@@ -566,35 +541,29 @@ def test_decoding_follows_compositions_of():
 
 def word_blocks(ints):
     """An integer map on words as dense blocks, over den 1."""
-    return K.to_word_blocks({k: (v, 1) for k, v in ints.items()})[0]
+    return K.to_word_blocks(as_pairs(ints))[0]
 
 
 def tensor_blocks(ints):
     """An integer map on pairs of words as dense blocks, over den 1."""
-    return K.to_tensor_blocks({k: (v, 1) for k, v in ints.items()})[0]
-
-
-def decoded(blocks, decode):
-    """The integer map of dense blocks, over den 1."""
-    return {k: n for k, (n, _) in decode(blocks, 1).items()}
+    return K.to_tensor_blocks(as_pairs(ints))[0]
 
 
 BLOCK_KERNELS = {
-    "words": (K.mul_word_blocks_into, K.mul_word_ints_into, word_blocks, K.from_word_blocks),
-    "tensors": (K.mul_tensor_blocks_into, K.mul_tensor_ints_into, tensor_blocks, K.from_tensor_blocks),
+    "words": (K.mul_word_blocks_into, word_blocks, K.from_word_blocks, concat_words),
+    "tensors": (K.mul_tensor_blocks_into, tensor_blocks, K.from_tensor_blocks, concat_pairs),
 }
 
 
 def check_blocks_into(kind, acc, a, b, m):
-    """The block kernel, decoded, against the integer kernel; a and b stay untouched.
+    """The block kernel, decoded, against the Fraction model; a and b stay untouched.
 
-    Every block the kernel writes has the length of its weights, and a and
-    b, the factors, are not written.
+    acc, a and b are integer maps, taken to dense blocks over den 1, and
+    m an int.  Every block the kernel writes has the length of its
+    weights, and a and b, the factors, are not written.
     """
-    kernel, ints_kernel, to_blocks, decode = BLOCK_KERNELS[kind]
-    expected = dict(acc)
-    if a and b:
-        ints_kernel(expected, a, b, m)
+    kernel, to_blocks, decode, concat = BLOCK_KERNELS[kind]
+    expected = into_model(as_pairs(acc), as_pairs(a), as_pairs(b), concat, (m, 1))
     x, y = to_blocks(a), to_blocks(b)
     x_before, y_before = {k: list(v) for k, v in x.items()}, {k: list(v) for k, v in y.items()}
     got = to_blocks(acc)
@@ -604,7 +573,7 @@ def check_blocks_into(kind, acc, a, b, m):
         assert len(block) == K.block_length(i) * K.block_length(j)
         assert all(type(v) is int for v in block)
     assert x == x_before and y == y_before
-    assert decoded(got, decode) == expected
+    check_same(decode(got, 1), expected)
     K.drop_zero_blocks(got)
     assert all(any(block) for block in got.values())
     return got
@@ -736,7 +705,7 @@ def test_mul_tensor_blocks_into_model(acc, a, b, m):
 def test_block_products_match_the_fraction_model(a, b, s, t):
     # rational factors over their dens: the product's den is the product of theirs
     for kind, x, y, concat in (("words", a, b, concat_words), ("tensors", s, t, concat_pairs)):
-        kernel, _, _, decode = BLOCK_KERNELS[kind]
+        kernel, _, decode, _ = BLOCK_KERNELS[kind]
         to_blocks = K.to_word_blocks if kind == "words" else K.to_tensor_blocks
         (bx, dx), (by, dy) = to_blocks(x), to_blocks(y)
         acc = {}
