@@ -22,7 +22,8 @@ nonzero of one factor, in runs of ``out[s:e:step] = map(add, ...)``.
 ``to_word_blocks``, ``to_tensor_blocks``, ``from_word_blocks`` and
 ``from_tensor_blocks`` convert, through the integer map ``(ints, den)``
 of ``to_int_map`` and ``from_int_map``, and ``tensor_block_key``
-decodes one slot.
+decodes one slot.  Reversing every word permutes the ranks of a weight
+(``reverse_word_blocks``).
 
 This is the package's one kernel module (``nsymm._backend.kernels``);
 tests/test_rational_kernels.py holds it to a ``fractions.Fraction``
@@ -399,6 +400,28 @@ def block_mismatches(have, have_scale, want, want_scale):
     return compress(
         count(), map(ne, map(mul, have, repeat(have_scale)), map(mul, want, repeat(want_scale)))
     )
+
+
+def reverse_word_blocks(blocks):
+    """Fresh dense word blocks with every word reversed.
+
+    Reversing a composition of n reverses its n - 1 cut bits, so the
+    word of rank r goes to the rank of r with its n - 1 bits reversed.
+    The permutation is an involution, so slot r of a reversed block reads
+    that rank of the block.
+    """
+    out = {}
+    for weight, block in blocks.items():
+        ranks = [0]
+        for _ in range(weight - 1):
+            ranks = [r << 1 for r in ranks] + [r << 1 | 1 for r in ranks]
+        out[weight] = list(map(block.__getitem__, ranks))
+    return out
+
+
+def blocks_integral(blocks, den):
+    """Whether blocks / den has integer coefficients: den divides every entry."""
+    return not any(value % den for block in blocks.values() for value in block)
 
 
 def scale_blocks(blocks, n):

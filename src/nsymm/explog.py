@@ -34,7 +34,7 @@ from math import comb, factorial, lcm
 from operator import mul
 
 from .config import check_index
-from .hopf import HopfFamily, _block_residue, _graph_coproducts
+from .hopf import HopfFamily, _graph_coproducts
 from .poly import NCPoly, Tensor2, _block_substitutions
 from .reports import Report
 from .words import compositions_of
@@ -185,7 +185,7 @@ def _coalgebra_defect(n: int, lhs) -> Tensor2:
     z_of_u(i) (x) z_of_u(n - i), with z_of_u(0) = 1.  Over n! it has one
     block per i, of weights (i, n - i), with n!/(a! b!) on a pair of words
     of lengths a and b: the outer product of the blocks of the two factors
-    over i! and (n - i)!, times C(n, i).  ``hopf._block_residue`` compares
+    over i! and (n - i)!, times C(n, i).  ``Tensor2._block_residue`` compares
     the two block by block and decodes only the mismatches.
     """
     factors = [[1]] + [_blocks_by_length(i, _exp_coefficient)[0][i] for i in range(1, n + 1)]
@@ -197,4 +197,4 @@ def _coalgebra_defect(n: int, lhs) -> Tensor2:
             column = map(repeat, map(mul, left, repeat(comb(n, i))), repeat(len(right)))
             yield (i, n - i), list(map(mul, chain.from_iterable(column), right * len(left)))
 
-    return _block_residue(lhs, expected(), factorial(n))
+    return Tensor2._block_residue(lhs, expected(), factorial(n))

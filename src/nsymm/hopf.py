@@ -73,13 +73,15 @@ def _tensor_unit(c):
     return {((), ()): c} if c else {}
 
 
-def _tensor_block_morphism(family: HopfFamily):
-    # (image, combine, finish) of the coproduct of the family, over dense blocks
-    return _block_morphism(
-        lambda letter: _k.to_tensor_blocks(_generator_coproduct(letter, family)),
-        _k.mul_tensor_blocks_into,
-        (0, 0),
-    )
+def _generator_coproduct_blocks(n: int, family: HopfFamily):
+    """The coproduct of Z_n as dense tensor blocks ``(blocks, 1)``, built by rank.
+
+    Each term Z_i (x) Z_j is the block of weights (i, j) with a single 1
+    in its last slot, where both one-part compositions come last: n + 1
+    blocks for NSYMM, and (0, n) and (n, 0) for LIEHOPF.
+    """
+    shapes = [(i, n - i) for i in range(n + 1)] if family is HopfFamily.NSYMM else [(0, n), (n, 0)]
+    return {(i, j): [0] * (_k.block_length(i) * _k.block_length(j) - 1) + [1] for i, j in shapes}, 1
 
 
 def _coproducts(polys, family: HopfFamily, max_degree=None):
@@ -112,8 +114,14 @@ def _graph_coproducts(graph, family: HopfFamily):
     from its recursion up to a degree it has checked; no word is walked.
     Each coproduct is yielded as pass 2 forms it, ``(blocks, den)``
     (``kernels.to_tensor_blocks``); ``Tensor2._from_blocks`` decodes one.
+    The letters' coproducts are built by rank
+    (:func:`_generator_coproduct_blocks`).
     """
-    return _evaluate_graph(graph, *_tensor_block_morphism(family))
+    return _evaluate_graph(
+        graph,
+        lambda letter: _generator_coproduct_blocks(letter, family),
+        *_block_morphism(_k.mul_tensor_blocks_into, (0, 0)),
+    )
 
 
 def coproduct(p: NCPoly, family: HopfFamily, max_degree=None) -> Tensor2:
@@ -125,35 +133,6 @@ def coproduct(p: NCPoly, family: HopfFamily, max_degree=None) -> Tensor2:
 def counit(p: NCPoly) -> Fraction:
     """The coefficient of the empty word."""
     return p.constant_term()
-
-
-def _block_residue(delta, expected, expected_den) -> Tensor2:
-    """delta minus the term map that ``expected`` gives over ``expected_den``.
-
-    delta is ``(blocks, den)`` in dense tensor blocks, and ``expected``
-    yields (shape, block) pairs in the same form, each shape once.  The
-    blocks of a shape are compared entry by entry by cross-multiplying,
-    so no gcd is taken, and only a mismatched entry is decoded to its pair
-    of words and reduced, into the residue, a normalized term map.  A
-    shape of delta that ``expected`` lacks is residue as it is.
-    """
-    blocks, den = delta
-    residue: dict = {}
-    shapes = set()
-    for shape, want in expected:
-        shapes.add(shape)
-        have = blocks.get(shape) or [0] * len(want)
-        for k in _k.block_mismatches(have, expected_den, want, den):
-            residue[_k.tensor_block_key(shape, k)] = _k.rat_norm(
-                have[k] * expected_den - want[k] * den, den * expected_den
-            )
-    for shape, have in blocks.items():
-        if shape not in shapes:
-            residue.update(
-                (_k.tensor_block_key(shape, k), _k.rat_norm(value, den))
-                for k, value in _k.nonzero_entries(have)
-            )
-    return Tensor2._raw(residue)
 
 
 def _primitive_block_residue(p, delta) -> Tensor2:
@@ -173,7 +152,7 @@ def _primitive_block_residue(p, delta) -> Tensor2:
             else:
                 yield (0, 0), [2 * block[0]]
 
-    return _block_residue(delta, expected(), den)
+    return Tensor2._block_residue(delta, expected(), den)
 
 
 def primitivity_defect(p: NCPoly, family: HopfFamily, max_degree=None) -> Tensor2:

@@ -697,8 +697,8 @@ def free_word_algebra(depth: int, letters: tuple[str, ...] = ("x", "y")) -> Test
     the product of two words is their concatenation, or zero when it
     overflows the cutoff.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    if not isinstance(depth, int) or isinstance(depth, bool) or depth < 1:
+        raise ValueError(f"depth must be an integer >= 1, got {depth!r}")
     if any(len(l) != 1 for l in letters):
         raise ValueError("letters must be single characters")
     words = [""]

@@ -17,10 +17,13 @@ its first letter a < n is -P_{n-a} (above its last letter, for P'_n),
 and that of z_in_pprime(n) below i < n is z_in_pprime(n - i) / n.  The
 suites hand these graphs to the evaluator, which then runs the
 recursion's n(n + 1)/2 products without walking the 2^(n-1) words of a
-degree.  The term maps read the same steps off the graph, node by node,
-with each letter as itself; the closed forms stay independent of both,
-and the primitivity suite checks the coproducts of the graphs against
-the closed form of P_n as a dense block (:func:`_explicit_blocks`).
+degree.  The graph is the one source of each family: the term maps are
+the expansion of a member's graph, each letter read as itself, decoded
+from dense blocks, and the suites read the same expansion as blocks.
+The closed forms stay independent of the graphs: as term maps
+(:func:`newton_p_explicit`, :func:`z_in_pprime_via_c`), and as dense
+blocks built by a recursion on the first part (:func:`_explicit_blocks`,
+:func:`_c_blocks`), which the suites compare block by block.
 
 Outputs of the two ``z_in_pprime`` operations are plain NCPoly whose
 words are read in the P' alphabet (PBasisPoly); everything else is in
@@ -31,10 +34,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from math import factorial
+from operator import mul
 
 from ._backend import kernels as _k
 from .config import check_index
-from .poly import NCPoly
+from .poly import NCPoly, _graph_substitutions
 from .words import check_composition, compositions_of
 
 # Words of these polynomials are read in the P' alphabet.
@@ -90,36 +96,28 @@ def _z_in_pprime_graph(top: int):
     return _graph(_inversion_step, top)
 
 
-def _member(step, family, n: int, from_suffix: bool = False) -> NCPoly:
-    """Member n of a family: node n of its graph with each letter read as itself.
-
-    The children are the family's cached lower members, taken in
-    increasing degree, so the recursion stays one level deep.
-    """
-    constant, ratio = step(n)
-    acc = {(n,): constant}
-    for a in range(n - 1, 0, -1):
-        letter, child = {(a,): ratio}, family(n - a)._terms
-        if from_suffix:
-            _k.mul_word_into(acc, child, letter)
-        else:
-            _k.mul_word_into(acc, letter, child)
-    return NCPoly._raw(acc)
+def _top_member(graph) -> NCPoly:
+    """The last member of a family's graph, expanded: each letter read as itself."""
+    from_suffix, nodes, members = graph
+    (member,) = _graph_substitutions((from_suffix, nodes, members[-1:]), NCPoly.generator)
+    return member
 
 
-@lru_cache(maxsize=None)
+# Each member is its graph's expansion on its own; these bounded caches only
+# serve repeated calls.
+@lru_cache(maxsize=16)
 def _p_left(n: int) -> NCPoly:
-    return _member(_primitive_step, _p_left, n)
+    return _top_member(_p_left_graph(n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _p_right(n: int) -> NCPoly:
-    return _member(_primitive_step, _p_right, n, from_suffix=True)
+    return _top_member(_p_right_graph(n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _z_in_pprime(n: int) -> PBasisPoly:
-    return _member(_inversion_step, _z_in_pprime, n)
+    return _top_member(_z_in_pprime_graph(n))
 
 
 def newton_p_left(n: int, max_degree=None) -> NCPoly:
@@ -142,15 +140,44 @@ def newton_p_explicit(n: int, max_degree=None) -> NCPoly:
     return NCPoly._raw(terms)
 
 
+def _block_by_first_part(n: int, factor):
+    """The dense word block of weight n that is 1 on the empty word, and factor(m, f) times v on f v.
+
+    The compositions f v of m are listed by their first part f, so the
+    block of m is the blocks of m - f, each times factor(m, f), in turn;
+    each block is built from the lower ones without listing a word.
+    """
+    blocks = [[1]]
+    for m in range(1, n + 1):
+        block = []
+        for f in range(1, m + 1):
+            block += map(mul, blocks[m - f], repeat(factor(m, f)))
+        blocks.append(block)
+    return blocks[n]
+
+
 def _explicit_blocks(n: int, from_suffix: bool = False):
     """The closed form of a primitive of degree n as dense word blocks ``(blocks, 1)``.
 
     On each composition w of n, in the order of ``compositions_of``, the
     left primitive has (-1)^(m+1) times the last part of w, m its length,
-    and the right one, its reversal, the same times the first part.
+    so minus the entry of v on f v, and m on (m); the right one is its
+    reversal (``kernels.reverse_word_blocks``), the same times the first
+    part.
     """
-    end = 0 if from_suffix else -1
-    return {n: [(1 if len(w) % 2 else -1) * w[end] for w in compositions_of(n)]}, 1
+    left = {n: _block_by_first_part(n, lambda m, f: m if f == m else -1)}
+    return (_k.reverse_word_blocks(left) if from_suffix else left), 1
+
+
+def _c_blocks(n: int):
+    """z_in_pprime_via_c(n) as dense word blocks ``(blocks, n!)``: n!/prod(suffix sums).
+
+    The suffix sums of f v, of weight m, are m and those of v, so its
+    entry is (m - 1)!/(m - f)! times that of v.  Every entry is an
+    integer: the suffix sums are distinct elements of {1, ..., n}.
+    """
+    block = _block_by_first_part(n, lambda m, f: factorial(m - 1) // factorial(m - f))
+    return {n: block}, factorial(n)
 
 
 def c_coeff(word) -> Fraction:

@@ -22,7 +22,7 @@ from math import gcd
 from typing import Mapping
 
 from ._backend import kernels as _k
-from .words import check_composition, term_order_key, weight
+from .words import check_composition, composition_of_rank, term_order_key, weight
 
 _ONE = (1, 1)
 
@@ -81,6 +81,35 @@ class _TermMap:
     @staticmethod
     def _sort_key(key):
         raise NotImplementedError
+
+    @classmethod
+    def _block_residue(cls, image, expected, expected_den):
+        """image minus the term map that ``expected`` gives over ``expected_den``.
+
+        image is ``(blocks, den)`` in dense blocks, and ``expected`` yields
+        (shape, block) pairs in the same form, each shape once.  The blocks
+        of a shape are compared entry by entry by cross-multiplying, so no
+        gcd is taken, and only a mismatched entry is decoded to its key
+        (``_block_key(shape, slot)``) and reduced, into the residue.  A
+        shape of image that ``expected`` lacks is residue as it is.
+        """
+        blocks, den = image
+        residue: dict = {}
+        shapes = set()
+        for shape, want in expected:
+            shapes.add(shape)
+            have = blocks.get(shape) or [0] * len(want)
+            for k in _k.block_mismatches(have, expected_den, want, den):
+                residue[cls._block_key(shape, k)] = _k.rat_norm(
+                    have[k] * expected_den - want[k] * den, den * expected_den
+                )
+        for shape, have in blocks.items():
+            if shape not in shapes:
+                residue.update(
+                    (cls._block_key(shape, k), _k.rat_norm(value, den))
+                    for k, value in _k.nonzero_entries(have)
+                )
+        return cls._raw(residue)
 
     def items(self):
         """Term-ordered list of (key, Fraction) pairs."""
@@ -161,6 +190,8 @@ class NCPoly(_TermMap):
     def _sort_key(key):
         return term_order_key(key)
 
+    _block_key = staticmethod(composition_of_rank)
+
     @classmethod
     def one(cls):
         return cls._raw({(): (1, 1)})
@@ -184,7 +215,7 @@ class NCPoly(_TermMap):
 
     @classmethod
     def generator(cls, n: int):
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValueError(f"generator index must be an integer >= 1, got {n!r}")
         return cls._raw({(n,): (1, 1)})
 
@@ -256,28 +287,29 @@ def _scaled_product(mul_into):
     return product_into
 
 
+def _generator_blocks(n: int):
+    """Z_n as dense word blocks ``(blocks, 1)``: a single 1, in the slot of the word (n).
+
+    The one-part composition comes last in the order of
+    ``compositions_of``, so the slot is the block's last.
+    """
+    return {n: [0] * (_k.block_length(n) - 1) + [1]}, 1
+
+
 def _word_block_morphism(letter_image):
     # (image, combine, finish) of a substitution into words, over dense blocks
-    return _block_morphism(letter_image, _k.mul_word_blocks_into, 0)
+    return letter_image, *_block_morphism(_k.mul_word_blocks_into, 0)
 
 
-def _block_morphism(letter_image, product_into, one):
-    """(image, combine, finish) of a morphism into term maps, over dense blocks.
+def _block_morphism(product_into, one):
+    """(combine, finish) of a morphism into term maps, over dense blocks.
 
-    ``letter_image(letter)`` gives a letter's image as dense blocks
-    ``(blocks, den)``, called here once per letter;
+    The letters' images are dense blocks ``(blocks, den)``;
     ``product_into(acc, x, y, m)`` adds m * x * y to an accumulator, with
     m an int, and ``one`` is the key of the unit's block, of one entry.
     The blocks that cancel to zero are dropped once a node's products are
     done.  See "Image forms" in :func:`_evaluate`.
     """
-    letters: dict = {}
-
-    def image(letter):
-        found = letters.get(letter)
-        if found is None:
-            found = letters[letter] = letter_image(letter)
-        return found
 
     def combine(constant, factors):
         den = constant[1] if constant else 1
@@ -304,7 +336,7 @@ def _block_morphism(letter_image, product_into, one):
         (blocks, den), (rn, rd) = node_image, ratio
         return _k.scale_blocks(blocks, rn), den * rd
 
-    return image, combine, finish
+    return combine, finish
 
 
 def _pair_morphism(image, product_into, unit):
@@ -358,7 +390,8 @@ def _block_substitutions(graph, letter_image):
 
     ``graph`` is in the format of :func:`_evaluate`; no word is walked.
     ``letter_image(letter)`` gives the image of a letter as dense word
-    blocks ``(blocks, den)`` (``kernels.to_word_blocks``), and each root's
+    blocks ``(blocks, den)`` (``kernels.to_word_blocks``; Z_n itself is
+    :func:`_generator_blocks`), and each root's
     image is yielded in that form, in order.
     """
     return _evaluate_graph(graph, *_word_block_morphism(letter_image))
@@ -452,8 +485,9 @@ def _evaluate(roots, image, product_into, unit):
        use, so only images still to be read stay alive.  Each
        yielded image belongs to the caller alone: a root that is a
        multiple of its node is yielded scaled, and one that a later root
-       still reads as a copy.  Once every node is evaluated, pass 2
-       drops the letter images, before it yields the last roots.
+       still reads as a copy.  Pass 2 looks up each letter's image once
+       and keeps it until every node is evaluated; then it drops the
+       letter images, before it yields the last roots.
 
     Image forms.  Pass 2 takes its morphism as ``(image, combine,
     finish)``: ``combine(c, factors)`` forms the image of a node from
@@ -481,9 +515,12 @@ def _evaluate(roots, image, product_into, unit):
       denominator for the whole image, and blocks maps each weight (a
       pair of weights for tensors) to one list of integer numerators, a
       slot per composition in the order of ``words.compositions_of``,
-      and a tensor block row-major, a row per left word.  A letter's
-      image is converted once per evaluation
-      (``kernels.to_word_blocks``, ``to_tensor_blocks``).  A node's den
+      and a tensor block row-major, a row per left word.  The suites'
+      letters are built by rank: Z_n, and each tensor Z_i (x) Z_j of its
+      coproduct, is a block with a single 1 in its last slot, that of the
+      one-part composition (``_generator_blocks``,
+      ``hopf._generator_coproduct_blocks``); other letter images are
+      converted (``kernels.to_word_blocks``).  A node's den
       is fixed before its products, as the lcm over its edges of
       den(x) * den(y) * den(ratio) and its constant's den, so a product
       adds m * x * y with the integer
@@ -498,7 +535,8 @@ def _evaluate(roots, image, product_into, unit):
       of z_of_u(16), (n + 3) * 2^(n-2) = 311,296 terms, is 17 blocks of
       311,296 slots in all.  The suites read the blocks as they are,
       against dense closed forms, and decode only a mismatch to its
-      words; ``_TermMap._from_blocks`` decodes a whole image.
+      words (``_TermMap._block_residue``); ``_TermMap._from_blocks``
+      decodes a whole image.
 
     No node is reduced, so a den may exceed the reduced one: at most 30
     bits in iso at 12 and 45 at 15.
@@ -655,6 +693,14 @@ def _evaluate_graph(graph, image, combine, finish):
                 uses[child] += 1
     nodes.reverse()
     images: list = []
+    letters: dict = {}
+
+    def letter_image(letter):
+        # each letter's image, looked up once per evaluation
+        found = letters.get(letter)
+        if found is None:
+            found = letters[letter] = image(letter)
+        return found
 
     def read(node):
         # an image, dropped here after its last use
@@ -668,8 +714,8 @@ def _evaluate_graph(graph, image, combine, finish):
         # the factors of each edge's product, in order; combine takes the list
         # over, so no image in it outlives its product here
         if from_suffix:
-            return combine(constant, [(read(c), image(a), r) for a, c, r in edges])
-        return combine(constant, [(image(a), read(c), r) for a, c, r in edges])
+            return combine(constant, [(read(c), letter_image(a), r) for a, c, r in edges])
+        return combine(constant, [(letter_image(a), read(c), r) for a, c, r in edges])
 
     def release(node, ratio):
         # a root's image, owned by the caller alone
@@ -685,6 +731,7 @@ def _evaluate_graph(graph, image, combine, finish):
             images.append(evaluate(*node) if uses[len(images)] else None)
         if not nodes:
             # every node is evaluated: the letter images are read no more
+            letters.clear()
             image = combine = None
         yield release(root, ratio)
 
@@ -702,6 +749,10 @@ class Tensor2(_TermMap):
     @staticmethod
     def _sort_key(key):
         return (term_order_key(key[0]), term_order_key(key[1]))
+
+    @staticmethod
+    def _block_key(shape, k):
+        return _k.tensor_block_key(shape, k)
 
     @classmethod
     def one(cls):

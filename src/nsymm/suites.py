@@ -17,16 +17,18 @@ against 364 one degree at a time (and 5,266 for newton-consistency when
 only equal quotients were shared); each family of iso takes 353, against
 1,024.  The evaluations on a graph run over dense blocks indexed by
 composition rank (see "Image forms" in ``poly._evaluate``), and
-primitivity and iso compare them block by block with dense closed
-forms, decoding only a mismatch to words.  Primitivity runs its left
-side to its end before its right one, so the two families' images are
-never alive at once, and files the records interleaved by degree.
+primitivity, newton-consistency and iso compare them block by block
+with dense closed forms, decoding only a mismatch to words.
+Primitivity runs its left side to its end before its right one, so the
+two families' images are never alive at once, and files the records
+interleaved by degree.
 """
 
 from __future__ import annotations
 
 import random
 
+from ._backend import kernels as _k
 from .config import check_index
 from .explog import verify_iso
 from .hopf import (
@@ -37,18 +39,8 @@ from .hopf import (
     coproduct,
     counit_law_defects,
 )
-from .newton import (
-    _explicit_blocks,
-    _p_left_graph,
-    _p_right_graph,
-    _z_in_pprime_graph,
-    newton_p_explicit,
-    newton_p_left,
-    newton_p_right,
-    z_in_pprime,
-    z_in_pprime_via_c,
-)
-from .poly import NCPoly, _graph_substitutions
+from .newton import _c_blocks, _explicit_blocks, _p_left_graph, _p_right_graph, _z_in_pprime_graph
+from .poly import NCPoly, _block_substitutions, _generator_blocks
 from .qsymm import verify_hs_qsymm
 from .reports import Report, timed_check
 from .words import composition_of_rank
@@ -95,56 +87,85 @@ def primitivity_suite(max_degree: int) -> Report:
     return report
 
 
+def _reader(stream):
+    """``read(k)``: member k of a family that ``stream`` yields in degree order, kept once read."""
+    members = [None]
+
+    def read(k):
+        while len(members) <= k:
+            members.append(next(stream))
+        return members[k]
+
+    return read
+
+
+def _difference(a, b) -> NCPoly:
+    """a - b, both in dense word blocks; only a mismatch is decoded to words."""
+    blocks, den = b
+    return NCPoly._block_residue(a, blocks.items(), den)
+
+
+def _leading_term_defect(p, n: int) -> bool:
+    """Whether p - n * Z_n has a word shorter than 2; p in dense word blocks.
+
+    The words of length at most 1 fill the last slot of each block (the
+    unit's block has one slot), so p passes when the only nonzero last
+    slot is that of (n), with n times p's denominator.
+    """
+    blocks, den = p
+    return {w: block[-1] for w, block in blocks.items() if block[-1]} != {n: n * den}
+
+
 def newton_consistency_suite(max_degree: int) -> Report:
     """The closed forms, recursions, and expansions agree with one another.
 
-    The primitives are substituted back into the expansions of every
-    n <= max_degree in one shared evaluation, from the graph of the
-    inverted recursion, so the record of degree n times only the
-    quotients that degree n is the first to need.
+    The left and right primitives and the expansions of the generators
+    in the right ones are each evaluated over every n <= max_degree in one
+    shared evaluation of their recursion's graph, with each letter as
+    itself (``poly._generator_blocks``), and the right primitives are
+    substituted back into the expansions in a fourth, so the record of
+    degree n times only the quotients that degree n is the first to
+    need.  Every check reads dense blocks: the closed forms are built as
+    blocks (``newton._explicit_blocks``, ``newton._c_blocks``), reversal
+    permutes the ranks, and only a mismatch is decoded to words.
     """
     check_index(max_degree, max_degree, what="max_degree")
     report = Report(suite="newton-consistency", max_degree=max_degree)
-    degrees = range(1, max_degree + 1)
-    recovered = _graph_substitutions(
-        _z_in_pprime_graph(max_degree), lambda k: newton_p_right(k, max_degree)
-    )
-    for n in degrees:
+    left = _reader(_block_substitutions(_p_left_graph(max_degree), _generator_blocks))
+    right = _reader(_block_substitutions(_p_right_graph(max_degree), _generator_blocks))
+    expansion = _reader(_block_substitutions(_z_in_pprime_graph(max_degree), _generator_blocks))
+    recovered = _block_substitutions(_z_in_pprime_graph(max_degree), right)
+    for n in range(1, max_degree + 1):
         report.timed(
             "closed form equals left recursion",
             n,
-            lambda: newton_p_explicit(n, max_degree) - newton_p_left(n, max_degree),
+            lambda: _difference(_explicit_blocks(n), left(n)),
         )
         report.timed(
             "suffix-sum coefficients equal recursive inversion",
             n,
-            lambda: z_in_pprime_via_c(n, max_degree) - z_in_pprime(n, max_degree),
+            lambda: _difference(_c_blocks(n), expansion(n)),
         )
         report.timed(
             "substituting the primitives back recovers the generator",
             n,
-            lambda: next(recovered) - NCPoly.generator(n),
+            lambda: _difference(next(recovered), _generator_blocks(n)),
         )
         report.timed(
             "word reversal swaps left and right primitives",
             n,
-            lambda: newton_p_left(n, max_degree).reverse_words() - newton_p_right(n, max_degree),
+            lambda: _difference((_k.reverse_word_blocks(left(n)[0]), left(n)[1]), right(n)),
         )
         report.timed(
             "right primitive is n*Z_n modulo longer words",
             n,
-            lambda: any(
-                len(word) < 2
-                for word in (
-                    newton_p_right(n, max_degree) - NCPoly.generator(n).scale(n)
-                ).support()
-            ),
+            lambda: _leading_term_defect(right(n), n),
         )
         if n >= 2:
             report.timed(
                 "generator expansion needs denominators",
                 n,
-                lambda: z_in_pprime(n, max_degree).is_integral(),
+                lambda: _k.blocks_integral(*expansion(n)),
             )
     return report
 
@@ -211,18 +232,20 @@ SUITES = {
 # which one run took under 5 s and 100 MB of own peak (VmHWM) in a fresh
 # process (Python 3.11.7, pure-Python kernels, 2 vCPUs), raised one
 # measured step at a time.  Measured there, three fresh processes each:
-# primitivity, whose graphs are evaluated over dense blocks, 0.6-0.9 s
-# and 47 MB at 17, and 1.3 s and 80 MB at 18 in one run; iso 0.7-1.0 s
+# primitivity, whose graphs are evaluated over dense blocks, 0.36-0.49 s
+# and 32 MB at 17, and 1.0 s and 49 MB at 18 in one run; iso 0.7-1.0 s
 # and 49 MB at 16, 1.4-2.1 s and 87 MB at 17, which passes the rule but
 # keeps a 13% memory margin that is unmeasured on Python 3.10 and 3.12;
-# newton-consistency 0.36-0.55 s and 72 MB at 16, 0.75-1.16 s and 131 MB
-# at 17; qsymm-hs, which walks only the Lyndon left factors, 1.6-2.2 s
-# and 35 MB at 13, 4.6-5.1 s and 60 MB at 14; hopf-laws, which samples
-# each word by its rank without listing the compositions of its weight,
-# 0.3 s and 55 MB at 20.
+# newton-consistency, whose families and closed forms are dense blocks,
+# 0.21-0.26 s and 31-32 MB at 17 and 0.34-0.38 s and 47 MB at 18, and
+# 0.68-0.74 s and 74-77 MB at 19, which passes the rule but is held
+# back until it is measured on Python 3.10 and 3.12; qsymm-hs, which
+# walks only the Lyndon left factors, 1.6-2.2 s and 35 MB at 13, 4.6-5.1 s
+# and 60 MB at 14; hopf-laws, which samples each word by its rank without
+# listing the compositions of its weight, 0.3 s and 55 MB at 20.
 CEILINGS = {
     "primitivity": 17,
-    "newton-consistency": 16,
+    "newton-consistency": 18,
     "iso": 16,
     "qsymm-hs": 13,
     "hopf-laws": 20,

@@ -1119,6 +1119,13 @@ def test_entries_reject_floats_and_bools(bad):
             entry()
 
 
+@pytest.mark.parametrize("bad", [True, False, 2.0, 0], ids=repr)
+def test_free_word_algebra_rejects_bool_and_non_int_depths(bad):
+    # a bool is an int to isinstance: True was read as depth 1, of dim 3
+    with pytest.raises(ValueError, match="integer >= 1"):
+        free_word_algebra(bad)
+
+
 def test_float_matrix_and_bool_unit_are_rejected():
     with pytest.raises(TypeError):
         LinMap(((0.5, 0.0), (0.0, 0.5)))

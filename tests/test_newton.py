@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 
 import pytest
 
@@ -16,7 +16,7 @@ from nsymm import (
     z_in_pprime,
     z_in_pprime_via_c,
 )
-from nsymm.newton import _p_left_graph, _p_right_graph, _z_in_pprime_graph
+from nsymm.newton import _c_blocks, _p_left_graph, _p_right_graph, _z_in_pprime_graph
 from nsymm.poly import _graph_substitutions
 
 Z = NCPoly.generator
@@ -130,6 +130,13 @@ def test_index_bounds():
         fn(9, max_degree=9)
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_c_blocks_are_the_closed_form(n):
+    # built by the first part, against the suffix-sum products of each word
+    assert NCPoly._from_blocks(_c_blocks(n)) == z_in_pprime_via_c(n, max_degree=10)
+    assert _c_blocks(n)[1] == factorial(n)
+
+
 # --- the recursions as quotient graphs ---------------------------------------
 
 GRAPHS = {
@@ -165,3 +172,12 @@ def test_graph_lists_children_first(name):
 def test_graph_of_one_degree():
     assert _p_left_graph(1) == (False, [((1, 1),), (None, (1, 0, (1, 1)))], [1])
     assert _z_in_pprime_graph(2)[1][3] == (None, (1, 1, (1, 2)), (2, 2, (1, 1)))
+
+
+def test_member_caches_are_bounded():
+    # each member is its graph's expansion on its own, so a cache only serves
+    # repeated calls; the benchmark's tracer reads cache_info() by these names
+    from nsymm import newton
+
+    for cache in (newton._p_left, newton._p_right, newton._z_in_pprime):
+        assert cache.cache_info().maxsize is not None

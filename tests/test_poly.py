@@ -125,6 +125,13 @@ def test_bad_inputs():
         NCPoly.generator(0)
 
 
+@pytest.mark.parametrize("bad", [True, False, 2.0, "1"], ids=repr)
+def test_generator_rejects_bools_and_non_ints(bad):
+    # a bool is an int to isinstance: True was read as the letter 1
+    with pytest.raises(ValueError, match="integer >= 1"):
+        NCPoly.generator(bad)
+
+
 @pytest.mark.parametrize("pair", [(1.5, 2), (3, 2.9), (True, 2), (1, True), (Fraction(1, 2), 3), ("1", 2)])
 def test_pair_coefficient_rejects_non_int_components(pair):
     # int() would truncate (1.5, 2) to 1/2 and (3, 2.9) to 3/2
@@ -266,6 +273,31 @@ def test_substitute_mapping_and_callable_agree():
     assert by_mapping == p.substitute(CANCELLING.__getitem__)
     assert by_mapping == p.substitute(MappingProxyType(CANCELLING))
     assert by_mapping == NCPoly({(): 1, (1,): 2, (1, 1, 1): -1, (1, 1, 1, 1): "1/3"})
+
+
+def test_substitute_looks_up_each_letter_once():
+    # u_of_z(12) has 2,048 words over 12 letters; one evaluation reads each
+    # letter's image once, however many edges carry it
+    calls = []
+
+    def image(k):
+        calls.append(k)
+        return z_of_u(k, max_degree=12)
+
+    assert u_of_z(12, max_degree=12).substitute(image) == NCPoly.generator(12)
+    assert sorted(calls) == list(range(1, 13))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_rank_built_letters_equal_the_converters(n):
+    # the suites build each letter's image by rank, a single 1 in the last
+    # slot of each block; the converters from term maps are the oracle
+    expected = _k.to_word_blocks(NCPoly.generator(n)._terms)
+    assert poly._generator_blocks(n) == expected
+    for family in HopfFamily:
+        built = hopf._generator_coproduct_blocks(n, family)
+        expected = _k.to_tensor_blocks(hopf._generator_coproduct(n, family))
+        assert built == expected and list(built[0]) == list(expected[0])
 
 
 def test_substitute_missing_letter_still_raises():
@@ -532,24 +564,25 @@ def test_paused_evaluation_keeps_no_shared_block():
 
 
 def test_paused_evaluation_drops_the_letter_images_before_its_last_root(monkeypatch):
-    # over dense blocks, pass 2 converts each letter image once; once every
-    # node is evaluated, before the last root is yielded, nothing holds the
-    # converted images.  Term maps given as input (substitute, coproduct)
-    # are evaluated in the pair form, which converts no letter image: it
-    # reads the caller's term maps as they are
+    # over dense blocks, pass 2 looks up each letter image once: a converted
+    # term map, or a coproduct of a generator built by rank; once every
+    # node is evaluated, before the last root is yielded, nothing holds
+    # those images.  Term maps given as input (substitute, coproduct) are
+    # evaluated in the pair form, which converts no letter image: it reads
+    # the caller's term maps as they are
     converted = []
 
-    def recording(name):
-        real = getattr(_k, name)
+    def recording(module, name):
+        real = getattr(module, name)
 
-        def convert(terms):
-            converted.append(real(terms))
+        def convert(*args):
+            converted.append(real(*args))
             return converted[-1]
 
-        monkeypatch.setattr(_k, name, convert)
+        monkeypatch.setattr(module, name, convert)
 
-    for name in ("to_word_blocks", "to_tensor_blocks"):
-        recording(name)
+    recording(_k, "to_word_blocks")
+    recording(hopf, "_generator_coproduct_blocks")
     images = IMAGE_FAMILIES["affine"]
     graph = _z_of_u_graph(7)
     for make in (

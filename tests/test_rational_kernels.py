@@ -727,3 +727,22 @@ def test_block_helpers(terms, n):
         other[0] += 1
         assert list(K.block_mismatches(block, 2, other, 2)) == [0]
         assert list(K.block_mismatches(block, 3, [3 * v for v in block], 1)) == []
+
+
+@given(st.dictionaries(block_words, small_pairs, max_size=8))
+def test_word_block_reversal_and_integrality(terms):
+    # reversal permutes the ranks of each weight: the model reverses each key
+    blocks, den = K.to_word_blocks(terms)
+    reversed_terms = {word[::-1]: pair for word, pair in terms.items()}
+    assert (K.reverse_word_blocks(blocks), den) == K.to_word_blocks(reversed_terms)
+    assert K.blocks_integral(blocks, den) == all(d == 1 for _, d in terms.values())
+    # over an unreduced den, integrality still reads the reduced coefficients
+    assert K.blocks_integral(K.scale_blocks(blocks, 6), 6 * den) == K.blocks_integral(blocks, den)
+
+
+def test_word_block_reversal_is_bit_reversal_of_ranks():
+    # reversing a composition of n reverses its n - 1 cut bits
+    for n in range(1, 10):
+        words = compositions_of(n)
+        (block,) = K.reverse_word_blocks({n: list(range(len(words)))}).values()
+        assert [words[r] for r in block] == [w[::-1] for w in words]

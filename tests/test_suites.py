@@ -13,6 +13,7 @@ from nsymm import _core_py as _k
 from nsymm.hopf import HopfFamily
 from nsymm.poly import _graph_substitutions
 from nsymm.suites import run_suite
+from nsymm.words import compositions_of
 
 LAWS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "laws.json").read_text())
 SUITE_NAMES = sorted(LAWS)
@@ -72,17 +73,21 @@ def coeff(num, den=1):
     return {"num": str(num), "den": str(den)}
 
 
+def _plus(image, extra):
+    """Dense word blocks (blocks, den) plus an NCPoly, as dense word blocks."""
+    return _k.to_word_blocks((NCPoly._from_blocks(image) + extra)._terms)
+
+
 def test_poly_defect_record(monkeypatch):
     def fake(real):
-        def newton_p_explicit(n, max_degree=None):
-            extra = NCPoly.word((2, 1), "3/2") if n == 3 else NCPoly.zero()
-            return real(n, max_degree) + extra
+        def _explicit_blocks(n, from_suffix=False):
+            # the closed form, in dense blocks, with 3/2 (2, 1) added at degree 3
+            image = real(n, from_suffix)
+            return _plus(image, NCPoly.word((2, 1), "3/2")) if n == 3 else image
 
-        return newton_p_explicit
+        return _explicit_blocks
 
-    failing = failure_records(
-        monkeypatch, "newton-consistency", 5, suites, "newton_p_explicit", fake
-    )
+    failing = failure_records(monkeypatch, "newton-consistency", 5, suites, "_explicit_blocks", fake)
     assert failing == [
         {
             "degree": 3,
@@ -90,6 +95,80 @@ def test_poly_defect_record(monkeypatch):
             "pass": False,
             "witness": {"word": [2, 1], "coeff": coeff(3, 2)},
         }
+    ]
+
+
+def test_substitution_defect_record(monkeypatch):
+    def fake(real):
+        def _block_substitutions(graph, letter_image):
+            images = real(graph, letter_image)
+            if letter_image is poly._generator_blocks:
+                return images
+            # the right primitives substituted back: -1/3 (2, 2) added at degree 4
+            extra = NCPoly.word((2, 2), "-1/3")
+            return (
+                _plus(image, extra) if n == 4 else image for n, image in enumerate(images, 1)
+            )
+
+        return _block_substitutions
+
+    failing = failure_records(
+        monkeypatch, "newton-consistency", 5, suites, "_block_substitutions", fake
+    )
+    assert failing == [
+        {
+            "degree": 4,
+            "law": "substituting the primitives back recovers the generator",
+            "pass": False,
+            "witness": {"word": [2, 2], "coeff": coeff(-1, 3)},
+        }
+    ]
+
+
+def test_reversal_defect_record(monkeypatch):
+    def fake(real):
+        def reverse_word_blocks(blocks):
+            # the reversed left primitive, over its denominator 1: 2 (1, 3)
+            # added at degree 4
+            out = real(blocks)
+            if 4 in out:
+                out[4][compositions_of(4).index((1, 3))] += 2
+            return out
+
+        return reverse_word_blocks
+
+    failing = failure_records(
+        monkeypatch, "newton-consistency", 5, _k, "reverse_word_blocks", fake
+    )
+    assert failing == [
+        {
+            "degree": 4,
+            "law": "word reversal swaps left and right primitives",
+            "pass": False,
+            "witness": {"word": [1, 3], "coeff": coeff(2)},
+        }
+    ]
+
+
+def test_leading_term_check_record(monkeypatch):
+    def fake(real):
+        def _leading_term_defect(p, n):
+            # P'_3 with its (3) lowered by 1, and P'_5 with a constant term
+            blocks, den = p
+            if n == 3:
+                blocks = {**blocks, 3: blocks[3][:-1] + [blocks[3][-1] - den]}
+            if n == 5:
+                blocks = {**blocks, 0: [den]}
+            return real((blocks, den), n)
+
+        return _leading_term_defect
+
+    failing = failure_records(
+        monkeypatch, "newton-consistency", 5, suites, "_leading_term_defect", fake
+    )
+    assert failing == [
+        {"degree": n, "law": "right primitive is n*Z_n modulo longer words", "pass": False}
+        for n in (3, 5)
     ]
 
 
@@ -234,7 +313,6 @@ TERM_MAP_PATHS = {
     "_graph_coproducts": lambda graph, family: (
         _k.to_tensor_blocks(delta._terms) for delta in hopf._coproducts(_expansion(graph), family)
     ),
-    "_graph_substitutions": lambda graph, images: poly._substitutions(_expansion(graph), images),
     "_block_substitutions": lambda graph, letter_image: (
         _k.to_word_blocks(p._terms)
         for p in poly._substitutions(
@@ -250,7 +328,19 @@ GRAPH_SUITES = {
         "newton-consistency",
         suites,
         "_z_in_pprime_graph",
-        ["_graph_substitutions"],
+        ["_block_substitutions"],
+    ),
+    "newton-consistency, left": (
+        "newton-consistency",
+        suites,
+        "_p_left_graph",
+        ["_block_substitutions"],
+    ),
+    "newton-consistency, right": (
+        "newton-consistency",
+        suites,
+        "_p_right_graph",
+        ["_block_substitutions"],
     ),
     "iso, exp": ("iso", explog, "_z_of_u_graph", ["_block_substitutions", "_graph_coproducts"]),
     "iso, log": ("iso", explog, "_u_of_z_graph", ["_block_substitutions", "_graph_coproducts"]),
@@ -319,7 +409,12 @@ def test_counit_defect_record(monkeypatch):
 
 def test_boolean_check_record(monkeypatch):
     failing = failure_records(
-        monkeypatch, "newton-consistency", 5, NCPoly, "is_integral", lambda real: lambda self: True
+        monkeypatch,
+        "newton-consistency",
+        5,
+        _k,
+        "blocks_integral",
+        lambda real: lambda blocks, den: True,
     )
     assert failing == [
         {"degree": n, "law": "generator expansion needs denominators", "pass": False}
