@@ -19,6 +19,10 @@ the bits of its rank, so rank(u v) = rank(u) * 2^|v| + rank(v).  A
 product is then slice arithmetic with no gcd: ``mul_word_blocks_into``
 and ``mul_tensor_blocks_into`` add the other factor's block, for each
 nonzero of one factor, in runs of ``out[s:e:step] = map(add, ...)``.
+A letter whose blocks each hold a single 1 in their last slot (Z_n and
+the terms of its coproducts) is given by its shapes alone, a letter by
+shape, and ``place_letter_blocks_into`` adds the other factor's blocks
+at that slot.
 ``to_word_blocks``, ``to_tensor_blocks``, ``from_word_blocks`` and
 ``from_tensor_blocks`` convert, through the integer map ``(ints, den)``
 of ``to_int_map`` and ``from_int_map``, and ``tensor_block_key``
@@ -502,6 +506,40 @@ def _mul_block_into(out, x, x_cols, y, y_cols, k, l, out_cols, m):
         for e, v in nonzero_entries(y):
             r, s = divmod(e, y_cols)
             _add_grid(out, r * out_cols + s, x, x_cols, row_stride, col_stride, v * m)
+
+
+def place_letter_blocks_into(acc, letter, blocks, m, letter_first):
+    """acc += m * letter * blocks, or m * blocks * letter, on dense blocks, in place.
+
+    ``letter`` is a letter by shape: the list of the keys of a letter
+    image's blocks, each of which holds a single 1 in its last slot, that of
+    the one-part compositions (Z_n, and each Z_i (x) Z_j of its coproduct).
+    ``blocks`` maps a weight (words) or a pair of weights (tensors) to its
+    block, and m is a nonzero int.  The product with such a block places
+    the other factor: by the rank identity, entry (p, q) of the block of
+    weights (k, l) lands, after the letter's block of weights (i, j) with
+    its 1 at (r, s), on ((r << k) + p) * out_cols + (s << l) + q, a run per
+    row; before it, on ((p << i) + r) * out_cols + (q << j) + s, strided by
+    out_cols << i and 1 << j.  So no zero is scanned and no letter is dense.
+    acc gets a zero block for each key it lacks, as in
+    :func:`mul_tensor_blocks_into`.
+    """
+    for shape in letter:
+        words = type(shape) is int
+        i, j = (shape, 0) if words else shape
+        r, s = block_length(i) - 1, block_length(j) - 1
+        for key, block in blocks.items():
+            k, l = (key, 0) if words else key
+            out_key = i + k if words else (i + k, j + l)
+            out_cols = block_length(j + l)
+            out = acc.get(out_key)
+            if out is None:
+                out = acc[out_key] = [0] * (block_length(i + k) * out_cols)
+            if letter_first:
+                base, row_stride, col_stride = (r << k) * out_cols + (s << l), out_cols, 1
+            else:
+                base, row_stride, col_stride = r * out_cols + s, out_cols << i, 1 << j
+            _add_grid(out, base, block, block_length(l), row_stride, col_stride, m)
 
 
 def mul_word_blocks_into(acc, a, b, m):

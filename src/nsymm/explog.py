@@ -185,16 +185,19 @@ def _coalgebra_defect(n: int, lhs) -> Tensor2:
     z_of_u(i) (x) z_of_u(n - i), with z_of_u(0) = 1.  Over n! it has one
     block per i, of weights (i, n - i), with n!/(a! b!) on a pair of words
     of lengths a and b: the outer product of the blocks of the two factors
-    over i! and (n - i)!, times C(n, i).  ``Tensor2._block_residue`` compares
-    the two block by block and decodes only the mismatches.
+    over i! and (n - i)!, times C(n, i).  Row p of that block is
+    C(n, i) * left[p] * right, and left[p] takes one value per word length,
+    so each block is built from at most i distinct rows.
+    ``Tensor2._block_residue`` compares the two block by block and decodes
+    only the mismatches.
     """
     factors = [[1]] + [_blocks_by_length(i, _exp_coefficient)[0][i] for i in range(1, n + 1)]
 
     def expected():
         for i in range(n + 1):
             left, right = factors[i], factors[n - i]
-            # entry (p, q) is comb(n, i) * left[p] * right[q], row by row
-            column = map(repeat, map(mul, left, repeat(comb(n, i))), repeat(len(right)))
-            yield (i, n - i), list(map(mul, chain.from_iterable(column), right * len(left)))
+            scale = comb(n, i)
+            rows = {value: list(map(mul, right, repeat(scale * value))) for value in set(left)}
+            yield (i, n - i), list(chain.from_iterable(map(rows.__getitem__, left)))
 
     return Tensor2._block_residue(lhs, expected(), factorial(n))

@@ -74,14 +74,18 @@ def _tensor_unit(c):
 
 
 def _generator_coproduct_blocks(n: int, family: HopfFamily):
-    """The coproduct of Z_n as dense tensor blocks ``(blocks, 1)``, built by rank.
+    """The coproduct of Z_n as a letter by shape ``(shapes, 1)``: its blocks' weights.
 
-    Each term Z_i (x) Z_j is the block of weights (i, j) with a single 1
-    in its last slot, where both one-part compositions come last: n + 1
-    blocks for NSYMM, and (0, n) and (n, 0) for LIEHOPF.
+    Each term Z_i (x) Z_j is the tensor block of weights (i, j) with a
+    single 1 in its last slot, where both one-part compositions come last,
+    so only the shapes are returned: (i, n - i) for i = 0..n for NSYMM, and
+    (0, n) and (n, 0) for LIEHOPF.  ``kernels.place_letter_blocks_into``
+    places the other factor of a product at that slot; no dense block of
+    the letter is built.
     """
-    shapes = [(i, n - i) for i in range(n + 1)] if family is HopfFamily.NSYMM else [(0, n), (n, 0)]
-    return {(i, j): [0] * (_k.block_length(i) * _k.block_length(j) - 1) + [1] for i, j in shapes}, 1
+    if family is HopfFamily.NSYMM:
+        return [(i, n - i) for i in range(n + 1)], 1
+    return [(0, n), (n, 0)], 1
 
 
 def _coproducts(polys, family: HopfFamily, max_degree=None):

@@ -664,8 +664,8 @@ class HSFamily:
 @lru_cache(maxsize=None)
 def truncated_polynomial_algebra(trunc: int) -> TestAlgebra:
     """Rational polynomials in one variable modulo x^(trunc+1)."""
-    if trunc < 1:
-        raise ValueError("truncation order must be >= 1")
+    if isinstance(trunc, bool) or trunc < 1:
+        raise ValueError("truncation order must be an integer >= 1")
     labels = tuple("1" if k == 0 else ("x" if k == 1 else f"x^{k}") for k in range(trunc + 1))
     products = {(i, j): {i + j: _ONE} for i in range(trunc + 1) for j in range(trunc + 1 - i)}
     return TestAlgebra._raw(labels, {0: _ONE}, products)

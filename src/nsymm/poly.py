@@ -288,12 +288,13 @@ def _scaled_product(mul_into):
 
 
 def _generator_blocks(n: int):
-    """Z_n as dense word blocks ``(blocks, 1)``: a single 1, in the slot of the word (n).
+    """Z_n as a letter by shape ``([n], 1)``: its block of weight n holds a single 1.
 
-    The one-part composition comes last in the order of
-    ``compositions_of``, so the slot is the block's last.
+    The 1 is in the slot of the word (n), which comes last in the order
+    of ``compositions_of``; ``kernels.place_letter_blocks_into`` places
+    the other factor of a product there, so no dense block is built.
     """
-    return {n: [0] * (_k.block_length(n) - 1) + [1]}, 1
+    return [n], 1
 
 
 def _word_block_morphism(letter_image):
@@ -304,11 +305,14 @@ def _word_block_morphism(letter_image):
 def _block_morphism(product_into, one):
     """(combine, finish) of a morphism into term maps, over dense blocks.
 
-    The letters' images are dense blocks ``(blocks, den)``;
-    ``product_into(acc, x, y, m)`` adds m * x * y to an accumulator, with
-    m an int, and ``one`` is the key of the unit's block, of one entry.
-    The blocks that cancel to zero are dropped once a node's products are
-    done.  See "Image forms" in :func:`_evaluate`.
+    The letters' images are dense blocks ``(blocks, den)``, or letters by
+    shape ``(shapes, 1)``, whose shapes are a list; ``product_into(acc, x,
+    y, m)`` adds m * x * y of two dense images to an accumulator, with m
+    an int, and a product with a letter by shape goes to
+    ``kernels.place_letter_blocks_into``.  ``one`` is the key of the
+    unit's block, of one entry.  The blocks that cancel to zero are
+    dropped once a node's products are done.  See "Image forms" in
+    :func:`_evaluate`.
     """
 
     def combine(constant, factors):
@@ -326,7 +330,13 @@ def _block_morphism(product_into, one):
         while factors:
             (x, dx), (y, dy), (rn, rd) = factors.pop()
             if x and y:
-                product_into(acc, x, y, rn * (den // (dx * dy * rd)))
+                m = rn * (den // (dx * dy * rd))
+                if type(x) is list:
+                    _k.place_letter_blocks_into(acc, x, y, m, True)
+                elif type(y) is list:
+                    _k.place_letter_blocks_into(acc, y, x, m, False)
+                else:
+                    product_into(acc, x, y, m)
         _k.drop_zero_blocks(acc)
         return acc, den
 
@@ -390,9 +400,9 @@ def _block_substitutions(graph, letter_image):
 
     ``graph`` is in the format of :func:`_evaluate`; no word is walked.
     ``letter_image(letter)`` gives the image of a letter as dense word
-    blocks ``(blocks, den)`` (``kernels.to_word_blocks``; Z_n itself is
-    :func:`_generator_blocks`), and each root's
-    image is yielded in that form, in order.
+    blocks ``(blocks, den)`` (``kernels.to_word_blocks``), or, for Z_n
+    itself, as the letter by shape :func:`_generator_blocks`; each root's
+    image is yielded as dense blocks, in order.
     """
     return _evaluate_graph(graph, *_word_block_morphism(letter_image))
 
@@ -515,21 +525,28 @@ def _evaluate(roots, image, product_into, unit):
       denominator for the whole image, and blocks maps each weight (a
       pair of weights for tensors) to one list of integer numerators, a
       slot per composition in the order of ``words.compositions_of``,
-      and a tensor block row-major, a row per left word.  The suites'
-      letters are built by rank: Z_n, and each tensor Z_i (x) Z_j of its
-      coproduct, is a block with a single 1 in its last slot, that of the
-      one-part composition (``_generator_blocks``,
-      ``hopf._generator_coproduct_blocks``); other letter images are
-      converted (``kernels.to_word_blocks``).  A node's den
+      and a tensor block row-major, a row per left word.  A node's den
       is fixed before its products, as the lcm over its edges of
       den(x) * den(y) * den(ratio) and its constant's den, so a product
       adds m * x * y with the integer
       m = num(ratio) * den / (den(x) den(y) den(ratio)) and takes no gcd.
-      The rank of u v is rank(u) * 2^|v| + rank(v), so a product adds the
-      other factor's block for each nonzero of one factor in a few slice
-      multiply-adds, which run in C
-      (``kernels.mul_word_blocks_into``, ``mul_tensor_blocks_into``),
-      where a term map makes a dict probe per pair of terms.  The blocks
+      The rank of u v is rank(u) * 2^|v| + rank(v), so a product is a few
+      slice multiply-adds, which run in C, where a term map makes a dict
+      probe per pair of terms.  The suites' letters are letters by shape
+      ``(shapes, 1)``: Z_n, and each tensor Z_i (x) Z_j of its coproduct,
+      is a block with a single 1 in its last slot, that of the one-part
+      composition, so only its weights are listed (``_generator_blocks``,
+      ``hopf._generator_coproduct_blocks``).  A product with one places
+      the child's blocks at the slot that the rank identity gives
+      (``kernels.place_letter_blocks_into``): a run per row when the
+      letter comes first, as in the graphs read from the prefix, and
+      strided runs when it comes last; no zero is scanned and no dense
+      letter is built.  Other letter images (the round trips of iso, the
+      substitution of newton-consistency) are converted
+      (``kernels.to_word_blocks``) or built dense, and a product of two
+      dense images adds the other factor's block for each nonzero of one
+      factor (``kernels.mul_word_blocks_into``,
+      ``mul_tensor_blocks_into``).  The blocks
       that cancel to zero are dropped as each node finishes.  The
       families are dense, so their blocks hold few zeros: the coproduct
       of z_of_u(16), (n + 3) * 2^(n-2) = 311,296 terms, is 17 blocks of

@@ -1,3 +1,4 @@
+import atexit
 import gc
 import json
 import os
@@ -172,7 +173,7 @@ def no_suite_runs(monkeypatch):
 def test_verify_rejects_degree_30(no_suite_runs, capsys):
     code, out, err = run_cli(capsys, "verify", "primitivity", "--max-degree", "30")
     assert code == 2 and out == ""
-    assert "exceeds the suite's ceiling 17" in err
+    assert "exceeds the suite's ceiling 19" in err
 
 
 def test_verify_ceilings_cover_every_suite():
@@ -180,10 +181,10 @@ def test_verify_ceilings_cover_every_suite():
     assert min(CEILINGS[s] for s in ("primitivity", "iso", "newton-consistency")) >= 12
     assert CEILINGS["qsymm-hs"] >= 13
     # iso's dense blocks hold its degree-16 coproducts under 100 MB,
-    # primitivity's its degree-17 ones, and newton-consistency's its
-    # degree-18 families
+    # primitivity's, with each letter placed by its shape, its degree-19
+    # ones, and newton-consistency's its degree-18 families
     assert CEILINGS["iso"] >= 16
-    assert CEILINGS["primitivity"] >= 17
+    assert CEILINGS["primitivity"] >= 19
     assert CEILINGS["newton-consistency"] >= 18
 
 
@@ -672,6 +673,37 @@ def test_main_rejected_by_argparse_leaves_the_collector_alone(collector_state, m
     assert exc.value.code == 2
     assert paused == []
     assert gc.isenabled() is collector_state
+
+
+def test_main_freezes_the_collector_only_at_exit(monkeypatch):
+    # in process, main freezes nothing and keeps one gc.freeze handler
+    # however often it runs; atexit's own table is not readable, so a model
+    # of it stands in
+    handlers = []
+
+    def unregister(f):
+        handlers[:] = [h for h in handlers if h != f]
+
+    monkeypatch.setattr(atexit, "register", handlers.append)
+    monkeypatch.setattr(atexit, "unregister", unregister)
+    for _ in range(3):
+        assert main(["verify", "primitivity", "--max-degree", "3", "--out", os.devnull]) == 0
+    assert handlers == [gc.freeze]
+    assert gc.get_freeze_count() == 0
+
+
+def test_main_freezes_the_collector_at_interpreter_exit():
+    # handlers run last registered first, so one registered before main
+    # runs after the freeze
+    probe = (
+        "import atexit, gc, os, sys\n"
+        "from nsymm.cli import main\n"
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+        "sys.exit(main(['verify', 'primitivity', '--max-degree', '3', '--out', os.devnull]))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "True"
 
 
 # --- installed entry point --------------------------------------------------

@@ -487,9 +487,11 @@ def test_graph_coproducts_products_count(monkeypatch, name):
     graph, family, products = GRAPH_PRODUCT_COUNTS[name]
     roots = list(_graph_substitutions(graph(12), NCPoly.generator))
     expected = list(_coproducts(roots, family, max_degree=12))
+    # each letter is a letter by shape, so every product is a placement
     calls = []
-    real = _k.mul_tensor_blocks_into
-    monkeypatch.setattr(_k, "mul_tensor_blocks_into", lambda *args: (calls.append(1), real(*args))[1])
+    real = _k.place_letter_blocks_into
+    monkeypatch.setattr(_k, "place_letter_blocks_into", lambda *args: (calls.append(1), real(*args))[1])
+    monkeypatch.setattr(_k, "mul_tensor_blocks_into", None)
 
     def no_walk(roots):
         raise AssertionError("the graph path walked the words")

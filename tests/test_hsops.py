@@ -1126,6 +1126,14 @@ def test_free_word_algebra_rejects_bool_and_non_int_depths(bad):
         free_word_algebra(bad)
 
 
+@pytest.mark.parametrize("bad", [True, False, 0], ids=repr)
+def test_truncated_polynomial_algebra_rejects_bool_orders(bad):
+    # a bool is an int to isinstance: True was read as order 1, of dim 2
+    truncated_polynomial_algebra(1)
+    with pytest.raises(ValueError, match="integer >= 1"):
+        truncated_polynomial_algebra(bad)
+
+
 def test_float_matrix_and_bool_unit_are_rejected():
     with pytest.raises(TypeError):
         LinMap(((0.5, 0.0), (0.0, 0.5)))

@@ -288,16 +288,52 @@ def test_substitute_looks_up_each_letter_once():
     assert sorted(calls) == list(range(1, 13))
 
 
+def _random_blocks(rng, keys):
+    # dense blocks of small ints, zeros included, one per key
+    def length(key):
+        i, j = (key, 0) if type(key) is int else key
+        return _k.block_length(i) * _k.block_length(j)
+
+    return {key: [rng.randint(-2, 2) for _ in range(length(key))] for key in keys}
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_rank_built_letters_equal_the_converters(n):
-    # the suites build each letter's image by rank, a single 1 in the last
-    # slot of each block; the converters from term maps are the oracle
-    expected = _k.to_word_blocks(NCPoly.generator(n)._terms)
-    assert poly._generator_blocks(n) == expected
-    for family in HopfFamily:
-        built = hopf._generator_coproduct_blocks(n, family)
-        expected = _k.to_tensor_blocks(hopf._generator_coproduct(n, family))
-        assert built == expected and list(built[0]) == list(expected[0])
+    # the suites' letters are letters by shape, placed by the rank identity;
+    # the dense product with the converters' blocks is the oracle, for
+    # words and tensors, the letter on either side, into an accumulator
+    # that the product partly cancels
+    rng = random.Random(n)
+    letters = [("words", poly._generator_blocks(n), _k.to_word_blocks(NCPoly.generator(n)._terms))]
+    letters += [
+        (family, hopf._generator_coproduct_blocks(n, family),
+         _k.to_tensor_blocks(hopf._generator_coproduct(n, family)))
+        for family in HopfFamily
+    ]
+    for kind, (shapes, one), (dense, dense_den) in letters:
+        assert one == dense_den == 1
+        assert sorted(shapes) == sorted(dense)
+        product = _k.mul_word_blocks_into if kind == "words" else _k.mul_tensor_blocks_into
+        for letter_first in (True, False):
+            for trial in range(4):
+                weights = range(5) if kind == "words" else [(i, j) for i in range(4) for j in range(4)]
+                child = _random_blocks(rng, rng.sample(weights, 2))
+                m = rng.choice([1, -1, 3, -7])
+                factors = (dense, child) if letter_first else (child, dense)
+                # the accumulator holds minus the product on every other slot
+                cancelling = {}
+                product(cancelling, *factors, -m)
+                acc = _random_blocks(rng, list(child)[:1])
+                for key, block in cancelling.items():
+                    block[::2] = [0] * len(block[::2])
+                    acc[key] = [a + b for a, b in zip(acc.get(key, [0] * len(block)), block)]
+                expected = {key: block[:] for key, block in acc.items()}
+                product(expected, *factors, m)
+                child_before = {key: block[:] for key, block in child.items()}
+                assert _k.place_letter_blocks_into(acc, shapes, child, m, letter_first) is None
+                assert acc == expected
+                assert child == child_before
+                assert any(not any(block[1::2]) for block in acc.values() if len(block) > 1)
 
 
 def test_substitute_missing_letter_still_raises():

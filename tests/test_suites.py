@@ -315,11 +315,17 @@ TERM_MAP_PATHS = {
     ),
     "_block_substitutions": lambda graph, letter_image: (
         _k.to_word_blocks(p._terms)
-        for p in poly._substitutions(
-            _expansion(graph), lambda k: NCPoly._from_blocks(letter_image(k))
-        )
+        for p in poly._substitutions(_expansion(graph), lambda k: _letter_poly(letter_image(k)))
     ),
 }
+
+
+def _letter_poly(image):
+    # a letter image as an NCPoly: dense blocks, or Z_n as a letter by shape
+    if type(image[0]) is list:
+        (n,) = image[0]
+        return NCPoly.generator(n)
+    return NCPoly._from_blocks(image)
 
 GRAPH_SUITES = {
     "primitivity, left": ("primitivity", suites, "_p_left_graph", ["_graph_coproducts"]),
