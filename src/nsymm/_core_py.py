@@ -16,13 +16,14 @@ a tensor, row-major), a slot per composition, ranked as in
 ``words.compositions_of``, zeros included.  A composition of n is a
 subset of {1, ..., n - 1} (Gelfand et al. 1995; Gessel 1984), read as
 the bits of its rank, so rank(u v) = rank(u) * 2^|v| + rank(v).  A
-product is then slice arithmetic with no gcd: ``mul_word_blocks_into``
-and ``mul_tensor_blocks_into`` add the other factor's block, for each
-nonzero of one factor, in runs of ``out[s:e:step] = map(add, ...)``.
-A letter whose blocks each hold a single 1 in their last slot (Z_n and
+product is then slice arithmetic with no gcd, in runs of
+``out[s:e:step] = map(add, ...)``, and there is one per letter form.  A
+letter whose blocks each hold a single 1 in their last slot (Z_n and
 the terms of its coproducts) is given by its shapes alone, a letter by
 shape, and ``place_letter_blocks_into`` adds the other factor's blocks
-at that slot.
+at that slot, on words and tensors alike.  Every other image is a
+dense word image, and ``mul_word_blocks_into`` adds the other factor's
+block for each nonzero of one factor.
 ``to_word_blocks``, ``to_tensor_blocks``, ``from_word_blocks`` and
 ``from_tensor_blocks`` convert, through the integer map ``(ints, den)``
 of ``to_int_map`` and ``from_int_map``, and ``tensor_block_key``
@@ -35,7 +36,7 @@ model.  The ``*_into`` kernels add their result to an accumulator in
 place and leave their operands untouched.  The term-map products' outer
 loop runs over the shorter factor, and the inner loop over the longer
 one; each key is still the left factor's key followed by the right
-factor's.  A block product loops over the nonzeros of the
+factor's.  The dense word product loops over the nonzeros of the
 block whose loop costs less.
 ``add_scaled_into`` is the one loop that merges a term map into another:
 the sum, difference, negation and scaling kernels are each one call of
@@ -400,10 +401,13 @@ def from_tensor_blocks(blocks, den):
 
 
 def block_mismatches(have, have_scale, want, want_scale):
-    """The indices k, in order, at which have[k] * have_scale != want[k] * want_scale."""
-    return compress(
-        count(), map(ne, map(mul, have, repeat(have_scale)), map(mul, want, repeat(want_scale)))
-    )
+    """The indices k, in order, at which have[k] * have_scale != want[k] * want_scale.
+
+    The scales are nonzero, so equal scales compare the entries as they are.
+    """
+    if have_scale != want_scale:
+        have, want = map(mul, have, repeat(have_scale)), map(mul, want, repeat(want_scale))
+    return compress(count(), map(ne, have, want))
 
 
 def reverse_word_blocks(blocks):
@@ -455,13 +459,6 @@ def _add_run(out, start, step, src, v):
         out[start:stop:step] = map(add, segment, map(mul, src, repeat(v)))
 
 
-def _runs(rows, cols, row_stride, col_stride):
-    # the number of runs in which _add_grid adds such a grid
-    if rows == 1 or cols == 1 or row_stride == cols * col_stride:
-        return 1
-    return min(rows, cols)
-
-
 def _add_grid(out, base, src, cols, row_stride, col_stride, v):
     """out[base + r * row_stride + c * col_stride] += v * src[r * cols + c], in runs.
 
@@ -482,32 +479,6 @@ def _add_grid(out, base, src, cols, row_stride, col_stride, v):
             _add_run(out, base + c * col_stride, row_stride, src[c::cols], v)
 
 
-def _mul_block_into(out, x, x_cols, y, y_cols, k, l, out_cols, m):
-    """out += m * x * y for the blocks x of weights (i, j) and y of weights (k, l).
-
-    out is the block of (i + k, j + l), with out_cols columns.  By the rank
-    identity rank(u v) = rank(u) * 2^|v| + rank(v), entry (p, q) of x and
-    entry (r, s) of y land on ((p << k) + r) * out_cols + (q << l) + s.
-    The loop runs over the nonzeros of one factor, and adds the other
-    factor's block as a grid for each; it takes the factor whose loop
-    costs less, counting a run as _RUN_COST entries.
-    """
-    x_rows, y_rows = len(x) // x_cols, len(y) // y_cols
-    row_stride, col_stride = out_cols << k, 1 << l
-    over_x = (len(x) - x.count(0)) * (len(y) + _RUN_COST * _runs(y_rows, y_cols, out_cols, 1))
-    over_y = (len(y) - y.count(0)) * (
-        len(x) + _RUN_COST * _runs(x_rows, x_cols, row_stride, col_stride)
-    )
-    if over_x <= over_y:
-        for e, v in nonzero_entries(x):
-            p, q = divmod(e, x_cols)
-            _add_grid(out, (p << k) * out_cols + (q << l), y, y_cols, out_cols, 1, v * m)
-    else:
-        for e, v in nonzero_entries(y):
-            r, s = divmod(e, y_cols)
-            _add_grid(out, r * out_cols + s, x, x_cols, row_stride, col_stride, v * m)
-
-
 def place_letter_blocks_into(acc, letter, blocks, m, letter_first):
     """acc += m * letter * blocks, or m * blocks * letter, on dense blocks, in place.
 
@@ -522,7 +493,7 @@ def place_letter_blocks_into(acc, letter, blocks, m, letter_first):
     row; before it, on ((p << i) + r) * out_cols + (q << j) + s, strided by
     out_cols << i and 1 << j.  So no zero is scanned and no letter is dense.
     acc gets a zero block for each key it lacks, as in
-    :func:`mul_tensor_blocks_into`.
+    :func:`mul_word_blocks_into`.
     """
     for shape in letter:
         words = type(shape) is int
@@ -547,31 +518,25 @@ def mul_word_blocks_into(acc, a, b, m):
 
     acc, a and b map a weight to its block (:func:`to_word_blocks`) and m
     is a nonzero int, so no gcd is taken; acc gets a zero block for each
-    weight it lacks.  A word block is a grid of one column, so each pair of
-    blocks is multiplied as a pair of tensor blocks with empty right words.
+    weight it lacks.  By the rank identity, entry e of the block x of
+    weight i and entry r of the block y of weight k land on (e << k) + r.
+    The loop runs over the nonzeros of one factor and adds the other
+    factor's block, one run each: y at stride 1, or x at stride 2^k.  It
+    takes the factor whose loop costs less, counting a run as _RUN_COST
+    entries.
     """
     for i, x in a.items():
         for k, y in b.items():
             out = acc.get(i + k)
             if out is None:
                 out = acc[i + k] = [0] * block_length(i + k)
-            _mul_block_into(out, x, 1, y, 1, k, 0, 1, m)
-
-
-def mul_tensor_blocks_into(acc, a, b, m):
-    """acc += m * a * b componentwise, on dense tensor blocks, in place.
-
-    As :func:`mul_word_blocks_into`, on blocks keyed by (left weight,
-    right weight) (:func:`to_tensor_blocks`).
-    """
-    for (i, j), x in a.items():
-        x_cols = block_length(j)
-        for (k, l), y in b.items():
-            out_cols = block_length(j + l)
-            out = acc.get((i + k, j + l))
-            if out is None:
-                out = acc[i + k, j + l] = [0] * (block_length(i + k) * out_cols)
-            _mul_block_into(out, x, x_cols, y, block_length(l), k, l, out_cols, m)
+            over_x = (len(x) - x.count(0)) * (len(y) + _RUN_COST)
+            if over_x <= (len(y) - y.count(0)) * (len(x) + _RUN_COST):
+                for e, v in nonzero_entries(x):
+                    _add_run(out, e << k, 1, y, v * m)
+            else:
+                for r, v in nonzero_entries(y):
+                    _add_run(out, r, 1 << k, x, v * m)
 
 
 def quasi_shuffle_words(u, v):

@@ -13,8 +13,10 @@ polynomials can be taken in one evaluation (``_coproducts``), so the
 quotients are shared across them too.  The suites hand over the quotient
 graph of a family's recursion instead (``_graph_coproducts``), which
 walks no word and keeps each image as dense blocks indexed by
-composition rank.  :func:`primitivity_defect` subtracts
-p (x) 1 + 1 (x) p from a fresh coproduct in place.  On blocks
+composition rank; each letter's coproduct is a letter by shape, so
+every product there places a child's blocks
+(``kernels.place_letter_blocks_into``).  :func:`primitivity_defect`
+subtracts p (x) 1 + 1 (x) p from a fresh coproduct in place.  On blocks
 (``_primitive_block_residue``), p's block of weight n is itself the
 block (n, 0) of p (x) 1 and (0, n) of 1 (x) p, so the suites compare
 whole blocks and decode only a mismatch.  The word-by-word coproduct
@@ -118,13 +120,14 @@ def _graph_coproducts(graph, family: HopfFamily):
     from its recursion up to a degree it has checked; no word is walked.
     Each coproduct is yielded as pass 2 forms it, ``(blocks, den)``
     (``kernels.to_tensor_blocks``); ``Tensor2._from_blocks`` decodes one.
-    The letters' coproducts are built by rank
-    (:func:`_generator_coproduct_blocks`).
+    The letters' coproducts are letters by shape
+    (:func:`_generator_coproduct_blocks`), so each product places a
+    child's blocks and no dense tensor product is taken.
     """
     return _evaluate_graph(
         graph,
         lambda letter: _generator_coproduct_blocks(letter, family),
-        *_block_morphism(_k.mul_tensor_blocks_into, (0, 0)),
+        *_block_morphism((0, 0)),
     )
 
 

@@ -664,8 +664,8 @@ class HSFamily:
 @lru_cache(maxsize=None)
 def truncated_polynomial_algebra(trunc: int) -> TestAlgebra:
     """Rational polynomials in one variable modulo x^(trunc+1)."""
-    if isinstance(trunc, bool) or trunc < 1:
-        raise ValueError("truncation order must be an integer >= 1")
+    if not isinstance(trunc, int) or isinstance(trunc, bool) or trunc < 1:
+        raise ValueError(f"truncation order must be an integer >= 1, got {trunc!r}")
     labels = tuple("1" if k == 0 else ("x" if k == 1 else f"x^{k}") for k in range(trunc + 1))
     products = {(i, j): {i + j: _ONE} for i in range(trunc + 1) for j in range(trunc + 1 - i)}
     return TestAlgebra._raw(labels, {0: _ONE}, products)
@@ -674,8 +674,8 @@ def truncated_polynomial_algebra(trunc: int) -> TestAlgebra:
 @lru_cache(maxsize=None)
 def upper_triangular_algebra(size: int) -> TestAlgebra:
     """Upper-triangular size x size rational matrices, basis E_ij (i <= j)."""
-    if not 2 <= size:
-        raise ValueError("matrix size must be >= 2")
+    if not isinstance(size, int) or isinstance(size, bool) or size < 2:
+        raise ValueError(f"matrix size must be an integer >= 2, got {size!r}")
     pairs = [(i, j) for i in range(1, size + 1) for j in range(i, size + 1)]
     index = {p: t for t, p in enumerate(pairs)}
     labels = tuple(f"E{i}{j}" for i, j in pairs)

@@ -40,7 +40,7 @@ from operator import mul
 
 from ._backend import kernels as _k
 from .config import check_index
-from .poly import NCPoly, _graph_substitutions
+from .poly import NCPoly, _graph_expansions
 from .words import check_composition, compositions_of
 
 # Words of these polynomials are read in the P' alphabet.
@@ -99,7 +99,7 @@ def _z_in_pprime_graph(top: int):
 def _top_member(graph) -> NCPoly:
     """The last member of a family's graph, expanded: each letter read as itself."""
     from_suffix, nodes, members = graph
-    (member,) = _graph_substitutions((from_suffix, nodes, members[-1:]), NCPoly.generator)
+    (member,) = _graph_expansions((from_suffix, nodes, members[-1:]))
     return member
 
 

@@ -297,22 +297,25 @@ def _generator_blocks(n: int):
     return [n], 1
 
 
-def _word_block_morphism(letter_image):
-    # (image, combine, finish) of a substitution into words, over dense blocks
-    return letter_image, *_block_morphism(_k.mul_word_blocks_into, 0)
+def _generator_residue(image, n: int) -> NCPoly:
+    """image - Z_n, for image in dense word blocks; only a mismatch is decoded to words.
+
+    Z_n is given over image's den, so its block is compared as it is.
+    """
+    den = image[1]
+    return NCPoly._block_residue(image, [(n, [0] * (_k.block_length(n) - 1) + [den])], den)
 
 
-def _block_morphism(product_into, one):
+def _block_morphism(one):
     """(combine, finish) of a morphism into term maps, over dense blocks.
 
-    The letters' images are dense blocks ``(blocks, den)``, or letters by
-    shape ``(shapes, 1)``, whose shapes are a list; ``product_into(acc, x,
-    y, m)`` adds m * x * y of two dense images to an accumulator, with m
-    an int, and a product with a letter by shape goes to
-    ``kernels.place_letter_blocks_into``.  ``one`` is the key of the
-    unit's block, of one entry.  The blocks that cancel to zero are
-    dropped once a node's products are done.  See "Image forms" in
-    :func:`_evaluate`.
+    The letters' images are dense word blocks ``(blocks, den)``, or
+    letters by shape ``(shapes, 1)``, whose shapes are a list.  A product
+    with a letter by shape goes to ``kernels.place_letter_blocks_into``,
+    on words and tensors alike, and a product of two dense images to
+    ``kernels.mul_word_blocks_into``.  ``one`` is the key of the unit's
+    block, of one entry.  The blocks that cancel to zero are dropped once
+    a node's products are done.  See "Image forms" in :func:`_evaluate`.
     """
 
     def combine(constant, factors):
@@ -336,7 +339,7 @@ def _block_morphism(product_into, one):
                 elif type(y) is list:
                     _k.place_letter_blocks_into(acc, y, x, m, False)
                 else:
-                    product_into(acc, x, y, m)
+                    _k.mul_word_blocks_into(acc, x, y, m)
         _k.drop_zero_blocks(acc)
         return acc, den
 
@@ -404,23 +407,16 @@ def _block_substitutions(graph, letter_image):
     itself, as the letter by shape :func:`_generator_blocks`; each root's
     image is yielded as dense blocks, in order.
     """
-    return _evaluate_graph(graph, *_word_block_morphism(letter_image))
+    return _evaluate_graph(graph, letter_image, *_block_morphism(0))
 
 
-def _graph_substitutions(graph, images):
-    """The images of the roots of a quotient graph under one substitution, in order.
+def _graph_expansions(graph):
+    """The roots of a quotient graph as term maps, in order: each letter read as itself.
 
-    ``images`` maps a letter to an NCPoly; the evaluation runs over dense
-    blocks (:func:`_block_substitutions`) and each image is decoded to a
-    term map as it is yielded.  Under the identity substitution
-    (``NCPoly.generator``) the images are the roots' own term maps, the
-    expansion of the graph.
+    Each Z_n is a letter by shape (:func:`_generator_blocks`), so every
+    product places a child, and each root is decoded as it is yielded.
     """
-    lookup = _lookup(images)
-    return map(
-        NCPoly._from_blocks,
-        _block_substitutions(graph, lambda letter: _k.to_word_blocks(lookup(letter)._terms)),
-    )
+    return map(NCPoly._from_blocks, _block_substitutions(graph, _generator_blocks))
 
 
 def _evaluate(roots, image, product_into, unit):
@@ -541,19 +537,22 @@ def _evaluate(roots, image, product_into, unit):
       (``kernels.place_letter_blocks_into``): a run per row when the
       letter comes first, as in the graphs read from the prefix, and
       strided runs when it comes last; no zero is scanned and no dense
-      letter is built.  Other letter images (the round trips of iso, the
-      substitution of newton-consistency) are converted
-      (``kernels.to_word_blocks``) or built dense, and a product of two
-      dense images adds the other factor's block for each nonzero of one
-      factor (``kernels.mul_word_blocks_into``,
-      ``mul_tensor_blocks_into``).  The blocks
-      that cancel to zero are dropped as each node finishes.  The
-      families are dense, so their blocks hold few zeros: the coproduct
-      of z_of_u(16), (n + 3) * 2^(n-2) = 311,296 terms, is 17 blocks of
-      311,296 slots in all.  The suites read the blocks as they are,
-      against dense closed forms, and decode only a mismatch to its
-      words (``_TermMap._block_residue``); ``_TermMap._from_blocks``
-      decodes a whole image.
+      letter is built.  The expansion of a graph, each letter read as
+      itself (:func:`_graph_expansions`), runs on these letters too.
+      Only word substitutions take dense letter images (the round trips
+      of iso, the substitution of newton-consistency), built dense or
+      converted (``kernels.to_word_blocks``), and a product of two dense
+      word images adds the other factor's block for each nonzero of one
+      factor (``kernels.mul_word_blocks_into``).  A coproduct's letters
+      are always letters by shape, so no dense tensor product exists.
+      The blocks that cancel to zero are dropped as each node finishes.
+      The families are dense, so their blocks hold few zeros: the
+      coproduct of z_of_u(16), (n + 3) * 2^(n-2) = 311,296 terms, is 17
+      blocks of 311,296 slots in all.  The suites read the blocks as they
+      are, against dense closed forms, and decode only a mismatch to its
+      words (``_TermMap._block_residue``; against Z_n,
+      :func:`_generator_residue`); ``_TermMap._from_blocks`` decodes a
+      whole image.
 
     No node is reduced, so a den may exceed the reduced one: at most 30
     bits in iso at 12 and 45 at 15.

@@ -156,7 +156,7 @@ def alpha(n: int, q: QSPoly) -> Fraction:
 
 def d_qsymm(n: int, q: QSPoly) -> QSPoly:
     """(id (x) alpha_n) after deconcatenation: drop a trailing part equal to n."""
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"derivation index must be an integer >= 1, got {n!r}")
     return QSPoly._raw(_last_parts(q._terms, n).get(n, {}))
 

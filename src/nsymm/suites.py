@@ -40,7 +40,7 @@ from .hopf import (
     counit_law_defects,
 )
 from .newton import _c_blocks, _explicit_blocks, _p_left_graph, _p_right_graph, _z_in_pprime_graph
-from .poly import NCPoly, _block_substitutions, _generator_blocks
+from .poly import NCPoly, _block_substitutions, _generator_blocks, _generator_residue
 from .qsymm import verify_hs_qsymm
 from .reports import Report, timed_check
 from .words import composition_of_rank
@@ -149,8 +149,7 @@ def newton_consistency_suite(max_degree: int) -> Report:
         report.timed(
             "substituting the primitives back recovers the generator",
             n,
-            # Z_n by shape in the evaluations, but dense where it is compared
-            lambda: _difference(next(recovered), ({n: [0] * (_k.block_length(n) - 1) + [1]}, 1)),
+            lambda: _generator_residue(next(recovered), n),
         )
         report.timed(
             "word reversal swaps left and right primitives",

@@ -50,7 +50,7 @@ def compositions_of(n: int) -> tuple[Composition, ...]:
 
     2^(n-1) of them for n >= 1; just the empty composition for n = 0.
     """
-    if not isinstance(n, int) or n < 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"compositions_of expects an integer >= 0, got {n!r}")
     if n == 0:
         return ((),)
@@ -86,4 +86,6 @@ def composition_of_rank(n: int, rank: int) -> Composition:
 
 def compositions_up_to(n: int) -> tuple[Composition, ...]:
     """All compositions of weight 0..n, in (weight, lex) order."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"compositions_up_to expects an integer >= 0, got {n!r}")
     return tuple(chain.from_iterable(compositions_of(k) for k in range(n + 1)))

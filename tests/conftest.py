@@ -146,11 +146,12 @@ def record_scalars(monkeypatch):
 def record_ratios(monkeypatch):
     """Patch module.name, a morphism of pass 2, to record each product's ratio.
 
-    ``module.name(...)`` returns ``(image, combine, finish)``, and
-    ``combine`` takes one factor ``(x, y, ratio)`` per edge.  The wrapper
-    records the ratio of each factor whose two images are nonzero: one per
-    product.  An image is a term map in the pair form and ``(blocks, den)``
-    over dense blocks.
+    ``module.name(...)`` returns ``(image, combine, finish)``, or
+    ``(combine, finish)`` over dense blocks, and ``combine`` takes one
+    factor ``(x, y, ratio)`` per edge.  The wrapper records the ratio of
+    each factor whose two images are nonzero: one per product.  An image
+    is a term map in the pair form and ``(blocks, den)`` over dense
+    blocks.
     """
 
     def nonzero(image):
@@ -161,13 +162,13 @@ def record_ratios(monkeypatch):
         real = getattr(module, name)
 
         def morphism(*args):
-            image, combine, finish = real(*args)
+            *image, combine, finish = real(*args)
 
             def recording(constant, factors):
                 ratios.extend(ratio for x, y, ratio in factors if nonzero(x) and nonzero(y))
                 return combine(constant, factors)
 
-            return image, recording, finish
+            return *image, recording, finish
 
         monkeypatch.setattr(module, name, morphism)
         return ratios

@@ -25,7 +25,7 @@ from nsymm.explog import (
     _z_of_u_graph,
 )
 from nsymm.hopf import _graph_coproducts
-from nsymm.poly import _graph_substitutions
+from nsymm.poly import _graph_expansions
 from nsymm.words import compositions_of
 
 
@@ -200,7 +200,7 @@ GRAPHS = {
 def test_graph_expansion_equals_the_composition_sum(name):
     # the identity substitution reads each root of the graph as its term map
     graph, member, coefficient = GRAPHS[name]
-    expansion = list(_graph_substitutions(graph(12), NCPoly.generator))
+    expansion = list(_graph_expansions(graph(12)))
     assert expansion == [
         NCPoly({w: coefficient(len(w)) for w in compositions_of(n)}) for n in range(1, 13)
     ]

@@ -36,7 +36,7 @@ from nsymm.hopf import (
     _word_coproduct,
 )
 from nsymm.newton import _explicit_blocks, _p_left_graph, _p_right_graph
-from nsymm.poly import _evaluate_graph, _graph_substitutions
+from nsymm.poly import _evaluate_graph, _graph_expansions
 
 NS, LH = HopfFamily.NSYMM, HopfFamily.LIEHOPF
 
@@ -485,13 +485,13 @@ GRAPH_PRODUCT_COUNTS = {
 @pytest.mark.parametrize("name", sorted(GRAPH_PRODUCT_COUNTS))
 def test_graph_coproducts_products_count(monkeypatch, name):
     graph, family, products = GRAPH_PRODUCT_COUNTS[name]
-    roots = list(_graph_substitutions(graph(12), NCPoly.generator))
+    roots = list(_graph_expansions(graph(12)))
     expected = list(_coproducts(roots, family, max_degree=12))
     # each letter is a letter by shape, so every product is a placement
     calls = []
     real = _k.place_letter_blocks_into
     monkeypatch.setattr(_k, "place_letter_blocks_into", lambda *args: (calls.append(1), real(*args))[1])
-    monkeypatch.setattr(_k, "mul_tensor_blocks_into", None)
+    monkeypatch.setattr(_k, "mul_word_blocks_into", None)
 
     def no_walk(roots):
         raise AssertionError("the graph path walked the words")
@@ -505,6 +505,6 @@ def test_graph_coproducts_products_count(monkeypatch, name):
 @pytest.mark.parametrize("family", [NS, LH])
 @pytest.mark.parametrize("graph", [_p_left_graph, _p_right_graph, _z_of_u_graph, _u_of_z_graph])
 def test_graph_coproducts_match_the_oracle(family, graph):
-    roots = list(_graph_substitutions(graph(7), NCPoly.generator))
+    roots = list(_graph_expansions(graph(7)))
     got = list(map(Tensor2._from_blocks, _graph_coproducts(graph(7), family)))
     assert got == [_coproduct_oracle(p, family) for p in roots]

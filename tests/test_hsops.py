@@ -1134,6 +1134,21 @@ def test_truncated_polynomial_algebra_rejects_bool_orders(bad):
         truncated_polynomial_algebra(bad)
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.0], ids=repr)
+def test_truncated_polynomial_algebra_rejects_non_int_orders(bad):
+    # 2.5 failed in range() with a TypeError
+    with pytest.raises(ValueError, match="integer >= 1"):
+        truncated_polynomial_algebra(bad)
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, 1], ids=repr)
+def test_upper_triangular_algebra_rejects_bool_small_and_non_int_sizes(bad):
+    # 2.5 failed in range() with a TypeError
+    upper_triangular_algebra(3)
+    with pytest.raises(ValueError, match="integer >= 2"):
+        upper_triangular_algebra(bad)
+
+
 def test_float_matrix_and_bool_unit_are_rejected():
     with pytest.raises(TypeError):
         LinMap(((0.5, 0.0), (0.0, 0.5)))

@@ -16,8 +16,10 @@ from nsymm import (
     z_in_pprime,
     z_in_pprime_via_c,
 )
+from nsymm import _core_py as _k
+from nsymm import newton
 from nsymm.newton import _c_blocks, _p_left_graph, _p_right_graph, _z_in_pprime_graph
-from nsymm.poly import _graph_substitutions
+from nsymm.poly import _graph_expansions
 
 Z = NCPoly.generator
 W = NCPoly.word
@@ -154,9 +156,25 @@ GRAPHS = {
 def test_graph_expansion_equals_the_closed_form(name):
     # the identity substitution reads each root of the graph as its term map
     graph, member, closed_form = GRAPHS[name]
-    expansion = list(_graph_substitutions(graph(12), NCPoly.generator))
+    expansion = list(_graph_expansions(graph(12)))
     assert expansion == [closed_form(n) for n in range(1, 13)]
     assert expansion == [member(n, max_degree=12) for n in range(1, 13)]
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_members_expand_their_graphs_by_letters_by_shape(monkeypatch, name):
+    # each Z_n is placed by its shape: no letter is converted to a dense
+    # block and no product of two dense images is taken
+    graph, member, closed_form = GRAPHS[name]
+    for cache in (newton._p_left, newton._p_right, newton._z_in_pprime):
+        cache.cache_clear()
+
+    def dense(*args):
+        raise AssertionError("a member was expanded through dense letters")
+
+    monkeypatch.setattr(_k, "to_word_blocks", dense)
+    monkeypatch.setattr(_k, "mul_word_blocks_into", dense)
+    assert [member(n) for n in range(1, 9)] == [closed_form(n) for n in range(1, 9)]
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))

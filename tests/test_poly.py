@@ -30,7 +30,7 @@ from nsymm.newton import _p_left_graph, _z_in_pprime_graph
 from nsymm.poly import (
     _evaluate,
     _evaluate_graph,
-    _graph_substitutions,
+    _graph_expansions,
     _substitutions,
     _word_unit,
 )
@@ -297,41 +297,58 @@ def _random_blocks(rng, keys):
     return {key: [rng.randint(-2, 2) for _ in range(length(key))] for key in keys}
 
 
+def _product_model(acc, x, y, m, concat):
+    """acc + m * x * y over Fractions, on term maps of (num, den) pairs."""
+    out = {key: Fraction(*pair) for key, pair in acc.items()}
+    for kx, vx in x.items():
+        for ky, vy in y.items():
+            key = concat(kx, ky)
+            out[key] = out.get(key, 0) + m * Fraction(*vx) * Fraction(*vy)
+    return {key: (value.numerator, value.denominator) for key, value in out.items() if value}
+
+
+def _concat_pairs(u, v):
+    return u[0] + v[0], u[1] + v[1]
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_rank_built_letters_equal_the_converters(n):
     # the suites' letters are letters by shape, placed by the rank identity;
-    # the dense product with the converters' blocks is the oracle, for
-    # words and tensors, the letter on either side, into an accumulator
-    # that the product partly cancels
+    # the Fraction model of the product with the letter's term map is the
+    # oracle, for words and tensors, the letter on either side, into an
+    # accumulator that the product partly cancels
     rng = random.Random(n)
-    letters = [("words", poly._generator_blocks(n), _k.to_word_blocks(NCPoly.generator(n)._terms))]
+    letters = [("words", poly._generator_blocks(n), NCPoly.generator(n)._terms)]
     letters += [
-        (family, hopf._generator_coproduct_blocks(n, family),
-         _k.to_tensor_blocks(hopf._generator_coproduct(n, family)))
+        (family, hopf._generator_coproduct_blocks(n, family), hopf._generator_coproduct(n, family))
         for family in HopfFamily
     ]
-    for kind, (shapes, one), (dense, dense_den) in letters:
+    for kind, (shapes, one), terms in letters:
+        if kind == "words":
+            to_blocks, decode, concat = _k.to_word_blocks, _k.from_word_blocks, tuple.__add__
+        else:
+            to_blocks, decode, concat = _k.to_tensor_blocks, _k.from_tensor_blocks, _concat_pairs
+        dense, dense_den = to_blocks(terms)
         assert one == dense_den == 1
         assert sorted(shapes) == sorted(dense)
-        product = _k.mul_word_blocks_into if kind == "words" else _k.mul_tensor_blocks_into
         for letter_first in (True, False):
             for trial in range(4):
                 weights = range(5) if kind == "words" else [(i, j) for i in range(4) for j in range(4)]
                 child = _random_blocks(rng, rng.sample(weights, 2))
                 m = rng.choice([1, -1, 3, -7])
-                factors = (dense, child) if letter_first else (child, dense)
+                child_terms = decode(child, 1)
+                factors = (terms, child_terms) if letter_first else (child_terms, terms)
                 # the accumulator holds minus the product on every other slot
-                cancelling = {}
-                product(cancelling, *factors, -m)
+                cancelling, _ = to_blocks(_product_model({}, *factors, -m, concat))
                 acc = _random_blocks(rng, list(child)[:1])
                 for key, block in cancelling.items():
                     block[::2] = [0] * len(block[::2])
                     acc[key] = [a + b for a, b in zip(acc.get(key, [0] * len(block)), block)]
-                expected = {key: block[:] for key, block in acc.items()}
-                product(expected, *factors, m)
+                expected = _product_model(decode(acc, 1), *factors, m, concat)
                 child_before = {key: block[:] for key, block in child.items()}
                 assert _k.place_letter_blocks_into(acc, shapes, child, m, letter_first) is None
-                assert acc == expected
+                assert decode(acc, 1) == expected
+                assert all(type(v) is int for block in acc.values() for v in block)
                 assert child == child_before
                 assert any(not any(block[1::2]) for block in acc.values() if len(block) > 1)
 
@@ -403,6 +420,18 @@ def _count_calls(monkeypatch, name):
     real = getattr(_k, name)
     monkeypatch.setattr(_k, name, lambda *args: (calls.append(1), real(*args))[1])
     return calls
+
+
+def _graph_substitutions(graph, images):
+    """The roots of a quotient graph under a substitution, over dense blocks, decoded.
+
+    Each letter's image, an NCPoly, is converted to dense word blocks.
+    """
+    lookup = poly._lookup(images)
+    return map(
+        NCPoly._from_blocks,
+        poly._block_substitutions(graph, lambda k: _k.to_word_blocks(lookup(k)._terms)),
+    )
 
 
 def _word_pair_morphism(images):
@@ -736,7 +765,7 @@ def test_graph_substitutions_match_the_oracle_on_scaled_edges(
     # a node whose edges are all scaled joins the class of the node it copies
     images = IMAGE_FAMILIES[family]
     rng = random.Random(20121)
-    scalars = record_ratios(poly, "_word_block_morphism")
+    scalars = record_ratios(poly, "_block_morphism")
     kinds, merged = set(), 0
     for _ in range(10):
         graph = _random_graph(rng, from_suffix)
@@ -765,7 +794,7 @@ def test_pass_one_finds_the_graph_of_the_expansion(from_suffix):
         graph = _random_graph(rng, from_suffix)
         expansion = _expand_graph(graph)
         assert list(_graph_substitutions(graph, images)) == list(_substitutions(expansion, images))
-        assert list(_graph_substitutions(graph, NCPoly.generator)) == expansion
+        assert list(_graph_expansions(graph)) == expansion
 
 
 def test_node_denominator_is_the_lcm_of_its_edges():
@@ -775,13 +804,13 @@ def test_node_denominator_is_the_lcm_of_its_edges():
     # product and no factor.  The pair form fixes no denominator: each
     # product reduces its own sums
     letters = {1: {(1,): (1, 2)}, 2: {(2,): (1, 3), (): (1, 1)}}
-    image, combine, _ = poly._word_block_morphism(lambda k: _k.to_word_blocks(letters[k]))
+    combine, _ = poly._block_morphism(0)
     first = {(3,): (1, 4), (): (3, 2)}
     second = {(1,): (2, 1)}
     factors = [
-        (image(1), _k.to_word_blocks(first), (1, 1)),
-        (image(1), ({}, 11), (1, 13)),
-        (image(2), _k.to_word_blocks(second), (-5, 6)),
+        (_k.to_word_blocks(letters[1]), _k.to_word_blocks(first), (1, 1)),
+        (_k.to_word_blocks(letters[1]), ({}, 11), (1, 13)),
+        (_k.to_word_blocks(letters[2]), _k.to_word_blocks(second), (-5, 6)),
     ]
     blocks, den = combine((1, 7), factors)
     assert den == 504 == lcm(7, 2 * 4, 3 * 6)
@@ -824,7 +853,7 @@ GRAPH_SUBSTITUTIONS = {
 def test_graph_substitutions_products_count(monkeypatch, name):
     graph, letter_image, products = GRAPH_SUBSTITUTIONS[name]
     images = {k: letter_image(k, max_degree=12) for k in range(1, 13)}
-    roots = list(_graph_substitutions(graph(12), NCPoly.generator))
+    roots = list(_graph_expansions(graph(12)))
     expected = list(_substitutions(roots, images))
     calls = _count_calls(monkeypatch, "mul_word_blocks_into")
 

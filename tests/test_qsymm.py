@@ -137,6 +137,13 @@ def test_d_qsymm_examples():
     assert d_qsymm(1, QSPoly.one()) == QSPoly.zero()
 
 
+@pytest.mark.parametrize("bad", [True, False, 2.0, 0], ids=repr)
+def test_d_qsymm_rejects_bool_and_non_int_indices(bad):
+    # a bool is an int to isinstance: d_qsymm(True, q) was d_1(q)
+    with pytest.raises(ValueError, match="integer >= 1"):
+        d_qsymm(bad, M((1, 2)))
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_d_qsymm_matches_last_part_rule(n):
     for c in BASIS6:

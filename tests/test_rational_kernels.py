@@ -417,9 +417,9 @@ def test_evaluator_leaves_cached_images_unchanged():
 
 # --- the integer products of pass 2 ------------------------------------------
 
-# integer maps, taken to dense blocks over den 1 (check_blocks_into): (a, b)
-# per shape, with the left factor longer, the right longer, one-term and
-# empty factors
+# integer maps, taken to dense word blocks over den 1 (check_blocks_into):
+# (a, b) per shape, with the left factor longer, the right longer, one-term
+# and empty factors
 INT_LONG = {(1, 2): 1, (2,): -3, (1,): 2, (): 4}
 INT_SHAPES = {
     "left longer": (INT_LONG, {(3,): 2, (): -1}),
@@ -439,10 +439,10 @@ def as_pairs(ints):
     return {k: (v, 1) for k, v in ints.items()}
 
 
-def cancelling_acc(kind, a, b, m, own):
+def cancelling_acc(a, b, m, own):
     """An accumulator whose first product term cancels, with the term own of its own."""
     acc = {own: 7}
-    product = into_model({}, as_pairs(a), as_pairs(b), BLOCK_KERNELS[kind][3], (m, 1))
+    product = into_model({}, as_pairs(a), as_pairs(b), concat_words, (m, 1))
     product = [(k, v) for k, v in product.items() if v]
     if product:
         first, value = product[0]
@@ -453,35 +453,30 @@ def cancelling_acc(kind, a, b, m, own):
 @pytest.mark.parametrize("m", MULTIPLIERS)
 @pytest.mark.parametrize("shape", sorted(INT_SHAPES))
 def test_integer_products_on_each_shape(shape, m):
-    # the block products, against the Fraction model
+    # the dense word block product, against the Fraction model
     a, b = INT_SHAPES[shape]
-    pa = {(k, k[::-1]): v for k, v in a.items()}
-    pb = {(k[::-1], k): v for k, v in b.items()}
-    cases = [
-        ("words", a, b, (5,)),
-        ("tensors", doubled(a), doubled(b), ((5,), ())),
-        ("tensors", pa, pb, ((5,), ())),
-    ]
-    for kind, x, y, own in cases:
-        check_blocks_into(kind, {}, x, y, m)
-        acc = cancelling_acc(kind, x, y, m, own)
-        got = BLOCK_KERNELS[kind][2](check_blocks_into(kind, acc, x, y, m), 1)
-        # the cancelled term is gone, and acc's own term stays
-        assert not acc.keys() - {own} & got.keys()
-        assert got[own] == (7, 1)
+    own = (5,)
+    check_blocks_into({}, a, b, m)
+    acc = cancelling_acc(a, b, m, own)
+    got = K.from_word_blocks(check_blocks_into(acc, a, b, m), 1)
+    # the cancelled term is gone, and acc's own term stays
+    assert not acc.keys() - {own} & got.keys()
+    assert got[own] == (7, 1)
 
 
 @pytest.mark.parametrize("pad", ["none", "left", "right"])
 def test_integer_products_keep_the_factor_order(pad):
-    # the block products: (1, 2)(3,) and (3,)(1, 2) land on different ranks
+    # the block products: (1, 2)(3,) and (3,)(1, 2) land on different ranks,
+    # for the dense word product and for Z_3 (x) Z_3 placed by its shape
     left, right = {(1, 2): 1}, {(3,): 2}
     if pad == "left":
         left[(4,)] = 1
     elif pad == "right":
         right[(4,)] = 1
     for x, y in ((left, right), (right, left)):
-        check_blocks_into("words", {}, x, y, -3)
-        check_blocks_into("tensors", {}, doubled(x), doubled(y), -3)
+        check_blocks_into({}, x, y, -3)
+    for letter_first in (True, False):
+        check_placement({}, [(3, 3)], doubled(left), -3, letter_first)
 
 
 @given(term_maps)
@@ -549,51 +544,80 @@ def tensor_blocks(ints):
     return K.to_tensor_blocks(as_pairs(ints))[0]
 
 
-BLOCK_KERNELS = {
-    "words": (K.mul_word_blocks_into, word_blocks, K.from_word_blocks, concat_words),
-    "tensors": (K.mul_tensor_blocks_into, tensor_blocks, K.from_tensor_blocks, concat_pairs),
-}
+def check_blocks_into(acc, a, b, m):
+    """mul_word_blocks_into, decoded, against the Fraction model; a and b stay untouched.
 
-
-def check_blocks_into(kind, acc, a, b, m):
-    """The block kernel, decoded, against the Fraction model; a and b stay untouched.
-
-    acc, a and b are integer maps, taken to dense blocks over den 1, and
-    m an int.  Every block the kernel writes has the length of its
-    weights, and a and b, the factors, are not written.
+    acc, a and b are integer maps on words, taken to dense blocks over
+    den 1, and m an int.  Every block the kernel writes has the length of
+    its weight, and a and b, the factors, are not written.
     """
-    kernel, to_blocks, decode, concat = BLOCK_KERNELS[kind]
-    expected = into_model(as_pairs(acc), as_pairs(a), as_pairs(b), concat, (m, 1))
-    x, y = to_blocks(a), to_blocks(b)
+    expected = into_model(as_pairs(acc), as_pairs(a), as_pairs(b), concat_words, (m, 1))
+    x, y = word_blocks(a), word_blocks(b)
     x_before, y_before = {k: list(v) for k, v in x.items()}, {k: list(v) for k, v in y.items()}
-    got = to_blocks(acc)
-    assert kernel(got, x, y, m) is None
-    for key, block in got.items():
-        i, j = (key, 0) if kind == "words" else key
-        assert len(block) == K.block_length(i) * K.block_length(j)
+    got = word_blocks(acc)
+    assert K.mul_word_blocks_into(got, x, y, m) is None
+    for weight, block in got.items():
+        assert len(block) == K.block_length(weight)
         assert all(type(v) is int for v in block)
     assert x == x_before and y == y_before
-    check_same(decode(got, 1), expected)
+    check_same(K.from_word_blocks(got, 1), expected)
+    K.drop_zero_blocks(got)
+    assert all(any(block) for block in got.values())
+    return got
+
+
+def one_part(weight):
+    """The one-part composition of a weight, and the empty word for 0."""
+    return (weight,) if weight else ()
+
+
+def check_placement(acc, letter, child, m, letter_first):
+    """place_letter_blocks_into on tensor blocks, decoded, against the Fraction model.
+
+    letter is a letter by shape, a list of (i, j), each the term
+    Z_i (x) Z_j; acc and child are integer maps on pairs of words, taken
+    to dense blocks over den 1, and m an int.  Every block written has the
+    length of its weights, and the child is not written.
+    """
+    terms = {(one_part(i), one_part(j)): 1 for i, j in letter}
+    x, y = (terms, child) if letter_first else (child, terms)
+    expected = into_model(as_pairs(acc), as_pairs(x), as_pairs(y), concat_pairs, (m, 1))
+    blocks = tensor_blocks(child)
+    before = {k: list(v) for k, v in blocks.items()}
+    got = tensor_blocks(acc)
+    assert K.place_letter_blocks_into(got, letter, blocks, m, letter_first) is None
+    for (i, j), block in got.items():
+        assert len(block) == K.block_length(i) * K.block_length(j)
+        assert all(type(v) is int for v in block)
+    assert blocks == before
+    check_same(K.from_tensor_blocks(got, 1), expected)
     K.drop_zero_blocks(got)
     assert all(any(block) for block in got.values())
     return got
 
 
 def record_runs(monkeypatch):
-    """Record, per grid that a product adds, the factor it comes from and its runs.
+    """Record each grid that a product adds: the block it comes from and its runs.
 
-    Each entry is (side, runs): side "right" when the loop ran over the
-    left factor's nonzeros and added blocks of the right one, and each run
-    (step, length) of one slice multiply-add.
+    Each entry is (src, runs), each run the (step, length) of one slice
+    multiply-add.  A run added outside a grid, as the dense word product
+    adds each, is a grid of its own.
     """
     grids = []
+    in_grid = []
     real_grid, real_run = K._add_grid, K._add_run
 
     def _add_grid(out, base, src, *rest):
         grids.append((src, []))
-        return real_grid(out, base, src, *rest)
+        in_grid.append(True)
+        try:
+            return real_grid(out, base, src, *rest)
+        finally:
+            in_grid.pop()
 
     def _add_run(out, start, step, src, v):
+        if not in_grid:
+            grids.append((src, []))
         grids[-1][1].append((step, len(src)))
         return real_run(out, start, step, src, v)
 
@@ -608,27 +632,28 @@ def dense(shape, start=1):
     return {pair: start + k for k, pair in enumerate(cartesian(compositions_of(i), compositions_of(j)))}
 
 
-# (left factor, right factor, the factor whose nonzeros the loop runs over,
-# the runs of each grid: (step, length) each), one case per branch of
-# _add_grid in each loop
+# (letter by shape, child, whether the letter comes first, the runs of the
+# child's grid: (step, length) each), one case per branch of _add_grid on
+# each side.  A "left loop" places the child after the letter, as if the
+# loop ran over the left factor's one nonzero, and a "right loop" before it
 BLOCK_BRANCHES = {
-    # the left factor's right word is empty: the right block is one contiguous run
-    "left loop, whole run": ({((2,), ()): 3}, dense((2, 2)), "left", [(1, 4)]),
-    # one column: the right block, of weights (2, 0), is one run at the row stride C(2 + 0)
-    "left loop, one column": ({((1,), (2,)): 3}, dense((2, 0)), "left", [(2, 2)]),
+    # the letter's right word is empty: the child is one contiguous run
+    "left loop, whole run": ([(2, 0)], dense((2, 2)), True, [(1, 4)]),
+    # one column: the child, of weights (2, 0), is one run at the row stride C(2 + 0)
+    "left loop, one column": ([(1, 2)], dense((2, 0)), True, [(2, 2)]),
     # C(2) = 2 rows of C(3) = 4 columns: two contiguous runs
-    "left loop, rows": ({((1,), (1,)): 3}, dense((2, 3)), "left", [(1, 4)] * 2),
+    "left loop, rows": ([(1, 1)], dense((2, 3)), True, [(1, 4)] * 2),
     # C(3) = 4 rows of C(2) = 2 columns: two runs at the row stride C(1 + 2)
-    "left loop, columns": ({((1,), (1,)): 3}, dense((3, 2)), "left", [(4, 4)] * 2),
-    # the right factor's left word is empty: the left block is one run at 2^l
-    "right loop, whole run": (dense((2, 2)), {((), (2,)): 3}, "right", [(4, 4)]),
-    # C(2) rows of C(3) columns, right factor of weights (1, 1): two runs at 2^1
-    "right loop, rows": (dense((2, 3)), {((1,), (1,)): 3}, "right", [(2, 4)] * 2),
+    "left loop, columns": ([(1, 1)], dense((3, 2)), True, [(4, 4)] * 2),
+    # the letter's left word is empty: the child is one run at 2^l
+    "right loop, whole run": ([(0, 2)], dense((2, 2)), False, [(4, 4)]),
+    # C(2) rows of C(3) columns, letter of weights (1, 1): two runs at 2^1
+    "right loop, rows": ([(1, 1)], dense((2, 3)), False, [(2, 4)] * 2),
     # C(3) rows of C(2) columns: two runs at the row stride C(2 + 1) << 1
-    "right loop, columns": (dense((3, 2)), {((1,), (1,)): 3}, "right", [(8, 4)] * 2),
-    # blocks of weight 0 on either side
-    "left loop, weight 0": ({((), ()): 3}, dense((2, 1)), "left", [(1, 2)]),
-    "right loop, weight 0": (dense((2, 1)), {((), ()): 3}, "right", [(1, 2)]),
+    "right loop, columns": ([(1, 1)], dense((3, 2)), False, [(8, 4)] * 2),
+    # the letter of weights (0, 0), the unit, on either side
+    "left loop, weight 0": ([(0, 0)], dense((2, 1)), True, [(1, 2)]),
+    "right loop, weight 0": ([(0, 0)], dense((2, 1)), False, [(1, 2)]),
 }
 BLOCK_MULTIPLIERS = [1, -1, 10**20 + 1, -(10**20 + 1)]
 
@@ -636,12 +661,13 @@ BLOCK_MULTIPLIERS = [1, -1, 10**20 + 1, -(10**20 + 1)]
 @pytest.mark.parametrize("m", BLOCK_MULTIPLIERS)
 @pytest.mark.parametrize("case", sorted(BLOCK_BRANCHES))
 def test_tensor_block_products_on_each_branch(monkeypatch, case, m):
-    a, b, loop, runs = BLOCK_BRANCHES[case]
+    # the placement of a letter by shape, against the Fraction model
+    letter, child, letter_first, runs = BLOCK_BRANCHES[case]
     grids = record_runs(monkeypatch)
     acc = {((), (9,)): 7}
-    check_blocks_into("tensors", acc, a, b, m)
+    check_placement(acc, letter, child, m, letter_first)
     ((src, got_runs),) = grids
-    assert src in tensor_blocks(b if loop == "left" else a).values()
+    assert src in tensor_blocks(child).values()
     assert got_runs == runs
 
 
@@ -660,7 +686,7 @@ WORD_BRANCHES = {
 def test_word_block_products_on_each_branch(monkeypatch, case, m):
     a, b, loop, runs = WORD_BRANCHES[case]
     grids = record_runs(monkeypatch)
-    check_blocks_into("words", {(1,): 5, (3, 3): -1}, a, b, m)
+    check_blocks_into({(1,): 5, (3, 3): -1}, a, b, m)
     ((src, got_runs),) = grids
     factor = word_blocks(b if loop == "left" else a)
     assert src in factor.values()
@@ -668,9 +694,10 @@ def test_word_block_products_on_each_branch(monkeypatch, case, m):
 
 
 def test_block_product_that_cancels_is_dropped():
+    # Z_1 (x) 1 + 1 (x) Z_1, placed as a letter by shape before itself
     a = {((1,), ()): 1, ((), (1,)): 1}
     acc = {((1, 1), ()): 2, ((1,), (1,)): 4, ((), (1, 1)): 2}
-    got = check_blocks_into("tensors", acc, a, a, -2)
+    got = check_placement(acc, [(1, 0), (0, 1)], a, -2, True)
     assert got == {}
 
 
@@ -688,30 +715,17 @@ block_ints = st.integers(-3, 3).filter(bool)
     multipliers,
 )
 def test_mul_word_blocks_into_model(acc, a, b, m):
-    check_blocks_into("words", acc, a, b, m)
+    check_blocks_into(acc, a, b, m)
 
 
-@given(
-    st.dictionaries(block_pairs, block_ints, max_size=6),
-    st.dictionaries(block_pairs, block_ints, max_size=12),
-    st.dictionaries(block_pairs, block_ints, max_size=12),
-    multipliers,
-)
-def test_mul_tensor_blocks_into_model(acc, a, b, m):
-    check_blocks_into("tensors", acc, a, b, m)
-
-
-@given(small_maps(block_words), small_maps(block_words), small_maps(block_pairs), small_maps(block_pairs))
-def test_block_products_match_the_fraction_model(a, b, s, t):
+@given(small_maps(block_words), small_maps(block_words))
+def test_block_products_match_the_fraction_model(a, b):
     # rational factors over their dens: the product's den is the product of theirs
-    for kind, x, y, concat in (("words", a, b, concat_words), ("tensors", s, t, concat_pairs)):
-        kernel, _, decode, _ = BLOCK_KERNELS[kind]
-        to_blocks = K.to_word_blocks if kind == "words" else K.to_tensor_blocks
-        (bx, dx), (by, dy) = to_blocks(x), to_blocks(y)
-        acc = {}
-        if bx and by:
-            kernel(acc, bx, by, 1)
-        check_same(decode(acc, dx * dy), into_model({}, x, y, concat))
+    (bx, dx), (by, dy) = K.to_word_blocks(a), K.to_word_blocks(b)
+    acc = {}
+    if bx and by:
+        K.mul_word_blocks_into(acc, bx, by, 1)
+    check_same(K.from_word_blocks(acc, dx * dy), into_model({}, a, b, concat_words))
 
 
 @given(st.dictionaries(block_pairs, small_pairs, max_size=8), st.integers(-5, 5).filter(bool))

@@ -11,7 +11,7 @@ import pytest
 from nsymm import NCPoly, QSPoly, Tensor2, explog, hopf, poly, qsymm, suites
 from nsymm import _core_py as _k
 from nsymm.hopf import HopfFamily
-from nsymm.poly import _graph_substitutions
+from nsymm.poly import _graph_expansions
 from nsymm.suites import run_suite
 from nsymm.words import compositions_of
 
@@ -178,7 +178,7 @@ def test_iso_poly_defect_record(monkeypatch):
             # only the Z->U->Z round trip of degree 3 starts from z_of_u(3); the
             # identity substitution expands the graph's roots; iso reads the
             # round trips as dense blocks (blocks, den)
-            polys = _graph_substitutions(graph, NCPoly.generator)
+            polys = _graph_expansions(graph)
             for p, image in zip(polys, real(graph, letter_image)):
                 extra = NCPoly.word((1, 1, 1), -2) if p == explog.z_of_u(3) else NCPoly.zero()
                 yield _k.to_word_blocks((NCPoly._from_blocks(image) + extra)._terms)
@@ -226,7 +226,7 @@ def test_iso_tensor_defect_record(monkeypatch):
     def fake(real):
         def _graph_coproducts(graph, family):
             # iso reads the coproducts as dense blocks (blocks, den)
-            polys = _graph_substitutions(graph, NCPoly.generator)
+            polys = _graph_expansions(graph)
             for p, out in zip(polys, real(graph, family)):
                 if p.degree == 3:
                     extra = Tensor2.outer(NCPoly.word((1,)), NCPoly.word((1, 1), "1/4"))
@@ -288,7 +288,7 @@ def _raised(pair):
 
 
 def _expansion(graph):
-    return list(_graph_substitutions(graph, NCPoly.generator))
+    return list(_graph_expansions(graph))
 
 
 def graph_and_term_map_records(monkeypatch, suite, degree, module, builder, paths, seed):

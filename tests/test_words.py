@@ -55,6 +55,21 @@ def test_compositions_up_to():
     assert everything == ((),) + compositions_of(1) + compositions_of(2) + compositions_of(3)
 
 
+@pytest.mark.parametrize("bad", [True, False, 2.0], ids=repr)
+def test_compositions_of_rejects_bool_and_non_int_weights(bad):
+    # a bool is an int to isinstance: True was read as weight 1
+    compositions_of(1)
+    with pytest.raises(ValueError, match="integer >= 0"):
+        compositions_of(bad)
+
+
+@pytest.mark.parametrize("bad", [True, False, -1, 2.0], ids=repr)
+def test_compositions_up_to_rejects_bool_negative_and_non_int_weights(bad):
+    # True was read as weight <= 1, and -1 gave no composition at all
+    with pytest.raises(ValueError, match="integer >= 0"):
+        compositions_up_to(bad)
+
+
 def test_term_order_weight_then_length_then_lex():
     words = [(1, 1, 1), (3,), (1, 2), (2, 1), (), (2,), (1, 1)]
     ordered = sorted(words, key=term_order_key)
